@@ -1,8 +1,8 @@
 """Command-line interface: analysis, filtering, training, and sweeps.
 
-Exit codes: 0 on success, 2 for configuration errors, 3 for numeric
-failures (a non-finite loss mid-training flushes the partial trace before
-exiting).
+Exit codes: 0 on success, 2 for configuration errors and unreadable
+input files, 3 for numeric failures (a non-finite loss mid-training
+flushes the partial trace before exiting).
 """
 
 import argparse
@@ -16,9 +16,9 @@ from .config import config_hash, dump_config, load_config, replace_train
 from .dynamics import decay_check
 from .errors import ConfigError, NumericError
 from .intervention import train as train_loop
-from .preference import METRIC_KINDS, score_maps
+from .preference import METRIC_KINDS, batch_preference
 from .seeds import stream_rng, stream_seed
-from .spectral import SpectralConfig, center_crop, compute_maps, fft_filter
+from .spectral import SpectralConfig, center_crop, fft_filter
 from .synthdata import generate, load_dataset, save_dataset
 from .tinynet import load_checkpoint, save_checkpoint
 
@@ -31,9 +31,10 @@ DEFAULT_PARAM_TUPLES = (
 
 def _read_plane(path) -> np.ndarray:
     path = Path(path)
-    if path.suffix == ".pgm":
-        return tensorio.read_pgm(path)
-    return tensorio.read_raw(path)
+    img = tensorio.read_pgm(path) if path.suffix == ".pgm" else tensorio.read_raw(path)
+    if not np.all(np.isfinite(img)):
+        raise ValueError(f"{path}: plane contains non-finite values")
+    return img
 
 
 def _write_plane(path, img) -> None:
@@ -52,16 +53,13 @@ def cmd_analyze(args) -> int:
     if args.data:
         ds = load_dataset(args.data)
         for i, stack in enumerate(ds.images):
-            from .preference import batch_preference
-
             score = batch_preference(stack, spectral, metric, args.omega_band)
             rows.append([f"mod{i}", metric, score])
     for path in args.images:
         img = _read_plane(path)
         if args.center_crop:
             img = center_crop(img, spectral.p)
-        maps = compute_maps(img, spectral)
-        score = score_maps(maps, metric, spectral.sigma, args.omega_band)
+        score = batch_preference(img[None], spectral, metric, args.omega_band)
         rows.append([Path(path).name, metric, score])
     if not rows:
         raise ConfigError("analyze needs image paths or --data")
@@ -328,6 +326,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

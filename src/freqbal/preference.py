@@ -13,8 +13,6 @@ import numpy as np
 
 from .spectral import FrequencyMaps, SpectralConfig, compute_maps_batch
 
-METRIC_KINDS = ("frm", "mp_low", "mp_sum", "mp_weighted")
-
 
 def frm(maps: FrequencyMaps, sigma: float = 1e-8) -> float:
     """Ratio score: sum of |low[a,b] / (high[-1-a, -1-b] + sigma)|.
@@ -22,47 +20,35 @@ def frm(maps: FrequencyMaps, sigma: float = 1e-8) -> float:
     The high map is flipped along both axes before the cellwise division,
     pairing each low coefficient with its mirrored high counterpart.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return float(_frm_nd(maps.low, maps.high, sigma))
+    return score_maps(maps, "frm", sigma=sigma)
 
 
 def mp_low(maps: FrequencyMaps) -> float:
     """Low-band L1 norm."""
-    return float(np.abs(maps.low).sum())
+    return score_maps(maps, "mp_low")
 
 
 def mp_sum(maps: FrequencyMaps) -> float:
     """Plain sum of low- and high-band L1 norms."""
-    return float(np.abs(maps.low).sum() + np.abs(maps.high).sum())
+    return score_maps(maps, "mp_sum")
 
 
 def mp_weighted(maps: FrequencyMaps, omega_band: float = 0.9) -> float:
     """Convex blend omega*|low| + (1-omega)*|high| of the band L1 norms."""
-    if not 0.0 <= omega_band <= 1.0:
-        raise ValueError(f"omega_band must lie in [0,1], got {omega_band}")
-    return float(omega_band * np.abs(maps.low).sum() + (1.0 - omega_band) * np.abs(maps.high).sum())
+    return score_maps(maps, "mp_weighted", omega_band=omega_band)
 
 
 def score_maps(maps: FrequencyMaps, kind: str, sigma: float = 1e-8, omega_band: float = 0.9) -> float:
-    if kind == "frm":
-        return frm(maps, sigma)
-    if kind == "mp_low":
-        return mp_low(maps)
-    if kind == "mp_sum":
-        return mp_sum(maps)
-    if kind == "mp_weighted":
-        return mp_weighted(maps, omega_band)
-    raise ValueError(f"unknown metric kind {kind!r}; expected one of {METRIC_KINDS}")
+    """Score of one plane's band maps; one plane is a batch of one."""
+    return float(_per_sample(maps.low, maps.high, kind, sigma, omega_band))
 
 
 def batch_preference(batch, cfg: SpectralConfig, kind: str = "frm", omega_band: float = 0.9) -> float:
     """Mean per-sample score of one modality's mini-batch of planes.
 
-    `batch` is an (N, H, W) stack (a single plane is promoted). Per-sample
-    scores go through the full patch pipeline; the batch score is their
-    arithmetic mean, so it is invariant to batch size for identical
-    samples.
+    `batch` is an (N, H, W) stack (a single plane is promoted). The batch
+    score is the arithmetic mean of the per-sample scores, so it is
+    invariant to batch size for identical samples.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 2:
@@ -70,27 +56,41 @@ def batch_preference(batch, cfg: SpectralConfig, kind: str = "frm", omega_band: 
     if batch.ndim != 3 or batch.shape[0] == 0:
         raise ValueError(f"expected a non-empty (N, H, W) batch, got shape {batch.shape}")
     low, high = compute_maps_batch(batch, cfg)
-    if kind == "frm":
-        per_sample = _frm_nd(low, high, cfg.sigma)
-    elif kind == "mp_low":
-        per_sample = np.abs(low).sum(axis=(1, 2))
-    elif kind == "mp_sum":
-        per_sample = np.abs(low).sum(axis=(1, 2)) + np.abs(high).sum(axis=(1, 2))
-    elif kind == "mp_weighted":
-        if not 0.0 <= omega_band <= 1.0:
-            raise ValueError(f"omega_band must lie in [0,1], got {omega_band}")
-        per_sample = omega_band * np.abs(low).sum(axis=(1, 2)) + (1.0 - omega_band) * np.abs(
-            high
-        ).sum(axis=(1, 2))
-    else:
-        raise ValueError(f"unknown metric kind {kind!r}; expected one of {METRIC_KINDS}")
-    return float(per_sample.mean())
+    return float(_per_sample(low, high, kind, cfg.sigma, omega_band).mean())
 
 
-def _frm_nd(low, high, sigma):
-    # Trailing two axes are the map; leading axes broadcast (batch).
+def _l1(band):
+    return np.abs(band).sum(axis=(-2, -1))
+
+
+def _frm(low, high, sigma, omega_band):
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     flipped = high[..., ::-1, ::-1]
-    return np.abs(low / (flipped + sigma)).sum(axis=(-2, -1))
+    return _l1(low / (flipped + sigma))
+
+
+def _mp_weighted(low, high, sigma, omega_band):
+    if not 0.0 <= omega_band <= 1.0:
+        raise ValueError(f"omega_band must lie in [0,1], got {omega_band}")
+    return omega_band * _l1(low) + (1.0 - omega_band) * _l1(high)
+
+
+# Per-sample reducers keyed by metric kind. The trailing two axes are the
+# band map; leading axes (the batch) broadcast.
+_REDUCERS = {
+    "frm": _frm,
+    "mp_low": lambda low, high, sigma, omega_band: _l1(low),
+    "mp_sum": lambda low, high, sigma, omega_band: _l1(low) + _l1(high),
+    "mp_weighted": _mp_weighted,
+}
+METRIC_KINDS = tuple(_REDUCERS)
+
+
+def _per_sample(low, high, kind, sigma, omega_band):
+    if kind not in _REDUCERS:
+        raise ValueError(f"unknown metric kind {kind!r}; expected one of {METRIC_KINDS}")
+    return _REDUCERS[kind](low, high, sigma, omega_band)
 
 
 @dataclass

@@ -1,14 +1,19 @@
 """Patch-DCT band maps and FFT windowed filtering for grayscale planes.
 
-The patch pipeline tiles an image into non-overlapping p x p patches,
-applies an orthonormal 2-D DCT-II to each, takes the top-left q x q corner
-of every coefficient block as its low-frequency component and the
-bottom-right q x q corner as its high-frequency component, and reassembles
-the corners by patch position into two maps of shape (H*q/p, W*q/p).
+A plane is viewed as a grid of non-overlapping p x p patches. Each patch's
+orthonormal 2-D DCT-II has a top-left q x q corner (its low-frequency
+component) and a bottom-right q x q corner (its high-frequency component),
+and the band maps place those corners by patch position into two maps of
+shape (H*q/p, W*q/p). Only the corners are ever used, so the maps are
+computed as per-axis projections onto them: with B the p x p DCT basis and
+L = kron(I, B[:q]) for each axis, the low map is L_h X L_w^T, and the high
+map uses B[p-q:] the same way. The transposes of the same projections turn
+band maps back into pixels, which is how the synthetic generator builds
+its images.
 
-The FFT filters operate on the whole plane instead: the spectrum is
-shifted so DC sits at (H//2, W//2) and an n x n window centered there is
-either kept (low pass) or zeroed (high pass).
+The FFT filters operate on the whole plane instead, one plane per call:
+the spectrum is shifted so DC sits at (H//2, W//2) and an n x n window
+centered there is either kept (low pass) or zeroed (high pass).
 
 All functions are pure; arrays are never modified in place.
 """
@@ -21,12 +26,9 @@ import numpy as np
 __all__ = [
     "SpectralConfig",
     "FrequencyMaps",
-    "partition_patches",
-    "merge_patches",
+    "band_projections",
     "dct2",
     "idct2",
-    "extract_bands",
-    "assemble_maps",
     "compute_maps",
     "compute_maps_batch",
     "fft_filter",
@@ -94,6 +96,28 @@ def _dct_basis(p: int) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=None)
+def band_projections(side: int, p: int, q: int):
+    """Low and high band projections of one plane axis of length `side`.
+
+    Returns read-only (low, high) arrays of shape (side*q/p, side):
+    kron(I, B[:q]) and kron(I, B[p-q:]) for the DCT basis B of side p. For
+    a plane X of shape (H, W), low_H @ X @ low_W.T is the low band map and
+    low_H.T @ M @ low_W puts a low band map M back into pixels.
+    """
+    if side % p:
+        raise ValueError(f"axis of length {side} not divisible by patch side {p}")
+    if not 1 <= q <= p:
+        raise ValueError(f"block side q={q} out of range for p={p}")
+    basis = _dct_basis(p)
+    eye = np.eye(side // p)
+    low = np.kron(eye, basis[:q])
+    high = np.kron(eye, basis[p - q :])
+    low.setflags(write=False)
+    high.setflags(write=False)
+    return low, high
+
+
 def _check_plane(img) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
@@ -101,30 +125,6 @@ def _check_plane(img) -> np.ndarray:
     if not np.all(np.isfinite(img)):
         raise ValueError("plane contains non-finite values")
     return img
-
-
-def partition_patches(img, p: int) -> np.ndarray:
-    """Tile a plane into non-overlapping p x p patches, row-major.
-
-    Returns an array of shape (H/p * W/p, p, p). Both sides must divide
-    evenly; callers crop or reject first.
-    """
-    img = _check_plane(img)
-    h, w = img.shape
-    if h % p or w % p:
-        raise ValueError(f"plane {h}x{w} not divisible by patch side {p}")
-    gh, gw = h // p, w // p
-    return img.reshape(gh, p, gw, p).swapaxes(1, 2).reshape(gh * gw, p, p)
-
-
-def merge_patches(patches, grid: tuple[int, int]) -> np.ndarray:
-    """Inverse of partition_patches for a (rows, cols) patch grid."""
-    patches = np.asarray(patches, dtype=np.float64)
-    gh, gw = grid
-    if patches.ndim != 3 or patches.shape[0] != gh * gw:
-        raise ValueError(f"need {gh * gw} patches for grid {grid}, got {patches.shape}")
-    p = patches.shape[1]
-    return patches.reshape(gh, gw, p, p).swapaxes(1, 2).reshape(gh * p, gw * p)
 
 
 def dct2(patch) -> np.ndarray:
@@ -145,75 +145,31 @@ def idct2(coeffs) -> np.ndarray:
     return b.T @ coeffs @ b
 
 
-def extract_bands(coeffs, q: int, allow_overlap: bool = False):
-    """Slice the top-left (low) and bottom-right (high) q x q corners.
-
-    Works on any (..., p, p) coefficient array. With q > p/2 the corners
-    would share cells, which is rejected unless allow_overlap is set (the
-    sweep harness exposes this deliberately degenerate regime).
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    p = coeffs.shape[-1]
-    if coeffs.ndim < 2 or coeffs.shape[-2] != p:
-        raise ValueError(f"expected square trailing axes, got shape {coeffs.shape}")
-    if q < 1 or q > p:
-        raise ValueError(f"block side q={q} out of range for p={p}")
-    if 2 * q > p and not allow_overlap:
-        raise ValueError(f"q={q} overlaps the corners for p={p}; pass allow_overlap to force")
-    low = coeffs[..., :q, :q].copy()
-    high = coeffs[..., p - q :, p - q :].copy()
-    return low, high
-
-
-def assemble_maps(low_blocks, high_blocks, grid: tuple[int, int]) -> FrequencyMaps:
-    """Reassemble per-patch corner blocks into whole-plane band maps.
-
-    Blocks arrive in row-major patch order; the block of patch (r, c)
-    occupies map region [r*q, (r+1)*q) x [c*q, (c+1)*q).
-    """
-    return FrequencyMaps(
-        low=_tile_blocks(low_blocks, grid),
-        high=_tile_blocks(high_blocks, grid),
-    )
-
-
-def _tile_blocks(blocks, grid: tuple[int, int]) -> np.ndarray:
-    blocks = np.asarray(blocks, dtype=np.float64)
-    gh, gw = grid
-    if blocks.ndim != 3 or blocks.shape[0] != gh * gw:
-        raise ValueError(f"need {gh * gw} blocks for grid {grid}, got shape {blocks.shape}")
-    q = blocks.shape[1]
-    if blocks.shape[2] != q:
-        raise ValueError(f"blocks must be square, got shape {blocks.shape}")
-    return blocks.reshape(gh, gw, q, q).swapaxes(1, 2).reshape(gh * q, gw * q)
-
-
 def compute_maps(img, cfg: SpectralConfig) -> FrequencyMaps:
-    """Full patch pipeline for one plane: partition, DCT, corners, tile."""
+    """Band maps of one plane."""
     img = _check_plane(img)
     low, high = compute_maps_batch(img[None], cfg)
     return FrequencyMaps(low=low[0], high=high[0])
 
 
 def compute_maps_batch(imgs, cfg: SpectralConfig):
-    """Vectorized pipeline over a stack of planes of shape (N, H, W).
+    """Band maps of a stack of planes of shape (N, H, W).
 
     Returns (low, high) arrays of shape (N, H*q/p, W*q/p).
     """
     imgs = np.asarray(imgs, dtype=np.float64)
     if imgs.ndim != 3:
         raise ValueError(f"expected (N, H, W), got shape {imgs.shape}")
-    n, h, w = imgs.shape
-    p, q = cfg.p, cfg.q
-    if h % p or w % p:
-        raise ValueError(f"planes {h}x{w} not divisible by patch side {p}")
-    gh, gw = h // p, w // p
-    patches = imgs.reshape(n, gh, p, gw, p).swapaxes(2, 3)
-    coeffs = dct2(patches)
-    low, high = extract_bands(coeffs, q, allow_overlap=cfg.allow_overlap)
-    low = low.swapaxes(2, 3).reshape(n, gh * q, gw * q)
-    high = high.swapaxes(2, 3).reshape(n, gh * q, gw * q)
-    return low, high
+    _, h, w = imgs.shape
+    if h % cfg.p or w % cfg.p:
+        raise ValueError(f"planes {h}x{w} not divisible by patch side {cfg.p}")
+    low_h, high_h = band_projections(h, cfg.p, cfg.q)
+    low_w, high_w = band_projections(w, cfg.p, cfg.q)
+    # One product projects the rows onto both bands; each band's rows
+    # then meet their own column projection.
+    rows = np.concatenate((low_h, high_h)) @ imgs
+    k = len(low_h)
+    return rows[:, :k] @ low_w.T, rows[:, k:] @ high_w.T
 
 
 def fft_filter(img, kind: str, n: int) -> np.ndarray:

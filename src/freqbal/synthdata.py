@@ -5,10 +5,11 @@ band) carries a per-class coefficient template blended with per-sample
 Gaussian noise at the configured snr; the other band carries noise of
 random sign at one constant cell magnitude. Both bands are rescaled per
 sample so their image-level L1 mass hits the configured targets exactly,
-and pixels are the inverse patch DCT. Running the spectral pipeline over a
-generated image therefore recovers the target band energies up to float
-rounding, which makes the preference ordering of a generated dataset known
-by construction.
+and pixels are the inverse patch DCT of the two corners: the transposes of
+the band projections that the spectral pipeline applies. Running that
+pipeline over a generated image therefore recovers the target band
+energies up to float rounding, which makes the preference ordering of a
+generated dataset known by construction.
 
 The noise band is not Gaussian because the frequency ratio metric divides
 each low-band cell by its mirrored high-band cell: with Gaussian high-band
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorio
-from .spectral import idct2
+from .spectral import band_projections
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,9 @@ def generate(
 ) -> SynthDataset:
     """Build a dataset; deterministic for a given seed.
 
-    dims must be divisible by the generation patch side p. Labels are
-    exactly class-balanced and shared across modalities.
+    dims must be divisible by the generation patch side p, and the two
+    q x q corners of a patch must not overlap. Labels are exactly
+    class-balanced and shared across modalities.
     """
     specs = tuple(specs)
     if not specs:
@@ -115,10 +117,14 @@ def generate(
     h, w = dims
     if h % p or w % p:
         raise ValueError(f"dims {dims} not divisible by patch side {p}")
+    if not 1 <= q <= p // 2:
+        raise ValueError(f"block side q={q} must lie in [1, {p // 2}] for patch side {p}")
     n = n_train + n_test
     if n < 1:
         raise ValueError("need at least one sample")
     gh, gw = h // p, w // p
+    low_h, high_h = band_projections(h, p, q)
+    low_w, high_w = band_projections(w, p, q)
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.arange(n) % n_classes)
 
@@ -133,11 +139,9 @@ def generate(
         else:
             low = _rescale_band(noise, spec.low_energy)
             high = _rescale_band(signal, spec.high_energy)
-        coeffs = np.zeros((n, gh, gw, p, p))
-        coeffs[..., :q, :q] = low
-        coeffs[..., p - q :, p - q :] = high
-        patches = idct2(coeffs)
-        images.append(patches.swapaxes(2, 3).reshape(n, h, w))
+        low = low.swapaxes(2, 3).reshape(n, gh * q, gw * q)
+        high = high.swapaxes(2, 3).reshape(n, gh * q, gw * q)
+        images.append(low_h.T @ low @ low_w + high_h.T @ high @ high_w)
 
     return SynthDataset(
         images=images,
@@ -156,20 +160,6 @@ def _rescale_band(blocks, target: float) -> np.ndarray:
     if np.any(mass == 0):
         raise ValueError("degenerate band draw; cannot hit a positive energy target")
     return blocks * (target / mass)
-
-
-def apply_mask(sample, mask):
-    """Zero the planes of absent modalities; present planes are copied."""
-    sample = list(sample)
-    mask = list(mask)
-    if len(mask) != len(sample):
-        raise ValueError(f"mask length {len(mask)} for {len(sample)} modalities")
-    if not any(mask):
-        raise ValueError("at least one modality must be present")
-    return [
-        np.array(plane, dtype=np.float64, copy=True) if present else np.zeros_like(plane, dtype=np.float64)
-        for plane, present in zip(sample, mask)
-    ]
 
 
 def imbalanced_specs():

@@ -30,6 +30,22 @@ class TestExitCodes:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{tmp}/nope.pgm"],
+            ["analyze", "--data", "{tmp}/no_dataset"],
+            ["eval", "--config", "{cfg}", "--out", "{tmp}/o", "--checkpoint", "{tmp}/no_checkpoint"],
+        ],
+        ids=["analyze_image", "analyze_data", "eval_checkpoint"],
+    )
+    def test_missing_input_is_clean_error(self, argv, cfg_file, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path, cfg=cfg_file) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_numeric_failure_flushes_trace(self, tmp_path):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(TINY.replace("epochs = 1", "epochs = 3") + "eta = 1e12\n")
@@ -55,6 +71,12 @@ class TestAnalyzeAndFilter:
         tensorio.write_pgm(tmp_path / "odd.pgm", img)
         assert main(["analyze", str(tmp_path / "odd.pgm")]) == 2  # not divisible
         assert main(["analyze", str(tmp_path / "odd.pgm"), "--center-crop"]) == 0
+
+    def test_analyze_non_finite_plane_rejected(self, tmp_path):
+        img = np.random.default_rng(3).random((16, 16))
+        img[3, 5] = np.nan
+        tensorio.write_raw(tmp_path / "nan.f32", img)
+        assert main(["analyze", str(tmp_path / "nan.f32")]) == 2
 
     def test_analyze_dataset(self, cfg_file, tmp_path, capsys):
         main(["gen", "--config", cfg_file, "--out", str(tmp_path / "ds")])

@@ -4,16 +4,13 @@ import pytest
 from freqbal.spectral import (
     FrequencyMaps,
     SpectralConfig,
-    assemble_maps,
+    band_projections,
     center_crop,
     compute_maps,
     compute_maps_batch,
     dct2,
-    extract_bands,
     fft_filter,
     idct2,
-    merge_patches,
-    partition_patches,
     spectral_energy,
     to_plane,
 )
@@ -41,37 +38,54 @@ def naive_dct2(x):
 
 class TestPartition:
     def test_quadrants(self):
+        # Patch (r, c) of the plane fills block (r, c) of each band map.
         img = np.arange(256, dtype=float).reshape(16, 16)
-        patches = partition_patches(img, 8)
-        assert patches.shape == (4, 8, 8)
-        assert np.array_equal(patches[0], img[:8, :8])
-        assert np.array_equal(patches[1], img[:8, 8:])
-        assert np.array_equal(patches[2], img[8:, :8])
-        assert np.array_equal(patches[3], img[8:, 8:])
+        maps = compute_maps(img, SpectralConfig())
+        assert maps.low.shape == (4, 4)
+        for r in range(2):
+            for c in range(2):
+                coeffs = dct2(img[r * 8 : (r + 1) * 8, c * 8 : (c + 1) * 8])
+                block = np.s_[r * 2 : (r + 1) * 2, c * 2 : (c + 1) * 2]
+                assert np.abs(maps.low[block] - coeffs[:2, :2]).max() < 1e-9
+                assert np.abs(maps.high[block] - coeffs[6:, 6:]).max() < 1e-9
 
     def test_single_patch(self):
         img = np.random.default_rng(0).random((8, 8))
-        patches = partition_patches(img, 8)
-        assert patches.shape == (1, 8, 8)
-        assert np.array_equal(patches[0], img)
+        coeffs = naive_dct2(img)
+        for q in (1, 2, 3, 4):
+            maps = compute_maps(img, SpectralConfig(q=q))
+            assert np.abs(maps.low - coeffs[:q, :q]).max() < 1e-12
+            assert np.abs(maps.high - coeffs[8 - q :, 8 - q :]).max() < 1e-12
 
     def test_roundtrip_24x16(self):
-        img = np.random.default_rng(1).random((24, 16))
-        patches = partition_patches(img, 8)
-        assert patches.shape == (6, 8, 8)
-        assert np.array_equal(merge_patches(patches, (3, 2)), img)
+        # Band maps put back into pixels by the transposed projections are
+        # recovered exactly by the analysis.
+        rng = np.random.default_rng(1)
+        low, high = rng.normal(size=(2, 6, 4))
+        low_h, high_h = band_projections(24, 8, 2)
+        low_w, high_w = band_projections(16, 8, 2)
+        img = low_h.T @ low @ low_w + high_h.T @ high @ high_w
+        maps = compute_maps(img, SpectralConfig())
+        assert np.abs(maps.low - low).max() < 1e-12
+        assert np.abs(maps.high - high).max() < 1e-12
 
     def test_bijection_property(self):
+        # The low and high projections of an axis together have orthonormal
+        # rows, so analysis undoes synthesis for every grid size.
         rng = np.random.default_rng(2)
         for _ in range(20):
-            gh, gw = rng.integers(1, 5, size=2)
-            img = rng.random((gh * 8, gw * 8))
-            back = merge_patches(partition_patches(img, 8), (gh, gw))
-            assert np.array_equal(back, img)
+            grid = int(rng.integers(1, 5))
+            q = int(rng.integers(1, 5))
+            low, high = band_projections(grid * 8, 8, q)
+            stacked = np.concatenate((low, high))
+            assert stacked.shape == (2 * grid * q, grid * 8)
+            assert np.abs(stacked @ stacked.T - np.eye(2 * grid * q)).max() < 1e-12
 
     def test_not_divisible_rejected(self):
         with pytest.raises(ValueError):
-            partition_patches(np.zeros((12, 16)), 8)
+            compute_maps_batch(np.zeros((1, 12, 16)), SpectralConfig())
+        with pytest.raises(ValueError):
+            band_projections(12, 8, 2)
 
 
 class TestDct:
@@ -107,41 +121,43 @@ class TestDct:
 class TestBands:
     def test_index_encoding_corners(self):
         coeffs = np.array([[10.0 * r + c for c in range(8)] for r in range(8)])
-        low, high = extract_bands(coeffs, 2)
-        assert np.array_equal(low, [[0.0, 1.0], [10.0, 11.0]])
-        assert np.array_equal(high, [[66.0, 67.0], [76.0, 77.0]])
+        maps = compute_maps(idct2(coeffs), SpectralConfig(q=2))
+        assert np.abs(maps.low - [[0.0, 1.0], [10.0, 11.0]]).max() < 1e-12
+        assert np.abs(maps.high - [[66.0, 67.0], [76.0, 77.0]]).max() < 1e-12
 
     def test_half_patch_disjoint_tiling(self):
         coeffs = np.random.default_rng(5).random((8, 8))
-        low, high = extract_bands(coeffs, 4)
-        assert np.array_equal(low, coeffs[:4, :4])
-        assert np.array_equal(high, coeffs[4:, 4:])
+        maps = compute_maps(idct2(coeffs), SpectralConfig(q=4))
+        assert np.abs(maps.low - coeffs[:4, :4]).max() < 1e-12
+        assert np.abs(maps.high - coeffs[4:, 4:]).max() < 1e-12
 
     def test_matches_bruteforce_slicing(self):
         rng = np.random.default_rng(6)
         coeffs = rng.random((8, 8))
+        img = idct2(coeffs)
         for q in (1, 2, 3, 4):
-            low, high = extract_bands(coeffs, q)
+            maps = compute_maps(img, SpectralConfig(q=q))
             exp_low = np.array([[coeffs[a, b] for b in range(q)] for a in range(q)])
             exp_high = np.array(
                 [[coeffs[8 - q + a, 8 - q + b] for b in range(q)] for a in range(q)]
             )
-            assert np.array_equal(low, exp_low)
-            assert np.array_equal(high, exp_high)
+            assert np.abs(maps.low - exp_low).max() < 1e-12
+            assert np.abs(maps.high - exp_high).max() < 1e-12
 
     def test_band_index_sets_disjoint(self):
+        # Disjoint corners make the two band projections orthogonal.
         for p in (4, 8, 16):
             for q in range(1, p // 2 + 1):
-                low_idx = {(a, b) for a in range(q) for b in range(q)}
-                high_idx = {(p - q + a, p - q + b) for a in range(q) for b in range(q)}
-                assert not low_idx & high_idx
+                low, high = band_projections(2 * p, p, q)
+                assert np.abs(low @ high.T).max() < 1e-12
 
     def test_overlap_rejected_without_flag(self):
-        coeffs = np.zeros((8, 8))
         with pytest.raises(ValueError):
-            extract_bands(coeffs, 6)
-        low, high = extract_bands(coeffs, 6, allow_overlap=True)
-        assert low.shape == high.shape == (6, 6)
+            SpectralConfig(q=6)
+        img = np.random.default_rng(7).random((8, 8))
+        maps = compute_maps(img, SpectralConfig(q=6, allow_overlap=True))
+        assert maps.low.shape == maps.high.shape == (6, 6)
+        assert np.abs(maps.high[:4, :4] - maps.low[2:, 2:]).max() < 1e-12
 
 
 class TestAssemble:
@@ -152,15 +168,31 @@ class TestAssemble:
 
     def test_single_patch_maps_equal_blocks(self):
         img = np.random.default_rng(8).random((8, 8))
-        low, high = extract_bands(dct2(img), 2)
+        coeffs = dct2(img)
         maps = compute_maps(img, SpectralConfig())
-        assert np.allclose(maps.low, low, atol=1e-12)
-        assert np.allclose(maps.high, high, atol=1e-12)
+        assert np.allclose(maps.low, coeffs[:2, :2], atol=1e-12)
+        assert np.allclose(maps.high, coeffs[6:, 6:], atol=1e-12)
 
-    def test_missing_block_rejected(self):
-        blocks = np.zeros((3, 2, 2))
-        with pytest.raises(ValueError):
-            assemble_maps(blocks, blocks, (2, 2))
+    @pytest.mark.parametrize(
+        "p, q, shape",
+        [(4, 1, (16, 16)), (8, 2, (32, 32)), (8, 3, (32, 32)), (8, 5, (32, 32)), (8, 2, (24, 16))],
+    )
+    def test_batch_matches_naive_per_patch_reference(self, p, q, shape):
+        rng = np.random.default_rng(p * 10 + q)
+        imgs = rng.normal(size=(2, *shape))
+        low, high = compute_maps_batch(imgs, SpectralConfig(p=p, q=q, allow_overlap=True))
+        gh, gw = shape[0] // p, shape[1] // p
+        exp_low = np.zeros((2, gh * q, gw * q))
+        exp_high = np.zeros((2, gh * q, gw * q))
+        for i in range(2):
+            for r in range(gh):
+                for c in range(gw):
+                    coeffs = naive_dct2(imgs[i, r * p : (r + 1) * p, c * p : (c + 1) * p])
+                    block = np.s_[i, r * q : (r + 1) * q, c * q : (c + 1) * q]
+                    exp_low[block] = coeffs[:q, :q]
+                    exp_high[block] = coeffs[p - q :, p - q :]
+        assert np.abs(low - exp_low).max() <= 1e-12 * np.abs(exp_low).max()
+        assert np.abs(high - exp_high).max() <= 1e-12 * np.abs(exp_high).max()
 
     def test_pipeline_matches_straight_line_reimplementation(self):
         rng = np.random.default_rng(9)

@@ -3,13 +3,13 @@ import pytest
 
 from freqbal.intervention import TrainConfig, train
 from freqbal.preference import batch_preference, frm
-from freqbal.spectral import FrequencyMaps, SpectralConfig, compute_maps_batch
+from freqbal.spectral import FrequencyMaps, SpectralConfig, compute_maps_batch, idct2
 from freqbal.synthdata import (
     ModalitySpec,
-    apply_mask,
     generate,
     imbalanced_specs,
     load_dataset,
+    lowband_specs,
     save_dataset,
 )
 from freqbal.tinynet import evaluate
@@ -111,6 +111,43 @@ class TestGenerate:
             assert np.abs(got_signal - as_map(signal)).max() <= 1e-12
             assert np.array_equal(np.sign(got_noise), np.sign(as_map(noise)))
 
+    @pytest.mark.parametrize("specs", [imbalanced_specs(), lowband_specs()])
+    def test_synthesis_is_transpose_of_analysis(self, specs):
+        # Images equal the inverse patch DCT of zero-filled coefficient
+        # blocks built from the same draws, and the analysis recovers the
+        # rescaled band blocks from them.
+        n_train, n_test, n_classes, seed = 12, 4, 4, 14
+        ds = generate(specs, n_train=n_train, n_test=n_test, n_classes=n_classes, seed=seed)
+        n, p, q = n_train + n_test, 8, 2
+        gh = gw = 32 // p  # default dims (32, 32)
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.arange(n) % n_classes)
+
+        def rescale(blocks, target):
+            if target == 0:
+                return np.zeros_like(blocks)
+            return blocks * (target / np.abs(blocks).sum(axis=(1, 2, 3, 4), keepdims=True))
+
+        def as_map(blocks):
+            return blocks.swapaxes(2, 3).reshape(n, gh * q, gw * q)
+
+        for i, spec in enumerate(specs):
+            templates = rng.normal(size=(n_classes, gh, gw, q, q))
+            signal = spec.snr * templates[labels] + rng.normal(size=(n, gh, gw, q, q))
+            noise = np.copysign(1.0, rng.normal(size=(n, gh, gw, q, q)))
+            low, high = (signal, noise) if spec.signal_band == "low" else (noise, signal)
+            low = rescale(low, spec.low_energy)
+            high = rescale(high, spec.high_energy)
+            coeffs = np.zeros((n, gh, gw, p, p))
+            coeffs[..., :q, :q] = low
+            coeffs[..., p - q :, p - q :] = high
+            expected = idct2(coeffs).swapaxes(2, 3).reshape(n, 32, 32)
+            img = ds.images[i]
+            assert np.abs(img - expected).max() <= 1e-12 * np.abs(expected).max()
+            got_low, got_high = compute_maps_batch(img, SpectralConfig(p=p, q=q))
+            assert np.abs(got_low - as_map(low)).max() <= 1e-12 * np.abs(low).max()
+            assert np.abs(got_high - as_map(high)).max() <= 1e-12 * np.abs(high).max()
+
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
             generate(imbalanced_specs(), n_train=4, n_test=0, dims=(30, 32), seed=0)
@@ -118,39 +155,6 @@ class TestGenerate:
     def test_both_energies_zero_rejected(self):
         with pytest.raises(ValueError):
             ModalitySpec(low_energy=0.0, high_energy=0.0)
-
-
-class TestApplyMask:
-    def test_full_mask_is_identity(self):
-        rng = np.random.default_rng(7)
-        sample = [rng.random((4, 4)) for _ in range(3)]
-        out = apply_mask(sample, [True, True, True])
-        for a, b in zip(out, sample):
-            assert np.array_equal(a, b)
-
-    def test_masked_plane_zeroed(self):
-        rng = np.random.default_rng(8)
-        sample = [rng.random((4, 4)) for _ in range(3)]
-        out = apply_mask(sample, [True, True, False])
-        assert np.array_equal(out[0], sample[0])
-        assert np.array_equal(out[1], sample[1])
-        assert np.all(out[2] == 0.0)
-
-    def test_random_mask_sequence_elementwise_oracle(self):
-        rng = np.random.default_rng(9)
-        sample = [rng.random((3, 5, 5)) for _ in range(4)]
-        for _ in range(10):
-            mask = rng.random(4) > 0.4
-            if not mask.any():
-                continue
-            out = apply_mask(sample, mask.tolist())
-            for i in range(4):
-                expected = sample[i] * (1.0 if mask[i] else 0.0)
-                assert np.array_equal(out[i], expected)
-
-    def test_all_absent_rejected(self):
-        with pytest.raises(ValueError):
-            apply_mask([np.ones((2, 2))], [False])
 
 
 class TestPersistence:
