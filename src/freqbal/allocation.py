@@ -37,10 +37,13 @@ class AllocationParams:
 
 @dataclass
 class ModalWeights:
-    """Per-modality ratios T and weights K for one mini-batch step."""
+    """One mini-batch step's per-modality weights K, ratios T, raw scores
+    and bank-smoothed scores."""
 
     k: np.ndarray
     t: np.ndarray
+    raw: np.ndarray
+    smooth: np.ndarray
 
 
 def relative_ratio(scores, sigma: float = 1e-8) -> np.ndarray:
@@ -84,9 +87,7 @@ def allocate(
     sizes = {np.asarray(b).shape[0] for b in batches}
     if len(sizes) > 1:
         raise ValueError(f"modalities disagree on batch size: {sorted(sizes)}")
-    smoothed = []
-    for batch, bank in zip(batches, banks):
-        raw = batch_preference(batch, cfg, kind, omega_band)
-        smoothed.append(bank.update(raw))
-    t = relative_ratio(smoothed, params.sigma)
-    return ModalWeights(k=weight(t, params), t=t)
+    raw = [batch_preference(batch, cfg, kind, omega_band) for batch in batches]
+    smooth = [bank.update(r) for bank, r in zip(banks, raw)]
+    t = relative_ratio(smooth, params.sigma)
+    return ModalWeights(k=weight(t, params), t=t, raw=np.array(raw), smooth=np.array(smooth))

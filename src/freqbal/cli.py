@@ -53,7 +53,15 @@ def cmd_analyze(args) -> int:
     if args.data:
         ds = load_dataset(args.data)
         for i, stack in enumerate(ds.images):
-            score = batch_preference(stack, spectral, metric, args.omega_band)
+            # The score is checked instead of the stack, which would cost a
+            # full pass; numpy's warnings on bad pixels would only repeat it.
+            with np.errstate(invalid="ignore", over="ignore"):
+                score = batch_preference(stack, spectral, metric, args.omega_band)
+            if not np.isfinite(score):
+                raise ValueError(
+                    f"{Path(args.data) / f'mod{i}.f32'}: non-finite {metric} score; "
+                    "the stack holds non-finite or overflowing pixels"
+                )
             rows.append([f"mod{i}", metric, score])
     for path in args.images:
         img = _read_plane(path)

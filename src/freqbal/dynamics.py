@@ -172,14 +172,14 @@ def coupling_probe(net_cfg: NetConfig, params, inputs, labels, scales=(0.5, 0.25
     signal softmax - onehot is replaced by r * itself for each r in
     scales; each encoder's gradient norm must shrink by exactly r.
     """
-    grads, error = backward(net_cfg, params, inputs, labels)
+    grads, error, *_ = backward(net_cfg, params, inputs, labels)
     base_norms = encoder_grad_norms(net_cfg, grads)
     clf_norm = float(
         np.sqrt(np.sum(grads["clf.w"] ** 2) + np.sum(grads["clf.b"] ** 2))
     )
     worst = 0.0
     for r in scales:
-        scaled_grads, _ = backward(net_cfg, params, inputs, labels, error_override=r * error)
+        scaled_grads, *_ = backward(net_cfg, params, inputs, labels, error_override=r * error)
         scaled_norms = encoder_grad_norms(net_cfg, scaled_grads)
         expected = r * base_norms
         live = expected > 0
@@ -236,7 +236,7 @@ def suppression_experiment(
     for it in range(prefit_max_iters):
         idx = rng.integers(0, n, size=batch_size)
         xb = [img[idx] for img in train_images]
-        grads, _ = backward(net_cfg, prefit, xb, train_labels[idx], mask=solo_mask)
+        grads, *_ = backward(net_cfg, prefit, xb, train_labels[idx], mask=solo_mask)
         prefit = sgd_step(net_cfg, prefit, grads, eta)
         if it % 25 == 24:
             logits, _ = forward(net_cfg, prefit, train_images, mask=solo_mask)
@@ -256,7 +256,7 @@ def suppression_experiment(
         for _ in range(measure_iters):
             idx = batch_rng.integers(0, n, size=batch_size)
             xb = [img[idx] for img in train_images]
-            grads, _ = backward(net_cfg, params, xb, train_labels[idx])
+            grads, *_ = backward(net_cfg, params, xb, train_labels[idx])
             norms.append(encoder_grad_norms(net_cfg, grads)[weak])
             params = sgd_step(net_cfg, params, grads, eta)
         return float(np.mean(norms))

@@ -13,6 +13,11 @@ in where K is applied:
 The classifier head is updated with the unscaled learning rate in every
 mode. Weight computation runs in all modes so traces from different modes
 line up column for column.
+
+A step makes one encoder pass: allocation.allocate gives K, then one
+tinynet.backward call yields the gradients together with the main and aux
+logits, from which the loss and the trace's aux losses are computed once,
+and sgd_step applies the update.
 """
 
 import math
@@ -20,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import AllocationParams, relative_ratio, weight
+from .allocation import AllocationParams, allocate
 from .errors import NumericError
-from .preference import FrmBank, batch_preference
+from .preference import FrmBank
 from .seeds import stream_rng, stream_seed
 from .spectral import SpectralConfig
 from .tinynet import (
@@ -30,7 +35,6 @@ from .tinynet import (
     backward,
     cross_entropy,
     encoder_grad_norms,
-    forward,
     init_network,
     sgd_step,
 )
@@ -114,16 +118,20 @@ class TrainTrace:
         return len(self.rows)
 
 
-def weighted_loss(main_logits, aux_logits, labels, k) -> float:
-    """Total loss sum_i K_i * CE(aux_i) + CE(main)."""
+def weighted_loss(main_logits, aux_logits, labels, k):
+    """Total loss sum_i K_i * CE(aux_i) + CE(main), and the aux CEs.
+
+    Returns (total, aux_losses); aux_losses[i] is the unweighted CE(aux_i).
+    """
     if aux_logits is None:
         raise ValueError("loss-level intervention needs aux logits; enable aux heads")
     if len(aux_logits) != len(k):
         raise ValueError(f"{len(aux_logits)} aux logit sets for {len(k)} weights")
     total = cross_entropy(main_logits, labels)
-    for logits_i, k_i in zip(aux_logits, k):
-        total += float(k_i) * cross_entropy(logits_i, labels)
-    return total
+    aux_losses = [cross_entropy(logits_i, labels) for logits_i in aux_logits]
+    for loss_i, k_i in zip(aux_losses, k):
+        total += float(k_i) * loss_i
+    return total, aux_losses
 
 
 def warmup_iterations(cfg: TrainConfig, n_train: int) -> int:
@@ -131,13 +139,22 @@ def warmup_iterations(cfg: TrainConfig, n_train: int) -> int:
     return int(round(cfg.warmup_frac * cfg.epochs * per_epoch))
 
 
+def _numeric_message(what: str, iteration: int, k, trace: TrainTrace) -> str:
+    last = trace.rows[-1][1] if trace.rows else "none"
+    return (
+        f"non-finite {what} at iteration {iteration} "
+        f"(k={[float(v) for v in k]}, last finite total_loss={last})"
+    )
+
+
 def train(cfg: TrainConfig, dataset, on_epoch_end=None):
     """Run the loop over the dataset's training split.
 
     Returns (net_config, params, trace). The parameter-init and shuffle
     randomness are independent named streams of cfg.seed, so traces are
-    bit-reproducible for a fixed config. A non-finite loss aborts with a
-    NumericError carrying the partial trace.
+    bit-reproducible for a fixed config. Non-finite logits or a non-finite
+    loss abort with a NumericError that names the iteration, K and the
+    last finite total loss, and carries the partial trace.
 
     on_epoch_end(epoch, net_cfg, params), when given, is called after each
     epoch; it must not mutate params.
@@ -172,40 +189,33 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
             xb = [img[idx] for img in train_images]
             yb = train_labels[idx]
 
-            raw = [
-                batch_preference(x, cfg.spectral, cfg.metric, cfg.omega_band) for x in xb
-            ]
-            smooth = [bank.update(r) for bank, r in zip(banks, raw)]
-            t = relative_ratio(smooth, cfg.allocation.sigma)
+            mw = allocate(
+                xb, banks, cfg.spectral, cfg.allocation, cfg.metric, cfg.omega_band
+            )
             if cfg.weight_override is not None:
                 k = np.asarray(cfg.weight_override, dtype=np.float64)
             elif iteration < warmup:
                 k = np.ones(m)
             else:
-                k = weight(t, cfg.allocation)
+                k = mw.k
 
-            logits, aux = forward(net_cfg, params, xb)
-            if not np.all(np.isfinite(logits)):
-                raise NumericError(f"non-finite logits at iteration {iteration}", trace=trace)
-            if cfg.uses_aux:
-                loss = weighted_loss(logits, aux, yb, k)
-            else:
-                loss = cross_entropy(logits, yb)
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at iteration {iteration}", trace=trace)
-
-            grads, _ = backward(
+            grads, _, logits, aux = backward(
                 net_cfg, params, xb, yb, aux_weights=(k if cfg.uses_aux else None)
             )
+            if not all(np.all(np.isfinite(z)) for z in (logits, *(aux or ()))):
+                raise NumericError(_numeric_message("logits", iteration, k, trace), trace=trace)
+            if cfg.uses_aux:
+                loss, aux_losses = weighted_loss(logits, aux, yb, k)
+            else:
+                loss, aux_losses = cross_entropy(logits, yb), [math.nan] * m
+            if not np.isfinite(loss):
+                raise NumericError(_numeric_message("loss", iteration, k, trace), trace=trace)
+
             gnorms = encoder_grad_norms(net_cfg, grads)
             params = sgd_step(
                 net_cfg, params, grads, cfg.eta, k if cfg.scales_gradients else None
             )
-
-            aux_losses = (
-                [cross_entropy(a, yb) for a in aux] if aux is not None else [math.nan] * m
-            )
-            trace.append(iteration, loss, aux_losses, raw, smooth, t, k, gnorms)
+            trace.append(iteration, loss, aux_losses, mw.raw, mw.smooth, mw.t, k, gnorms)
             iteration += 1
         if on_epoch_end is not None:
             on_epoch_end(epoch, net_cfg, params)

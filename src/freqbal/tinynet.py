@@ -4,10 +4,12 @@ One ReLU MLP encoder per modality feeds a concat-fusion linear classifier;
 optional per-modality linear auxiliary heads read each encoder's output.
 Parameters live in a flat dict keyed "enc{i}.w{l}" / "enc{i}.b{l}",
 "clf.w" / "clf.b", and "aux{i}.w" / "aux{i}.b"; gradients use the same
-keys. Forward and backward are pure functions of (config, params, batch),
-and backward additionally returns the shared error signal
-softmax(logits) - onehot(labels), the only term through which the modality
-branches interact.
+keys. Forward and backward are pure functions of (config, params, batch).
+backward is the one encoder pass of a training step: besides the
+gradients it returns the main and aux logits it computed on the way, and
+the shared error signal softmax(logits) - onehot(labels), the only term
+through which the modality branches interact. forward serves inference
+(evaluation and probes) and gives bitwise the same logits.
 
 Absent modalities (presence mask False) contribute an all-zero feature
 vector: their encoders are not evaluated and receive zero gradients.
@@ -122,15 +124,20 @@ def _encode(cfg: NetConfig, params: ParamSet, inputs, mask):
     return feats, caches
 
 
-def forward(cfg: NetConfig, params: ParamSet, inputs, mask=None):
-    """Logits (N, K) and, when the net has aux heads, per-modality aux logits."""
-    mask = _check_mask(cfg, mask)
-    feats, _ = _encode(cfg, params, inputs, mask)
+def _heads(cfg: NetConfig, params: ParamSet, feats):
+    """Fused features, main logits and, with aux heads, per-modality aux logits."""
     fused = np.concatenate(feats, axis=1)
     logits = fused @ params["clf.w"] + params["clf.b"]
     aux = None
     if cfg.aux_heads:
         aux = [feats[i] @ params[f"aux{i}.w"] + params[f"aux{i}.b"] for i in range(cfg.n_modalities)]
+    return fused, logits, aux
+
+
+def forward(cfg: NetConfig, params: ParamSet, inputs, mask=None):
+    """Logits (N, K) and, when the net has aux heads, per-modality aux logits."""
+    feats, _ = _encode(cfg, params, inputs, _check_mask(cfg, mask))
+    _, logits, aux = _heads(cfg, params, feats)
     return logits, aux
 
 
@@ -172,44 +179,40 @@ def backward(cfg: NetConfig, params: ParamSet, inputs, labels, mask=None,
     signal (softmax - onehot), which is how the coupling probes scale or
     zero the branch coupling while holding features fixed.
 
-    Returns (grads, error) where error is the natural softmax - onehot of
-    the main logits.
+    Returns (grads, error, logits, aux_logits). grads has the key order
+    of params; tensors of absent branches, and the aux tensors when no
+    aux_weights are given, are zero. error is the natural softmax - onehot
+    of the main logits. logits and aux_logits are bitwise what forward
+    returns for the same arguments (aux_logits is None without aux heads),
+    so a training step needs no separate forward pass.
     """
     mask = _check_mask(cfg, mask)
-    labels = np.asarray(labels)
-    feats, caches = _encode(cfg, params, inputs, mask)
-    fused = np.concatenate(feats, axis=1)
-    logits = fused @ params["clf.w"] + params["clf.b"]
-    n = logits.shape[0]
-    y = onehot(labels, cfg.n_classes)
-    error = softmax(logits) - y
-
-    g = (error if error_override is None else np.asarray(error_override, dtype=np.float64)) / n
-    grads: ParamSet = {name: np.zeros_like(value) for name, value in params.items()}
-    grads["clf.w"] = fused.T @ g
-    grads["clf.b"] = g.sum(axis=0)
-    dfused = g @ params["clf.w"].T
-
-    w = cfg.feat_dim
-    dfeats = [dfused[:, i * w : (i + 1) * w].copy() for i in range(cfg.n_modalities)]
-
     if aux_weights is not None:
         if not cfg.aux_heads:
             raise ValueError("aux_weights given but the network has no aux heads")
         if len(aux_weights) != cfg.n_modalities:
             raise ValueError(f"{len(aux_weights)} aux weights for {cfg.n_modalities} modalities")
-        for i, present in enumerate(mask):
-            if not present:
-                continue
-            aux_logits = feats[i] @ params[f"aux{i}.w"] + params[f"aux{i}.b"]
-            ga = float(aux_weights[i]) * (softmax(aux_logits) - y) / n
-            grads[f"aux{i}.w"] = feats[i].T @ ga
-            grads[f"aux{i}.b"] = ga.sum(axis=0)
-            dfeats[i] += ga @ params[f"aux{i}.w"].T
+    labels = np.asarray(labels)
+    feats, caches = _encode(cfg, params, inputs, mask)
+    fused, logits, aux_logits = _heads(cfg, params, feats)
+    n = logits.shape[0]
+    y = onehot(labels, cfg.n_classes)
+    error = softmax(logits) - y
+
+    g = (error if error_override is None else np.asarray(error_override, dtype=np.float64)) / n
+    grads: ParamSet = {"clf.w": fused.T @ g, "clf.b": g.sum(axis=0)}
+    dfused = g @ params["clf.w"].T
+    w = cfg.feat_dim
+    dfeats = [dfused[:, i * w : (i + 1) * w] for i in range(cfg.n_modalities)]
 
     for i, present in enumerate(mask):
         if not present:
             continue
+        if aux_weights is not None:
+            ga = float(aux_weights[i]) * (softmax(aux_logits[i]) - y) / n
+            grads[f"aux{i}.w"] = feats[i].T @ ga
+            grads[f"aux{i}.b"] = ga.sum(axis=0)
+            dfeats[i] = dfeats[i] + ga @ params[f"aux{i}.w"].T
         acts = caches[i]
         delta = dfeats[i]
         for l in reversed(range(len(cfg.hidden))):
@@ -218,14 +221,20 @@ def backward(cfg: NetConfig, params: ParamSet, inputs, labels, mask=None,
             grads[f"enc{i}.b{l}"] = delta.sum(axis=0)
             if l > 0:
                 delta = delta @ params[f"enc{i}.w{l}"].T
-    return grads, error
+    grads = {
+        name: grads[name] if name in grads else np.zeros_like(value)
+        for name, value in params.items()
+    }
+    return grads, error, logits, aux_logits
 
 
 def sgd_step(cfg: NetConfig, params: ParamSet, grads: ParamSet, eta: float, weights=None) -> ParamSet:
     """One SGD update: encoder and aux tensors move by K_i * (eta * grad),
     the classifier always by the unscaled eta * grad.
 
-    weights is one factor per modality (None means all ones).
+    weights is one factor per modality (None means all ones). params and
+    grads are not modified: each update is formed in one fresh temporary
+    that becomes the new tensor.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -242,11 +251,10 @@ def sgd_step(cfg: NetConfig, params: ParamSet, grads: ParamSet, eta: float, weig
         grad = grads[name]
         if grad.shape != value.shape:
             raise ValueError(f"{name}: grad shape {grad.shape} vs param shape {value.shape}")
-        if name.startswith("clf."):
-            out[name] = value - eta * grad
-        else:
-            i = int(name[3 : name.index(".")])
-            out[name] = value - k[i] * (eta * grad)
+        step = eta * grad
+        if not name.startswith("clf."):
+            step *= k[int(name[3 : name.index(".")])]
+        out[name] = np.subtract(value, step, out=step)
     return out
 
 

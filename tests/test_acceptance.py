@@ -187,7 +187,7 @@ def test_criterion_5_gradient_correctness():
         if min_abs_preactivation(cfg, params, inputs) < 1e-3:
             continue  # finite differences are invalid within eps of a ReLU kink
         aux_w = list(rng.uniform(0.5, 1.5, size=m)) if cfg.aux_heads else None
-        grads, _ = backward(cfg, params, inputs, labels, aux_weights=aux_w)
+        grads, *_ = backward(cfg, params, inputs, labels, aux_weights=aux_w)
         fd = finite_difference(cfg, params, inputs, labels, aux_weights=aux_w)
         worst = max(worst, max_rel_err(grads, fd))
         checked += 1

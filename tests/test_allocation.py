@@ -114,6 +114,8 @@ class TestAllocate:
         banks = [FrmBank() for _ in range(3)]
         mw = allocate(ds.images, banks, cfg, DEFAULTS)
         assert np.argsort(scores).tolist() == np.argsort(-mw.k).tolist()
+        # A fresh bank's first smoothed value is the raw score itself.
+        assert mw.raw.tolist() == scores and mw.smooth.tolist() == scores
 
     def test_bank_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 
 from freqbal import tensorio
 from freqbal.cli import main
+from freqbal.preference import METRIC_KINDS
 
 TINY = "seed = 0\nepochs = 1\nbatch_size = 32\nn_train = 64\nn_test = 32\nhidden = 16,8\n"
 
@@ -77,6 +78,21 @@ class TestAnalyzeAndFilter:
         img[3, 5] = np.nan
         tensorio.write_raw(tmp_path / "nan.f32", img)
         assert main(["analyze", str(tmp_path / "nan.f32")]) == 2
+
+    @pytest.mark.parametrize(
+        "metric, pixel", [(kind, np.nan) for kind in METRIC_KINDS] + [("frm", np.inf)]
+    )
+    def test_analyze_dataset_non_finite_pixel_rejected(self, metric, pixel, cfg_file, tmp_path, capsys):
+        main(["gen", "--config", cfg_file, "--out", str(tmp_path / "ds")])
+        stack = tensorio.read_raw(tmp_path / "ds" / "mod1.f32")
+        stack[5, 17] = pixel
+        tensorio.write_raw(tmp_path / "ds" / "mod1.f32", stack)
+        capsys.readouterr()
+        assert main(["analyze", "--data", str(tmp_path / "ds"), "--metric", metric]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert "mod1.f32" in captured.err and metric in captured.err
 
     def test_analyze_dataset(self, cfg_file, tmp_path, capsys):
         main(["gen", "--config", cfg_file, "--out", str(tmp_path / "ds")])

@@ -159,7 +159,7 @@ class TestCouplingProbe:
         labels = self.rng.integers(0, 3, size=6)
         from freqbal.tinynet import backward
 
-        grads, _ = backward(cfg, params, [x], labels)
+        grads, *_ = backward(cfg, params, [x], labels)
         logits = x @ params["clf.w"] + params["clf.b"]
         expected = x.T @ (softmax(logits) - onehot(labels, 3)) / 6
         assert np.abs(grads["clf.w"] - expected).max() < 1e-12

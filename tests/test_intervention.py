@@ -1,12 +1,25 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from freqbal import tinynet
+from freqbal.allocation import relative_ratio, weight
 from freqbal.errors import NumericError
 from freqbal.intervention import TrainConfig, TrainTrace, train, warmup_iterations, weighted_loss
+from freqbal.preference import FrmBank, batch_preference
+from freqbal.seeds import stream_rng, stream_seed
 from freqbal.synthdata import ModalitySpec, generate, imbalanced_specs
-from freqbal.tinynet import cross_entropy
+from freqbal.tinynet import (
+    NetConfig,
+    backward,
+    cross_entropy,
+    encoder_grad_norms,
+    forward,
+    init_network,
+    sgd_step,
+)
 
 SMALL = dict(n_train=96, n_test=32, seed=21)
 
@@ -25,7 +38,7 @@ class TestWeightedLoss:
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, size=6)
         aux = [logits.copy(), logits.copy()]
-        total = weighted_loss(logits, aux, labels, [1.0, 1.0])
+        total, _ = weighted_loss(logits, aux, labels, [1.0, 1.0])
         assert total == pytest.approx(3 * cross_entropy(logits, labels), rel=1e-12)
 
     def test_zero_weights_leave_main_only(self):
@@ -33,7 +46,7 @@ class TestWeightedLoss:
         logits = rng.normal(size=(5, 3))
         labels = rng.integers(0, 3, size=5)
         aux = [rng.normal(size=(5, 3)), rng.normal(size=(5, 3))]
-        total = weighted_loss(logits, aux, labels, [0.0, 0.0])
+        total, _ = weighted_loss(logits, aux, labels, [0.0, 0.0])
         assert total == cross_entropy(logits, labels)
 
     def test_hand_computed_sum(self):
@@ -47,7 +60,7 @@ class TestWeightedLoss:
             + 1.2 * cross_entropy(aux[0], labels)
             + 0.8 * cross_entropy(aux[1], labels)
         )
-        assert weighted_loss(logits, aux, labels, k) == pytest.approx(expected, rel=1e-12)
+        assert weighted_loss(logits, aux, labels, k)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_missing_aux_rejected(self):
         with pytest.raises(ValueError):
@@ -112,7 +125,7 @@ class TestLoop:
         order = stream_rng(cfg.seed, "shuffle").permutation(96)
         tr_in, tr_lab = ds.train_split()
         xb = [img[order] for img in tr_in]
-        grads, _ = backward(net_cfg, init, xb, tr_lab[order])
+        grads, *_ = backward(net_cfg, init, xb, tr_lab[order])
         assert np.array_equal(params["clf.w"], init["clf.w"] - 0.25 * grads["clf.w"])
         assert np.array_equal(params["enc0.w0"], init["enc0.w0"])
 
@@ -151,6 +164,30 @@ class TestLoop:
                 train(cfg, ds)
         assert err.value.trace is not None
         assert len(err.value.trace) >= 1
+        # In mode none K depends only on the batches, so a stable run with
+        # the same seed gives the K of the failing iteration.
+        failed_at = len(err.value.trace)
+        _, _, stable = train(dataclasses.replace(cfg, eta=0.2), ds)
+        k = [float(stable.column(f"k_m{i}")[failed_at]) for i in range(3)]
+        last = err.value.trace.rows[-1][1]
+        message = str(err.value)
+        assert message.startswith("non-finite ")
+        assert f"at iteration {failed_at} " in message
+        assert f"k={k}" in message
+        assert f"last finite total_loss={last!r}" in message
+
+    def test_non_finite_aux_logits_are_numeric_error(self):
+        # A huge aux weight blows up only the aux path at first: the main
+        # logits stay finite while aux0's overflow.
+        ds = small_dataset()
+        cfg = TrainConfig(
+            mode="loss", epochs=2, batch_size=32, seed=3, weight_override=(1e150, 1.0, 1.0)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as err:
+                train(cfg, ds)
+        assert len(err.value.trace) == 1
+        assert str(err.value).startswith("non-finite logits at iteration 1 (k=[1e+150, 1.0, 1.0]")
 
     def test_epoch_callback_sees_every_epoch(self):
         ds = small_dataset()
@@ -172,6 +209,79 @@ class TestLoop:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(mode="both")
+
+
+def unfused_train(cfg, dataset):
+    """The loop as separate passes: K from the bank pipeline, forward for
+    the loss, backward for the gradients, then sgd_step."""
+    m = dataset.n_modalities
+    images, labels = dataset.train_split()
+    n = len(labels)
+    h, w = dataset.dims
+    net_cfg = NetConfig(
+        input_dims=(h * w,) * m, hidden=cfg.hidden, n_classes=dataset.n_classes,
+        aux_heads=cfg.uses_aux, seed=stream_seed(cfg.seed, "init"),
+    )
+    params = init_network(net_cfg)
+    banks = [FrmBank(omega=cfg.spectral.omega_bank) for _ in range(m)]
+    shuffle_rng = stream_rng(cfg.seed, "shuffle")
+    warmup = warmup_iterations(cfg, n)
+    rows = []
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb = [img[idx] for img in images]
+            yb = labels[idx]
+            raw = [batch_preference(x, cfg.spectral, cfg.metric, cfg.omega_band) for x in xb]
+            smooth = [bank.update(r) for bank, r in zip(banks, raw)]
+            t = relative_ratio(smooth, cfg.allocation.sigma)
+            k = np.ones(m) if len(rows) < warmup else weight(t, cfg.allocation)
+            logits, aux = forward(net_cfg, params, xb)
+            loss = cross_entropy(logits, yb)
+            aux_losses = [math.nan] * m
+            if cfg.uses_aux:
+                aux_losses = [cross_entropy(a, yb) for a in aux]
+                for k_i, loss_i in zip(k, aux_losses):
+                    loss += float(k_i) * loss_i
+            grads = backward(net_cfg, params, xb, yb, aux_weights=(k if cfg.uses_aux else None))[0]
+            gnorms = encoder_grad_norms(net_cfg, grads)
+            params = sgd_step(net_cfg, params, grads, cfg.eta, k if cfg.scales_gradients else None)
+            row = [len(rows), loss]
+            for block in (aux_losses, raw, smooth, t, k, gnorms):
+                row.extend(float(v) for v in block)
+            rows.append(row)
+    return params, rows
+
+
+class TestFusedStep:
+    def test_one_encoder_pass_per_iteration(self, monkeypatch):
+        ds = generate(imbalanced_specs(), n_test=32, seed=14)
+        calls = []
+        encode = tinynet._encode
+
+        def counting_encode(*args):
+            calls.append(1)
+            return encode(*args)
+
+        monkeypatch.setattr(tinynet, "_encode", counting_encode)
+        _, _, trace = train(TrainConfig(mode="hybrid", seed=14), ds)
+        assert len(trace) == 128
+        assert len(calls) == len(trace)
+
+    @pytest.mark.parametrize("mode", ["none", "loss", "gradient", "hybrid"])
+    def test_matches_unfused_reference(self, mode):
+        ds = generate(imbalanced_specs(), n_train=256, n_test=32, seed=15)
+        cfg = TrainConfig(mode=mode, warmup_frac=0.2, seed=15)
+        assert warmup_iterations(cfg, 256) == 3
+        _, params, trace = train(cfg, ds)
+        ref_params, ref_rows = unfused_train(cfg, ds)
+        assert list(params) == list(ref_params)
+        for name in params:
+            assert params[name].tobytes() == ref_params[name].tobytes(), name
+        assert len(trace.rows) == len(ref_rows) == 16
+        for row, ref in zip(trace.rows, ref_rows):
+            assert np.array(row).tobytes() == np.array(ref).tobytes()
 
 
 class TestDirectional:

@@ -22,7 +22,7 @@ def finite_difference(cfg, params, inputs, labels, aux_weights=None, eps=1e-5):
     def loss_fn(p):
         logits, aux = forward(cfg, p, inputs)
         if aux_weights is not None:
-            return weighted_loss(logits, aux, labels, aux_weights)
+            return weighted_loss(logits, aux, labels, aux_weights)[0]
         return cross_entropy(logits, labels)
 
     fd = {}
@@ -199,7 +199,7 @@ class TestBackward:
         params["clf.b"] = np.zeros(2)
         x = np.array([[1.0, 0, 0, 0], [0.0, 1, 0, 0]])
         labels = np.array([0, 1])  # both samples confidently correct
-        grads, error = backward(cfg, params, [x], labels)
+        grads, error, *_ = backward(cfg, params, [x], labels)
         assert np.abs(error).max() < 1e-4
         assert max(np.abs(g).max() for g in grads.values()) < 1e-4
 
@@ -209,7 +209,7 @@ class TestBackward:
         params = identity_encoder_params(cfg, rng)
         x = rng.random((8, 5))
         labels = rng.integers(0, 3, size=8)
-        grads, error = backward(cfg, params, [x], labels)
+        grads, error, *_ = backward(cfg, params, [x], labels)
         logits = x @ params["clf.w"] + params["clf.b"]
         expected_error = softmax(logits) - onehot(labels, 3)
         assert np.abs(error - expected_error).max() < 1e-12
@@ -221,7 +221,7 @@ class TestBackward:
         params = init_network(cfg)
         inputs = [rng.normal(size=(4, 6)), rng.normal(size=(4, 4))]
         labels = rng.integers(0, 3, size=4)
-        grads, _ = backward(cfg, params, inputs, labels, error_override=np.zeros((4, 3)))
+        grads, *_ = backward(cfg, params, inputs, labels, error_override=np.zeros((4, 3)))
         for name, g in grads.items():
             assert np.all(g == 0.0), name
 
@@ -241,7 +241,7 @@ class TestBackward:
         labels = rng.integers(0, cfg.n_classes, size=5)
         assert min_abs_preactivation(cfg, params, inputs) > 1e-3
         aux_w = list(rng.uniform(0.5, 1.5, size=m)) if cfg.aux_heads else None
-        grads, _ = backward(cfg, params, inputs, labels, aux_weights=aux_w)
+        grads, *_ = backward(cfg, params, inputs, labels, aux_weights=aux_w)
         fd = finite_difference(cfg, params, inputs, labels, aux_weights=aux_w)
         assert max_rel_err(grads, fd) < 1e-4
 
@@ -250,10 +250,42 @@ class TestBackward:
         cfg = NetConfig(input_dims=(5, 4), hidden=(4,), n_classes=2, seed=8)
         params = init_network(cfg)
         inputs = [rng.normal(size=(3, 5)), rng.normal(size=(3, 4))]
-        grads, _ = backward(cfg, params, inputs, np.array([0, 1, 0]), mask=[True, False])
+        grads, *_ = backward(cfg, params, inputs, np.array([0, 1, 0]), mask=[True, False])
         assert np.all(grads["enc1.w0"] == 0.0)
         assert np.all(grads["enc1.b0"] == 0.0)
         assert encoder_grad_norms(cfg, grads)[1] == 0.0
+
+    @pytest.mark.parametrize(
+        "aux_heads, mask, aux_w",
+        [
+            (True, None, [1.3, 0.6, 0.9]),
+            (True, [True, False, True], [1.3, 0.6, 0.9]),
+            (True, [False, True, False], None),
+            (False, [True, True, False], None),
+        ],
+        ids=["aux_full", "aux_partial", "aux_unweighted", "no_aux"],
+    )
+    def test_returned_logits_match_forward(self, aux_heads, mask, aux_w):
+        rng = np.random.default_rng(15)
+        cfg = NetConfig(input_dims=(6, 5, 4), hidden=(5, 3), n_classes=3, aux_heads=aux_heads, seed=15)
+        params = init_network(cfg)
+        for name in params:
+            params[name] = params[name] + rng.normal(scale=0.1, size=params[name].shape)
+        inputs = [rng.normal(size=(7, d)) for d in cfg.input_dims]
+        labels = rng.integers(0, 3, size=7)
+        grads, error, logits, aux_logits = backward(
+            cfg, params, inputs, labels, mask=mask, aux_weights=aux_w
+        )
+        ref_logits, ref_aux = forward(cfg, params, inputs, mask)
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert list(grads) == list(params)
+        if aux_heads:
+            assert len(aux_logits) == cfg.n_modalities
+            for a, r in zip(aux_logits, ref_aux):
+                assert a.tobytes() == r.tobytes()
+        else:
+            assert aux_logits is None and ref_aux is None
+        assert np.array_equal(error, softmax(ref_logits) - onehot(labels, 3))
 
     def test_aux_weights_without_heads_rejected(self):
         cfg = NetConfig(input_dims=(4,), hidden=(3,), n_classes=2)
@@ -269,7 +301,7 @@ class TestSgdStep:
         self.params = init_network(self.cfg)
         self.inputs = [self.rng.normal(size=(6, 5)), self.rng.normal(size=(6, 4))]
         self.labels = self.rng.integers(0, 3, size=6)
-        self.grads, _ = backward(
+        self.grads, *_ = backward(
             self.cfg, self.params, self.inputs, self.labels, aux_weights=[1.0, 1.0]
         )
 
@@ -300,6 +332,17 @@ class TestSgdStep:
         out = sgd_step(self.cfg, self.params, self.grads, 0.1, weights=[0.0, 0.0])
         assert np.array_equal(out["clf.w"], self.params["clf.w"] - 0.1 * self.grads["clf.w"])
 
+    @pytest.mark.parametrize("weights", [None, [1.4, 0.6]])
+    def test_inputs_unchanged(self, weights):
+        params = {n: v.copy() for n, v in self.params.items()}
+        grads = {n: v.copy() for n, v in self.grads.items()}
+        out = sgd_step(self.cfg, self.params, self.grads, 0.1, weights=weights)
+        for name in params:
+            assert self.params[name].tobytes() == params[name].tobytes(), name
+            assert self.grads[name].tobytes() == grads[name].tobytes(), name
+            assert not np.shares_memory(out[name], self.params[name]), name
+            assert not np.shares_memory(out[name], self.grads[name]), name
+
     def test_shape_mismatch_rejected(self):
         bad = dict(self.grads)
         bad["clf.w"] = np.zeros((2, 2))
@@ -315,7 +358,7 @@ class TestEvaluate:
         x = np.vstack([rng.normal(size=(20, 2)) + (3, 3), rng.normal(size=(20, 2)) - (3, 3)])
         y = np.array([0] * 20 + [1] * 20)
         for _ in range(200):
-            grads, _ = backward(cfg, params, [x], y)
+            grads, *_ = backward(cfg, params, [x], y)
             params = sgd_step(cfg, params, grads, 0.5)
         assert evaluate(cfg, params, [x], y) == 1.0
 
