@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .preference import FrmBank, batch_preference
 from .spectral import SpectralConfig
 
@@ -78,7 +79,8 @@ def allocate(
     """Score each modality's batch, update its bank, and weight the result.
 
     The caller owns the banks and must hold them exclusively for the
-    duration of the step; banks are mutated in place.
+    duration of the step; banks are mutated in place. A non-finite score
+    raises NumericError naming the modality, before any bank is updated.
     """
     if len(batches) != len(banks):
         raise ValueError(f"{len(batches)} batches for {len(banks)} banks")
@@ -87,7 +89,13 @@ def allocate(
     sizes = {np.asarray(b).shape[0] for b in batches}
     if len(sizes) > 1:
         raise ValueError(f"modalities disagree on batch size: {sorted(sizes)}")
-    raw = [batch_preference(batch, cfg, kind, omega_band) for batch in batches]
+    # Each score is checked below, so numpy's warnings on bad pixels would
+    # only repeat it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        raw = [batch_preference(batch, cfg, kind, omega_band) for batch in batches]
+    for i, score in enumerate(raw):
+        if not np.isfinite(score):
+            raise NumericError(f"non-finite {kind} score of modality {i}")
     smooth = [bank.update(r) for bank, r in zip(banks, raw)]
     t = relative_ratio(smooth, params.sigma)
     return ModalWeights(k=weight(t, params), t=t, raw=np.array(raw), smooth=np.array(smooth))

@@ -240,17 +240,7 @@ def sweep_frm_variants(cfg: RunConfig, out_dir, kinds=METRIC_KINDS):
 
 def filter_dataset(ds: SynthDataset, kind: str, n: int) -> SynthDataset:
     """Apply one FFT filter to every plane of every modality."""
-    filtered = []
-    for stack in ds.images:
-        filtered.append(np.stack([fft_filter(plane, kind, n) for plane in stack]))
-    return SynthDataset(
-        images=filtered,
-        labels=ds.labels,
-        n_train=ds.n_train,
-        n_classes=ds.n_classes,
-        specs=ds.specs,
-        seed=ds.seed,
-    )
+    return replace(ds, images=[fft_filter(stack, kind, n) for stack in ds.images])
 
 
 def filter_study(cfg: RunConfig, windows, kinds, out_dir):

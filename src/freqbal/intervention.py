@@ -139,12 +139,10 @@ def warmup_iterations(cfg: TrainConfig, n_train: int) -> int:
     return int(round(cfg.warmup_frac * cfg.epochs * per_epoch))
 
 
-def _numeric_message(what: str, iteration: int, k, trace: TrainTrace) -> str:
+def _numeric_context(iteration: int, trace: TrainTrace, k=None) -> str:
     last = trace.rows[-1][1] if trace.rows else "none"
-    return (
-        f"non-finite {what} at iteration {iteration} "
-        f"(k={[float(v) for v in k]}, last finite total_loss={last})"
-    )
+    weights = "" if k is None else f"k={[float(v) for v in k]}, "
+    return f"at iteration {iteration} ({weights}last finite total_loss={last})"
 
 
 def train(cfg: TrainConfig, dataset, on_epoch_end=None):
@@ -154,7 +152,8 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
     randomness are independent named streams of cfg.seed, so traces are
     bit-reproducible for a fixed config. Non-finite logits or a non-finite
     loss abort with a NumericError that names the iteration, K and the
-    last finite total loss, and carries the partial trace.
+    last finite total loss, and carries the partial trace; a non-finite
+    per-batch score does the same, naming the modality instead of K.
 
     on_epoch_end(epoch, net_cfg, params), when given, is called after each
     epoch; it must not mutate params.
@@ -189,9 +188,12 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
             xb = [img[idx] for img in train_images]
             yb = train_labels[idx]
 
-            mw = allocate(
-                xb, banks, cfg.spectral, cfg.allocation, cfg.metric, cfg.omega_band
-            )
+            try:
+                mw = allocate(
+                    xb, banks, cfg.spectral, cfg.allocation, cfg.metric, cfg.omega_band
+                )
+            except NumericError as exc:
+                raise NumericError(f"{exc} {_numeric_context(iteration, trace)}", trace=trace) from exc
             if cfg.weight_override is not None:
                 k = np.asarray(cfg.weight_override, dtype=np.float64)
             elif iteration < warmup:
@@ -203,13 +205,17 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
                 net_cfg, params, xb, yb, aux_weights=(k if cfg.uses_aux else None)
             )
             if not all(np.all(np.isfinite(z)) for z in (logits, *(aux or ()))):
-                raise NumericError(_numeric_message("logits", iteration, k, trace), trace=trace)
+                raise NumericError(
+                    f"non-finite logits {_numeric_context(iteration, trace, k)}", trace=trace
+                )
             if cfg.uses_aux:
                 loss, aux_losses = weighted_loss(logits, aux, yb, k)
             else:
                 loss, aux_losses = cross_entropy(logits, yb), [math.nan] * m
             if not np.isfinite(loss):
-                raise NumericError(_numeric_message("loss", iteration, k, trace), trace=trace)
+                raise NumericError(
+                    f"non-finite loss {_numeric_context(iteration, trace, k)}", trace=trace
+                )
 
             gnorms = encoder_grad_norms(net_cfg, grads)
             params = sgd_step(

@@ -11,9 +11,11 @@ map uses B[p-q:] the same way. The transposes of the same projections turn
 band maps back into pixels, which is how the synthetic generator builds
 its images.
 
-The FFT filters operate on the whole plane instead, one plane per call:
-the spectrum is shifted so DC sits at (H//2, W//2) and an n x n window
-centered there is either kept (low pass) or zeroed (high pass).
+The FFT filters operate on whole planes instead: the spectrum is shifted
+so DC sits at (H//2, W//2) and an n x n window centered there is either
+kept (low pass) or zeroed (high pass). That window is the outer product of
+one row mask and one column mask, so keeping it is a per-axis operator
+too, A = ifft diag(d) fft, applied to whole stacks of planes.
 
 All functions are pure; arrays are never modified in place.
 """
@@ -172,31 +174,72 @@ def compute_maps_batch(imgs, cfg: SpectralConfig):
     return rows[:, :k] @ low_w.T, rows[:, k:] @ high_w.T
 
 
+# Planes filtered per block of fft_filter; bounds its temporaries to a
+# few MB on top of the output.
+_FILTER_BLOCK = 256
+
+
+@lru_cache(maxsize=None)
+def _window_operator(side: int, n: int):
+    """Real and imaginary parts (C, S) of the window's operator on one axis.
+
+    A = ifft . diag(d) . fft, where d keeps the n frequencies of the centered
+    window (it starts at side//2 - n//2 in fftshifted order) and zeroes the
+    rest. Both parts are read-only (side, side) arrays.
+    """
+    shifted = np.zeros(side)
+    start = side // 2 - n // 2
+    shifted[start : start + n] = 1.0
+    keep = np.fft.ifftshift(shifted)
+    op = np.fft.ifft(keep[:, None] * np.fft.fft(np.eye(side), axis=0), axis=0)
+    c, s = np.ascontiguousarray(op.real), np.ascontiguousarray(op.imag)
+    c.setflags(write=False)
+    s.setflags(write=False)
+    return c, s
+
+
 def fft_filter(img, kind: str, n: int) -> np.ndarray:
     """Keep (low_pass) or discard (high_pass) the centered n x n spectrum window.
 
-    The spectrum is fftshifted so DC lands at (H//2, W//2); the window of
-    side n starts at center - n//2 on each axis, putting any odd-window
+    `img` is one (H, W) plane or an (N, H, W) stack; the result has its
+    shape. The spectrum is fftshifted so DC lands at (H//2, W//2); the window
+    of side n starts at center - n//2 on each axis, putting any odd-window
     asymmetry toward the bottom/right. Complementary kinds with the same n
     sum back to the input exactly (up to float rounding).
+
+    The window is separable, so for a real plane X the low pass is
+    Re(A_h X A_w^T) = C_h X C_w^T - S_h X S_w^T with (C, S) from
+    `_window_operator`, and the high pass is X minus it. A stack is filtered
+    in fixed blocks of planes, each written into the preallocated result, so
+    memory beyond the result stays at one block's temporaries; each plane's
+    result is bitwise the same as filtering it alone.
     """
-    img = _check_plane(img)
-    h, w = img.shape
+    imgs = np.asarray(img, dtype=np.float64)
+    if imgs.ndim not in (2, 3):
+        raise ValueError(f"expected an (H, W) plane or (N, H, W) stack, got shape {imgs.shape}")
+    if not np.all(np.isfinite(imgs)):
+        raise ValueError("plane contains non-finite values")
     if kind not in ("low_pass", "high_pass"):
         raise ValueError(f"unknown filter kind {kind!r}")
+    h, w = imgs.shape[-2:]
     if n < 1 or n > min(h, w):
         raise ValueError(f"window side {n} out of range for {h}x{w} plane")
-    spec = np.fft.fftshift(np.fft.fft2(img))
-    cy, cx = h // 2, w // 2
-    rows = slice(cy - n // 2, cy - n // 2 + n)
-    cols = slice(cx - n // 2, cx - n // 2 + n)
-    if kind == "low_pass":
-        kept = np.zeros_like(spec)
-        kept[rows, cols] = spec[rows, cols]
-    else:
-        kept = spec.copy()
-        kept[rows, cols] = 0.0
-    return np.fft.ifft2(np.fft.ifftshift(kept)).real
+    stack = imgs if imgs.ndim == 3 else imgs[None]
+    c_h, s_h = _window_operator(h, n)
+    c_w, s_w = _window_operator(w, n)
+    both_h = np.concatenate((c_h, s_h))
+    out = np.empty_like(stack)
+    for start in range(0, len(stack), _FILTER_BLOCK):
+        block = stack[start : start + _FILTER_BLOCK]
+        result = out[start : start + _FILTER_BLOCK]
+        # One product applies both row parts; each half then meets its own
+        # column part.
+        rows = both_h @ block
+        np.matmul(rows[:, :h], c_w.T, out=result)
+        result -= rows[:, h:] @ s_w.T
+        if kind == "high_pass":
+            np.subtract(block, result, out=result)
+    return out if imgs.ndim == 3 else out[0]
 
 
 def spectral_energy(img) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from freqbal.allocation import AllocationParams, allocate, relative_ratio, weight
+from freqbal.errors import NumericError
 from freqbal.preference import FrmBank, batch_preference
 from freqbal.spectral import SpectralConfig
 from freqbal.synthdata import ModalitySpec, generate
@@ -116,6 +117,14 @@ class TestAllocate:
         assert np.argsort(scores).tolist() == np.argsort(-mw.k).tolist()
         # A fresh bank's first smoothed value is the raw score itself.
         assert mw.raw.tolist() == scores and mw.smooth.tolist() == scores
+
+    def test_non_finite_score_is_numeric_error(self):
+        batches = [np.ones((2, 8, 8)), np.ones((2, 8, 8))]
+        batches[1][1, 3, 4] = np.inf
+        banks = [FrmBank(), FrmBank()]
+        with pytest.raises(NumericError, match="modality 1"):
+            allocate(batches, banks, SpectralConfig(), DEFAULTS)
+        assert [bank.count for bank in banks] == [0, 0]
 
     def test_bank_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,20 @@ class TestFilterStudy:
             total = low.images[i] + high.images[i]
             assert np.abs(total - ds.images[i]).max() < 1e-6
 
+    def test_filter_dataset_is_pure(self):
+        ds = generate(imbalanced_specs(), n_train=6, n_test=2, seed=3)
+        before = [stack.copy() for stack in ds.images]
+        labels = ds.labels.copy()
+        out = filter_dataset(ds, "low_pass", 8)
+        for stack, copy in zip(ds.images, before):
+            assert np.array_equal(stack, copy)
+        assert np.array_equal(ds.labels, labels)
+        assert all(a is not b for a, b in zip(out.images, ds.images))
+        assert out.labels is ds.labels
+        assert (out.n_train, out.n_classes, out.specs, out.seed) == (
+            ds.n_train, ds.n_classes, ds.specs, ds.seed,
+        )
+
     def test_curves_and_summary(self, tmp_path):
         cfg = parse_config(
             "seed = 0\nepochs = 2\nbatch_size = 32\nn_train = 64\nn_test = 32\nhidden = 16,8\n"

@@ -4,6 +4,7 @@ import pytest
 from freqbal import tensorio
 from freqbal.cli import main
 from freqbal.preference import METRIC_KINDS
+from freqbal.seeds import stream_rng
 
 TINY = "seed = 0\nepochs = 1\nbatch_size = 32\nn_train = 64\nn_test = 32\nhidden = 16,8\n"
 
@@ -55,6 +56,23 @@ class TestExitCodes:
             code = main(["train", "--config", str(cfg), "--out", str(out)])
         assert code == 3
         assert (out / "trace.csv").exists()
+
+    def test_non_finite_training_pixel_is_numeric_error(self, cfg_file, tmp_path, capsys):
+        data, out = tmp_path / "ds", tmp_path / "run"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        # Poison the sample that the shuffle puts first in the second batch.
+        sample = stream_rng(0, "shuffle").permutation(64)[32]
+        stack = tensorio.read_raw(data / "mod1.f32")
+        stack[sample, 17] = np.inf
+        tensorio.write_raw(data / "mod1.f32", stack)
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text(TINY + f"data_dir = {data}\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert "modality 1" in err and "iteration 1 " in err
+        assert len((out / "trace.csv").read_text().splitlines()) == 2  # header + iteration 0
 
 
 class TestAnalyzeAndFilter:

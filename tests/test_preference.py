@@ -184,6 +184,11 @@ class TestBank:
         with pytest.raises(ValueError):
             bank.update(-1.0)
 
+    def test_non_finite_score_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                FrmBank().update(bad)
+
     def test_bad_omega_rejected(self):
         with pytest.raises(ValueError):
             FrmBank(omega=1.5)

@@ -224,7 +224,49 @@ class TestAssemble:
             FrequencyMaps(low=np.zeros((2, 2)), high=np.zeros((3, 3)))
 
 
+def fft_window_reference(img, kind, n):
+    # Per-plane FFT filter: shift the spectrum, keep or zero the centered
+    # n x n window, shift back and invert.
+    h, w = img.shape
+    spec = np.fft.fftshift(np.fft.fft2(img))
+    rows = slice(h // 2 - n // 2, h // 2 - n // 2 + n)
+    cols = slice(w // 2 - n // 2, w // 2 - n // 2 + n)
+    mask = np.zeros((h, w), dtype=bool)
+    mask[rows, cols] = True
+    kept = np.where(mask if kind == "low_pass" else ~mask, spec, 0.0)
+    return np.fft.ifft2(np.fft.ifftshift(kept)).real
+
+
 class TestFftFilter:
+    @pytest.mark.parametrize("shape", [(32, 32), (24, 16), (31, 31)])
+    def test_matches_fft_reference(self, shape):
+        stack = np.random.default_rng(17).normal(size=(5,) + shape)
+        scale = np.abs(stack).max()
+        for n in (1, 6, 7, 16, min(shape)):
+            for kind in ("low_pass", "high_pass"):
+                ref = np.stack([fft_window_reference(plane, kind, n) for plane in stack])
+                assert np.abs(fft_filter(stack, kind, n) - ref).max() <= 1e-12 * scale
+                assert np.abs(fft_filter(stack[0], kind, n) - ref[0]).max() <= 1e-12 * scale
+
+    def test_stack_matches_single_planes_across_blocks(self):
+        stack = np.random.default_rng(18).random((700, 32, 32))
+        for kind in ("low_pass", "high_pass"):
+            out = fft_filter(stack, kind, 7)
+            assert out.shape == stack.shape
+            assert np.array_equal(out, np.stack([fft_filter(plane, kind, 7) for plane in stack]))
+
+    def test_non_finite_pixel_in_stack_rejected(self):
+        for bad in (np.nan, np.inf):
+            stack = np.zeros((300, 16, 16))
+            stack[290, 4, 9] = bad
+            with pytest.raises(ValueError):
+                fft_filter(stack, "low_pass", 4)
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 3, 16, 16)])
+    def test_wrong_rank_rejected(self, shape):
+        with pytest.raises(ValueError):
+            fft_filter(np.zeros(shape), "low_pass", 4)
+
     def test_full_window_low_pass_is_identity(self):
         img = np.random.default_rng(11).random((32, 32))
         assert np.abs(fft_filter(img, "low_pass", 32) - img).max() < 1e-6
