@@ -2,12 +2,17 @@
 
 Every run directory receives deterministic CSV output (full-precision
 repr floats, no timestamps), so identical configs reproduce byte-identical
-files. Sweep cells record their config hash and are skipped when already
-complete, which makes every sweep resumable.
+files. The sweeps are lists of cells run by run_sweep. A cell whose
+cell.json marker holds its config hash is skipped, so sweeps resume; a cell
+that runs deletes its marker first and writes it last, atomically. Cells
+vary only the training config, so a sweep loads at most one dataset.
 """
 
 import math
+import sys
+import time
 from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +20,7 @@ import numpy as np
 from . import tensorio
 from .config import RunConfig, config_hash, dump_config, replace_train
 from .errors import ConfigError
-from .intervention import TrainConfig, train
+from .intervention import train
 from .preference import METRIC_KINDS
 from .seeds import stream_seed
 from .spectral import fft_filter
@@ -140,11 +145,11 @@ def get_dataset(cfg: RunConfig) -> SynthDataset:
     )
 
 
-def train_and_eval(cfg: RunConfig, dataset: SynthDataset = None, on_epoch_end=None):
+def train_and_eval(cfg: RunConfig, dataset: SynthDataset = None):
     """One full cell: train on the config, evaluate the mask matrix on test."""
     if dataset is None:
         dataset = get_dataset(cfg)
-    net_cfg, params, trace = train(cfg.train, dataset, on_epoch_end=on_epoch_end)
+    net_cfg, params, trace = train(cfg.train, dataset)
     test_inputs, test_labels = dataset.test_split()
     records = run_matrix(
         net_cfg, params, test_inputs, test_labels,
@@ -153,89 +158,70 @@ def train_and_eval(cfg: RunConfig, dataset: SynthDataset = None, on_epoch_end=No
     return net_cfg, params, trace, records
 
 
-def _cell_done(cell_dir: Path, cfg: RunConfig) -> bool:
+def _run_cell(cell_dir: Path, cfg: RunConfig, dataset):
+    """Train+eval one sweep cell unless its marker matches the config.
+
+    dataset() is called only if the cell runs. Returns (avg_acc, avg_pcr, ran).
+    """
     marker = cell_dir / "cell.json"
-    if not marker.exists():
-        return False
-    meta = tensorio.read_manifest(marker)
-    return meta.get("config") == config_hash(cfg) and meta.get("seed") == cfg.seed
-
-
-def _run_cell(cell_dir: Path, cfg: RunConfig, dataset=None):
-    """Train+eval one sweep cell unless its outputs already match the config."""
-    cell_dir = Path(cell_dir)
-    if _cell_done(cell_dir, cfg):
-        return _read_matrix_summary(cell_dir / "matrix.csv")
-    _, _, trace, records = train_and_eval(cfg, dataset)
+    if marker.exists():
+        meta = tensorio.read_manifest(marker)
+        if meta.get("config") == config_hash(cfg):
+            return meta["avg_acc"], meta["avg_pcr"], False
+    _, _, trace, records = train_and_eval(cfg, dataset())
     cell_dir.mkdir(parents=True, exist_ok=True)
+    marker.unlink(missing_ok=True)
     (cell_dir / "config.txt").write_text(dump_config(cfg))
     trace.write_csv(cell_dir / "trace.csv")
     write_run_matrix(cell_dir / "matrix.csv", records)
     avg_acc, avg_pcr = matrix_average(records)
     tensorio.write_manifest(
-        cell_dir / "cell.json",
+        marker,
         {"config": config_hash(cfg), "seed": cfg.seed, "avg_acc": avg_acc, "avg_pcr": avg_pcr},
     )
-    return avg_acc, avg_pcr
+    return avg_acc, avg_pcr, True
 
 
-def _read_matrix_summary(path):
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    row = dict(zip(header, lines[-1].split(",")))
-    if row["mask"] != AVERAGE_LABEL:
-        raise ValueError(f"{path}: last row is not the average row")
-    return float(row["acc"]), (float(row["pcr"]) if row["pcr"] else None)
+def run_sweep(cells, key_header, out_dir):
+    """Run (directory name, summary keys, RunConfig) cells, then write summary.csv.
+
+    Every config is built, and so validated, before the first cell runs.
+    One progress line per cell goes to stderr. Returns the summary rows.
+    """
+    out = Path(out_dir)
+    cells = list(cells)
+    dataset = cache(lambda: get_dataset(cells[0][2]))
+    rows = []
+    for i, (name, keys, cfg) in enumerate(cells, start=1):
+        start = time.perf_counter()
+        avg_acc, avg_pcr, ran = _run_cell(out / name, cfg, dataset)
+        status = f"ran {time.perf_counter() - start:.2f}s" if ran else "cached"
+        print(f"sweep [{i}/{len(cells)}] {name} {status}", file=sys.stderr)
+        rows.append([*keys, avg_acc, avg_pcr, cfg.seed, config_hash(cfg)])
+    write_csv(out / "summary.csv", [*key_header, "avg_acc", "avg_pcr", "seed", "config"], rows)
+    return rows
 
 
 def sweep_window(cfg: RunConfig, q_values, out_dir):
     """One train+eval per frequency block side q (shared seed and data)."""
-    out = Path(out_dir)
-    rows = []
-    for q in q_values:
-        allow = cfg.train.spectral.allow_overlap
-        if 2 * q > cfg.train.spectral.p and not allow:
-            raise ConfigError(
-                f"q={q} overlaps the corner blocks for p={cfg.train.spectral.p}; "
-                "set allow_overlap to force"
-            )
-        spectral = replace(cfg.train.spectral, q=q)
-        cell_cfg = replace_train(cfg, spectral=spectral)
-        avg_acc, avg_pcr = _run_cell(out / f"q{q}", cell_cfg)
-        rows.append([q, avg_acc, avg_pcr, cfg.seed, config_hash(cell_cfg)])
-    write_csv(out / "summary.csv", ["q", "avg_acc", "avg_pcr", "seed", "config"], rows)
-    return rows
+    cells = ((f"q{q}", [q], replace_train(cfg, spectral={"q": q})) for q in q_values)
+    return run_sweep(cells, ["q"], out_dir)
 
 
 def sweep_params(cfg: RunConfig, tuples, out_dir):
     """One train+eval per (alpha, beta, lambda, gamma) scaling-factor tuple."""
-    out = Path(out_dir)
-    rows = []
-    for i, (alpha, beta, lam, gamma) in enumerate(tuples):
-        alloc = replace(cfg.train.allocation, alpha=alpha, beta=beta, lam=lam, gamma=gamma)
-        cell_cfg = replace_train(cfg, allocation=alloc)
-        avg_acc, avg_pcr = _run_cell(out / f"t{i}", cell_cfg)
-        rows.append([alpha, beta, lam, gamma, avg_acc, avg_pcr, cfg.seed, config_hash(cell_cfg)])
-    write_csv(
-        out / "summary.csv",
-        ["alpha", "beta", "lambda", "gamma", "avg_acc", "avg_pcr", "seed", "config"],
-        rows,
+    cells = (
+        (f"t{i}", [alpha, beta, lam, gamma],
+         replace_train(cfg, allocation=dict(alpha=alpha, beta=beta, lam=lam, gamma=gamma)))
+        for i, (alpha, beta, lam, gamma) in enumerate(tuples)
     )
-    return rows
+    return run_sweep(cells, ["alpha", "beta", "lambda", "gamma"], out_dir)
 
 
 def sweep_frm_variants(cfg: RunConfig, out_dir, kinds=METRIC_KINDS):
     """One train+eval per preference-metric kind, shared seed and data."""
-    out = Path(out_dir)
-    rows = []
-    for kind in kinds:
-        if kind not in METRIC_KINDS:
-            raise ConfigError(f"unknown metric kind {kind!r}; expected one of {METRIC_KINDS}")
-        cell_cfg = replace_train(cfg, metric=kind)
-        avg_acc, avg_pcr = _run_cell(out / kind, cell_cfg)
-        rows.append([kind, avg_acc, avg_pcr, cfg.seed, config_hash(cell_cfg)])
-    write_csv(out / "summary.csv", ["metric", "avg_acc", "avg_pcr", "seed", "config"], rows)
-    return rows
+    cells = ((kind, [kind], replace_train(cfg, metric=kind)) for kind in kinds)
+    return run_sweep(cells, ["metric"], out_dir)
 
 
 def filter_dataset(ds: SynthDataset, kind: str, n: int) -> SynthDataset:
@@ -269,7 +255,7 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
             test_inputs, test_labels = _ds.test_split()
             _accs.append(evaluate(net_cfg, params, test_inputs, test_labels))
 
-        _, _, trace, _ = train_and_eval(cfg, ds, on_epoch_end=on_epoch_end)
+        _, _, trace = train(cfg.train, ds, on_epoch_end=on_epoch_end)
         losses = trace.column("total_loss")
         for epoch in range(cfg.train.epochs):
             epoch_loss = float(losses[epoch * per_epoch : (epoch + 1) * per_epoch].mean())

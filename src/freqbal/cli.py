@@ -172,12 +172,10 @@ def cmd_eval(args) -> int:
 def cmd_sweep_window(args) -> int:
     cfg = load_config(args.config)
     if args.allow_overlap:
-        from dataclasses import replace as dc_replace
-
-        cfg = replace_train(cfg, spectral=dc_replace(cfg.train.spectral, allow_overlap=True))
+        cfg = replace_train(cfg, spectral={"allow_overlap": True})
     q_values = _int_list(args.q)
-    rows = bench.sweep_window(cfg, q_values, args.out)
-    _print_summary(["q", "avg_acc", "avg_pcr"], rows)
+    bench.sweep_window(cfg, q_values, args.out)
+    _print_summary(args.out)
     return 0
 
 
@@ -189,16 +187,16 @@ def cmd_sweep_params(args) -> int:
         if len(parts) != 4:
             raise ConfigError(f"expected alpha,beta,lambda,gamma, got {chunk!r}")
         tuples.append(tuple(parts))
-    rows = bench.sweep_params(cfg, tuples, args.out)
-    _print_summary(["alpha", "beta", "lambda", "gamma", "avg_acc", "avg_pcr"], rows)
+    bench.sweep_params(cfg, tuples, args.out)
+    _print_summary(args.out)
     return 0
 
 
 def cmd_sweep_frm(args) -> int:
     cfg = load_config(args.config)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    rows = bench.sweep_frm_variants(cfg, args.out, kinds)
-    _print_summary(["metric", "avg_acc", "avg_pcr"], rows)
+    bench.sweep_frm_variants(cfg, args.out, kinds)
+    _print_summary(args.out)
     return 0
 
 
@@ -206,8 +204,8 @@ def cmd_filter_study(args) -> int:
     cfg = load_config(args.config)
     windows = _int_list(args.windows)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    rows = bench.filter_study(cfg, windows, kinds, args.out)
-    _print_summary(["kind", "window", "seed", "final_train_loss", "final_eval_acc"], rows)
+    bench.filter_study(cfg, windows, kinds, args.out)
+    _print_summary(args.out)
     return 0
 
 
@@ -236,10 +234,9 @@ def _int_list(text: str):
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _print_summary(header, rows) -> None:
-    print("\t".join(header))
-    for row in rows:
-        print("\t".join(str(c) for c in row[: len(header)]))
+def _print_summary(out_dir) -> None:
+    """Echo the summary.csv just written to out_dir as a tab-separated table."""
+    print((Path(out_dir) / "summary.csv").read_text().replace(",", "\t"), end="")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ outputs and used to resume sweeps.
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .allocation import AllocationParams
@@ -241,8 +241,16 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(dump_config(cfg).encode()).hexdigest()[:12]
 
 
-def replace_train(cfg: RunConfig, **kwargs) -> RunConfig:
-    """New RunConfig with some TrainConfig fields replaced."""
-    from dataclasses import replace
+def replace_train(cfg: RunConfig, **changes) -> RunConfig:
+    """New RunConfig with TrainConfig fields replaced, or ConfigError if invalid.
 
-    return RunConfig(train=replace(cfg.train, **kwargs), data=cfg.data)
+    A dict value updates a nested config, as in spectral={"q": 4}.
+    """
+    try:
+        changes = {
+            name: replace(getattr(cfg.train, name), **value) if isinstance(value, dict) else value
+            for name, value in changes.items()
+        }
+        return RunConfig(train=replace(cfg.train, **changes), data=cfg.data)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

@@ -27,7 +27,7 @@ import numpy as np
 
 from .allocation import AllocationParams, allocate
 from .errors import NumericError
-from .preference import FrmBank
+from .preference import METRIC_KINDS, FrmBank
 from .seeds import stream_rng, stream_seed
 from .spectral import SpectralConfig
 from .tinynet import (
@@ -60,6 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.metric not in METRIC_KINDS:
+            raise ValueError(f"metric must be one of {METRIC_KINDS}, got {self.metric!r}")
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.batch_size < 1:

@@ -7,6 +7,7 @@ manifest records the logical shape.
 """
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -93,8 +94,11 @@ def _next_token(blob: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def write_manifest(path, entries: dict) -> None:
+    """Write via a temp file and os.replace, so no reader sees a partial manifest."""
+    tmp = Path(f"{path}.tmp")
     text = json.dumps(entries, sort_keys=True, indent=2, separators=(",", ": "))
-    Path(path).write_text(text + "\n")
+    tmp.write_text(text + "\n")
+    os.replace(tmp, path)
 
 
 def read_manifest(path) -> dict:

@@ -172,6 +172,49 @@ class TestSweeps:
         with pytest.raises(ConfigError):
             sweep_frm_variants(tiny_cfg(), tmp_path / "sf", kinds=["frm", "mp_cubed"])
 
+    def test_bad_kind_fails_before_any_cell_runs(self, tmp_path):
+        with pytest.raises(ConfigError):
+            sweep_frm_variants(tiny_cfg(), tmp_path / "sf", kinds=["frm", "mp_cubed"])
+        assert not (tmp_path / "sf" / "frm").exists()
+
+    def test_resume_after_crash_under_another_config(self, tmp_path, monkeypatch):
+        # A rerun under a new config that dies before its marker is written
+        # must not leave the old marker vouching for the new run's files.
+        out = tmp_path / "sw"
+        rows = sweep_window(tiny_cfg(), [1], out)
+        matrix = (out / "q1" / "matrix.csv").read_bytes()
+
+        def crash(path, entries):
+            raise OSError("killed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bench.tensorio, "write_manifest", crash)
+            with pytest.raises(OSError):
+                sweep_window(parse_config(TINY_CONFIG.replace("seed = 0", "seed = 1")), [1], out)
+        assert not (out / "q1" / "cell.json").exists()
+
+        assert sweep_window(tiny_cfg(), [1], out) == rows
+        assert (out / "q1" / "matrix.csv").read_bytes() == matrix
+        assert "seed = 0\n" in (out / "q1" / "config.txt").read_text()
+
+    def test_one_dataset_per_command(self, tmp_path, monkeypatch):
+        calls = []
+        original = bench.get_dataset
+        monkeypatch.setattr(bench, "get_dataset", lambda cfg: calls.append(1) or original(cfg))
+        tuples = [(1.5, 1.0, 6.0, 0.7), (1.2, 1.0, 6.0, 0.7)]
+        sweep_params(tiny_cfg(), tuples, tmp_path / "sp")
+        assert len(calls) == 1
+        sweep_params(tiny_cfg(), tuples, tmp_path / "sp")
+        assert len(calls) == 1  # a fully cached resume loads nothing
+
+    def test_progress_on_stderr(self, tmp_path, capsys):
+        sweep_window(tiny_cfg(), [1, 2], tmp_path / "sw")
+        err = capsys.readouterr().err.splitlines()
+        assert [line.rsplit(" ", 1)[0] for line in err] == ["sweep [1/2] q1 ran", "sweep [2/2] q2 ran"]
+        assert all(line.endswith("s") for line in err)
+        sweep_window(tiny_cfg(), [1, 2], tmp_path / "sw")
+        assert capsys.readouterr().err.splitlines() == ["sweep [1/2] q1 cached", "sweep [2/2] q2 cached"]
+
 
 class TestFilterStudy:
     def test_complementary_filters_recompose_raw(self):

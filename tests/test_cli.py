@@ -48,6 +48,13 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_bad_metric_fails_at_load(self, tmp_path):
+        cfg = tmp_path / "bad_metric.cfg"
+        cfg.write_text(TINY + "metric = mp_cubed\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_numeric_failure_flushes_trace(self, tmp_path):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(TINY.replace("epochs = 1", "epochs = 3") + "eta = 1e12\n")
@@ -218,14 +225,29 @@ class TestNtkCheck:
 
 
 class TestDeterminism:
+    @staticmethod
+    def files(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
     def test_reruns_are_byte_identical(self, cfg_file, tmp_path):
+        cell = ["config.txt", "trace.csv", "matrix.csv", "cell.json"]
         for cmd, outputs in [
             (["gen"], ["dataset.json", "mod0.f32", "labels.f32"]),
             (["train"], ["trace.csv", "scores.csv", "run.json", "config.txt"]),
             (["eval"], ["matrix.csv"]),
+            (["sweep-window", "--q", "1,2"], ["summary.csv"] + [f"q2/{f}" for f in cell]),
+            (["sweep-params", "--tuples", "1.5,1,6,0.7;1.2,1,6,0.7"],
+             ["summary.csv"] + [f"t1/{f}" for f in cell]),
+            (["sweep-frm", "--kinds", "frm,mp_sum"], ["summary.csv"] + [f"mp_sum/{f}" for f in cell]),
+            (["filter-study", "--windows", "16", "--kinds", "low_pass"], ["summary.csv", "curves.csv"]),
         ]:
             a, b = tmp_path / f"{cmd[0]}_a", tmp_path / f"{cmd[0]}_b"
             assert main(cmd + ["--config", cfg_file, "--out", str(a)]) == 0
             assert main(cmd + ["--config", cfg_file, "--out", str(b)]) == 0
-            for name in outputs:
-                assert read(a / name) == read(b / name), (cmd, name)
+            files = self.files(a)
+            assert set(outputs) <= set(files), cmd
+            assert files == self.files(b), cmd
+            # A second invocation into the same directory (a resume for the
+            # sweeps) leaves every file as it was.
+            assert main(cmd + ["--config", cfg_file, "--out", str(a)]) == 0
+            assert self.files(a) == files, cmd

@@ -58,6 +58,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("mode = turbo\n")
 
+    def test_bad_metric_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_config("metric = mp_cubed\n")
+
     def test_non_contiguous_modalities_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("mod0.snr = 1\nmod2.snr = 1\n")
@@ -87,3 +91,12 @@ class TestParseConfig:
         assert other.train.mode == "loss"
         assert other.train.seed == 3
         assert other.data == cfg.data
+
+    def test_replace_train_nested_and_invalid(self):
+        cfg = parse_config("")
+        other = replace_train(cfg, spectral={"q": 3}, allocation={"alpha": 1.2})
+        assert (other.train.spectral.q, other.train.allocation.alpha) == (3, 1.2)
+        assert other.train.spectral.p == cfg.train.spectral.p
+        for bad in ({"spectral": {"q": 6}}, {"metric": "mp_cubed"}, {"eta": 0.0}):
+            with pytest.raises(ConfigError):
+                replace_train(cfg, **bad)

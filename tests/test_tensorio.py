@@ -85,3 +85,18 @@ def test_manifest_roundtrip(tmp_path):
     entries = {"b": 1, "a": [1, 2], "c": {"x": 0.5}}
     tensorio.write_manifest(path, entries)
     assert tensorio.read_manifest(path) == entries
+
+
+def test_failed_manifest_write_keeps_previous_file(tmp_path, monkeypatch):
+    # A write that dies before the rename must leave the old manifest whole,
+    # never a truncated one that read_manifest cannot parse.
+    path = tmp_path / "m.json"
+    tensorio.write_manifest(path, {"v": 1})
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(tensorio.os, "replace", crash)
+    with pytest.raises(OSError):
+        tensorio.write_manifest(path, {"v": 2})
+    assert tensorio.read_manifest(path) == {"v": 1}
