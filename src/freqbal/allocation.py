@@ -5,7 +5,9 @@ score of all modalities; that ratio T is then pushed through a reflected,
 rescaled sigmoid so that strongly preferred modalities (T above the pivot
 gamma) receive small weights and weak ones receive large weights. With
 lam > 0 the weight is strictly decreasing in T and stays inside the open
-interval (alpha - beta, alpha).
+interval (alpha - beta, alpha). The stabilizer sigma added to the mean
+score is the SpectralConfig's, the same one the ratio score adds to its
+denominator.
 """
 
 from dataclasses import dataclass
@@ -27,13 +29,10 @@ class AllocationParams:
     beta: float = 1.0
     lam: float = 6.0
     gamma: float = 0.7
-    sigma: float = 1e-8
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
 @dataclass
@@ -97,5 +96,5 @@ def allocate(
         if not np.isfinite(score):
             raise NumericError(f"non-finite {kind} score of modality {i}")
     smooth = [bank.update(r) for bank, r in zip(banks, raw)]
-    t = relative_ratio(smooth, params.sigma)
+    t = relative_ratio(smooth, cfg.sigma)
     return ModalWeights(k=weight(t, params), t=t, raw=np.array(raw), smooth=np.array(smooth))

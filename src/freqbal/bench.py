@@ -3,9 +3,11 @@
 Every run directory receives deterministic CSV output (full-precision
 repr floats, no timestamps), so identical configs reproduce byte-identical
 files. The sweeps are lists of cells run by run_sweep. A cell whose
-cell.json marker holds its config hash is skipped, so sweeps resume; a cell
-that runs deletes its marker first and writes it last, atomically. Cells
-vary only the training config, so a sweep loads at most one dataset.
+cell.json marker holds its config hash is skipped, so sweeps resume; on a
+data_dir dataset the marker also holds the dataset's digest, so new data in
+the same directory reruns the cell. A cell that runs deletes its marker first
+and writes it last, atomically. Cells vary only the training config, so a
+sweep loads at most one dataset.
 """
 
 import math
@@ -18,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorio
-from .config import RunConfig, config_hash, dump_config, replace_train
+from .config import RunConfig, config_hash, dump_config, override
 from .errors import ConfigError
 from .intervention import train
 from .preference import METRIC_KINDS
 from .seeds import stream_seed
 from .spectral import fft_filter
-from .synthdata import SynthDataset, generate, load_dataset
+from .synthdata import SynthDataset, dataset_digest, generate, load_dataset
 from .tinynet import evaluate
 
 MATRIX_COLUMNS = ["mask", "acc", "pcr", "mode", "seed", "config"]
@@ -135,6 +137,11 @@ def get_dataset(cfg: RunConfig) -> SynthDataset:
                 f"config expects {len(cfg.data.specs)}"
             )
         return ds
+    return generate_dataset(cfg)
+
+
+def generate_dataset(cfg: RunConfig) -> SynthDataset:
+    """Generate the configured dataset from the data seed stream, ignoring data_dir."""
     return generate(
         cfg.data.specs,
         n_train=cfg.data.n_train,
@@ -158,15 +165,17 @@ def train_and_eval(cfg: RunConfig, dataset: SynthDataset = None):
     return net_cfg, params, trace, records
 
 
-def _run_cell(cell_dir: Path, cfg: RunConfig, dataset):
-    """Train+eval one sweep cell unless its marker matches the config.
+def _run_cell(cell_dir: Path, cfg: RunConfig, dataset, digest):
+    """Train+eval one sweep cell unless its marker matches the config and data.
 
-    dataset() is called only if the cell runs. Returns (avg_acc, avg_pcr, ran).
+    dataset() is called only if the cell runs. digest is the data_dir
+    dataset's digest, or None for generated data, whose marker has no
+    "data" entry. Returns (avg_acc, avg_pcr, ran).
     """
     marker = cell_dir / "cell.json"
     if marker.exists():
         meta = tensorio.read_manifest(marker)
-        if meta.get("config") == config_hash(cfg):
+        if meta.get("config") == config_hash(cfg) and meta.get("data") == digest:
             return meta["avg_acc"], meta["avg_pcr"], False
     _, _, trace, records = train_and_eval(cfg, dataset())
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -175,10 +184,10 @@ def _run_cell(cell_dir: Path, cfg: RunConfig, dataset):
     trace.write_csv(cell_dir / "trace.csv")
     write_run_matrix(cell_dir / "matrix.csv", records)
     avg_acc, avg_pcr = matrix_average(records)
-    tensorio.write_manifest(
-        marker,
-        {"config": config_hash(cfg), "seed": cfg.seed, "avg_acc": avg_acc, "avg_pcr": avg_pcr},
-    )
+    meta = {"config": config_hash(cfg), "seed": cfg.seed, "avg_acc": avg_acc, "avg_pcr": avg_pcr}
+    if digest is not None:
+        meta["data"] = digest
+    tensorio.write_manifest(marker, meta)
     return avg_acc, avg_pcr, True
 
 
@@ -191,10 +200,12 @@ def run_sweep(cells, key_header, out_dir):
     out = Path(out_dir)
     cells = list(cells)
     dataset = cache(lambda: get_dataset(cells[0][2]))
+    data_dir = cells[0][2].data.data_dir if cells else None
+    digest = dataset_digest(data_dir) if data_dir else None
     rows = []
     for i, (name, keys, cfg) in enumerate(cells, start=1):
         start = time.perf_counter()
-        avg_acc, avg_pcr, ran = _run_cell(out / name, cfg, dataset)
+        avg_acc, avg_pcr, ran = _run_cell(out / name, cfg, dataset, digest)
         status = f"ran {time.perf_counter() - start:.2f}s" if ran else "cached"
         print(f"sweep [{i}/{len(cells)}] {name} {status}", file=sys.stderr)
         rows.append([*keys, avg_acc, avg_pcr, cfg.seed, config_hash(cfg)])
@@ -204,7 +215,7 @@ def run_sweep(cells, key_header, out_dir):
 
 def sweep_window(cfg: RunConfig, q_values, out_dir):
     """One train+eval per frequency block side q (shared seed and data)."""
-    cells = ((f"q{q}", [q], replace_train(cfg, spectral={"q": q})) for q in q_values)
+    cells = ((f"q{q}", [q], override(cfg, {"block": q})) for q in q_values)
     return run_sweep(cells, ["q"], out_dir)
 
 
@@ -212,7 +223,7 @@ def sweep_params(cfg: RunConfig, tuples, out_dir):
     """One train+eval per (alpha, beta, lambda, gamma) scaling-factor tuple."""
     cells = (
         (f"t{i}", [alpha, beta, lam, gamma],
-         replace_train(cfg, allocation=dict(alpha=alpha, beta=beta, lam=lam, gamma=gamma)))
+         override(cfg, {"alpha": alpha, "beta": beta, "lambda": lam, "gamma": gamma}))
         for i, (alpha, beta, lam, gamma) in enumerate(tuples)
     )
     return run_sweep(cells, ["alpha", "beta", "lambda", "gamma"], out_dir)
@@ -220,7 +231,7 @@ def sweep_params(cfg: RunConfig, tuples, out_dir):
 
 def sweep_frm_variants(cfg: RunConfig, out_dir, kinds=METRIC_KINDS):
     """One train+eval per preference-metric kind, shared seed and data."""
-    cells = ((kind, [kind], replace_train(cfg, metric=kind)) for kind in kinds)
+    cells = ((kind, [kind], override(cfg, {"metric": kind})) for kind in kinds)
     return run_sweep(cells, ["metric"], out_dir)
 
 

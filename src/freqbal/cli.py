@@ -12,14 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, tensorio
-from .config import config_hash, dump_config, load_config, replace_train
+from .config import config_hash, dump_config, load_config, override
 from .dynamics import decay_check
 from .errors import ConfigError, NumericError
 from .intervention import train as train_loop
 from .preference import METRIC_KINDS, batch_preference
-from .seeds import stream_rng, stream_seed
+from .seeds import stream_rng
 from .spectral import SpectralConfig, center_crop, fft_filter
-from .synthdata import generate, load_dataset, save_dataset
+from .synthdata import load_dataset, save_dataset
 from .tinynet import load_checkpoint, save_checkpoint
 
 # A.9-style sensitivity grid (alpha, beta, lambda, gamma); includes the default tuple.
@@ -96,16 +96,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = load_config(args.config)
-    d = cfg.data
-    ds = generate(
-        d.specs,
-        n_train=d.n_train,
-        n_test=d.n_test,
-        n_classes=d.n_classes,
-        dims=(d.height, d.width),
-        seed=stream_seed(cfg.seed, "data"),
-    )
+    ds = bench.generate_dataset(load_config(args.config))
     save_dataset(args.out, ds)
     print(f"generated {ds.n_samples} samples x {ds.n_modalities} modalities -> {args.out}")
     return 0
@@ -142,10 +133,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     if args.data:
-        from dataclasses import replace as dc_replace
-
-        cfg = type(cfg)(train=cfg.train, data=dc_replace(cfg.data, data_dir=args.data))
+        cfg = override(cfg, {"data_dir": args.data})
     dataset = bench.get_dataset(cfg)
+    if args.mask and args.mask not in map(bench.mask_label, bench.mask_order(dataset.n_modalities)):
+        raise ConfigError(
+            f"mask {args.mask!r} must be {dataset.n_modalities} characters of 0/1 with at least one 1"
+        )
     if args.checkpoint:
         net_cfg, params = load_checkpoint(args.checkpoint)
     else:
@@ -156,10 +149,7 @@ def cmd_eval(args) -> int:
         mode=cfg.train.mode, seed=cfg.seed, config=config_hash(cfg),
     )
     if args.mask:
-        mask = tuple(ch == "1" for ch in args.mask)
-        records = [r for r in records if r.mask == mask]
-        if not records:
-            raise ConfigError(f"mask {args.mask!r} does not match {net_cfg.n_modalities} modalities")
+        records = [r for r in records if bench.mask_label(r.mask) == args.mask]
         rows = [[bench.mask_label(r.mask), r.acc, r.pcr, r.mode, r.seed, r.config] for r in records]
         bench.write_csv(Path(args.out) / "matrix.csv", bench.MATRIX_COLUMNS, rows)
     else:
@@ -172,7 +162,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep_window(args) -> int:
     cfg = load_config(args.config)
     if args.allow_overlap:
-        cfg = replace_train(cfg, spectral={"allow_overlap": True})
+        cfg = override(cfg, {"allow_overlap": True})
     q_values = _int_list(args.q)
     bench.sweep_window(cfg, q_values, args.out)
     _print_summary(args.out)

@@ -35,7 +35,6 @@ __all__ = [
     "compute_maps_batch",
     "fft_filter",
     "spectral_energy",
-    "to_plane",
     "center_crop",
 ]
 
@@ -247,16 +246,6 @@ def spectral_energy(img) -> float:
     img = _check_plane(img)
     spec = np.fft.fft2(img)
     return float(np.sum(np.abs(spec) ** 2) / img.size)
-
-
-def to_plane(arr) -> np.ndarray:
-    """Reduce an (H, W) or (H, W, C) array to one plane by channel averaging."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 2:
-        return arr
-    if arr.ndim == 3:
-        return arr.mean(axis=2)
-    raise ValueError(f"expected (H, W) or (H, W, C), got shape {arr.shape}")
 
 
 def center_crop(img, multiple: int) -> np.ndarray:

@@ -20,6 +20,7 @@ the stabilizer). The signs come from a Gaussian draw, so the generator
 consumes the same random stream as a Gaussian noise band would.
 """
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,8 +43,8 @@ class ModalitySpec:
     signal band is pure Gaussian noise.
     """
 
-    low_energy: float
-    high_energy: float
+    low_energy: float = 1.0
+    high_energy: float = 1.0
     signal_band: str = "low"
     snr: float = 1.0
 
@@ -221,6 +222,15 @@ def save_dataset(out_dir, ds: SynthDataset) -> None:
             ],
         },
     )
+
+
+def dataset_digest(in_dir) -> str:
+    """sha256 over the bytes of the manifest, the labels and every modality file."""
+    src = Path(in_dir)
+    digest = hashlib.sha256()
+    for path in [src / "dataset.json", src / "labels.f32", *sorted(src.glob("mod*.f32"))]:
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def load_dataset(in_dir) -> SynthDataset:

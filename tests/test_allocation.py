@@ -59,8 +59,6 @@ class TestWeight:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             AllocationParams(lam=0.0)
-        with pytest.raises(ValueError):
-            AllocationParams(sigma=-1.0)
 
 
 class TestScaleInvariance:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import freqbal.bench as bench
+from freqbal import tensorio
 from freqbal.bench import (
     filter_dataset,
     filter_study,
@@ -19,9 +20,9 @@ from freqbal.bench import (
     write_csv,
     write_run_matrix,
 )
-from freqbal.config import parse_config
+from freqbal.config import override, parse_config
 from freqbal.errors import ConfigError
-from freqbal.synthdata import generate, imbalanced_specs
+from freqbal.synthdata import generate, imbalanced_specs, save_dataset
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -206,6 +207,24 @@ class TestSweeps:
         assert len(calls) == 1
         sweep_params(tiny_cfg(), tuples, tmp_path / "sp")
         assert len(calls) == 1  # a fully cached resume loads nothing
+
+    def test_new_data_dir_dataset_reruns_cells(self, tmp_path, capsys):
+        data = tmp_path / "dd"
+        save_dataset(data, bench.generate_dataset(tiny_cfg()))
+        cfg = override(tiny_cfg(), {"data_dir": data})
+        sweep_window(cfg, [1], tmp_path / "sw")
+        save_dataset(data, bench.generate_dataset(override(cfg, {"seed": 1})))
+        capsys.readouterr()
+        rows = sweep_window(cfg, [1], tmp_path / "sw")
+        assert capsys.readouterr().err.rsplit(" ", 1)[0] == "sweep [1/1] q1 ran"
+        assert rows == sweep_window(cfg, [1], tmp_path / "fresh")
+        sweep_window(cfg, [1], tmp_path / "sw")
+        assert capsys.readouterr().err.splitlines()[-1] == "sweep [1/1] q1 cached"
+
+    def test_generated_data_marker_has_no_data_entry(self, tmp_path):
+        sweep_window(tiny_cfg(), [1], tmp_path / "sw")
+        meta = tensorio.read_manifest(tmp_path / "sw" / "q1" / "cell.json")
+        assert sorted(meta) == ["avg_acc", "avg_pcr", "config", "seed"]
 
     def test_progress_on_stderr(self, tmp_path, capsys):
         sweep_window(tiny_cfg(), [1, 2], tmp_path / "sw")

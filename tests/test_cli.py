@@ -177,6 +177,13 @@ class TestTrainEval:
         assert len(lines) == 2
         assert lines[1].startswith("101,")
 
+    @pytest.mark.parametrize("mask", ["1x1", "000", "10"])
+    def test_malformed_mask_is_config_error(self, mask, cfg_file, tmp_path, capsys):
+        out = tmp_path / "mask_eval"
+        assert main(["eval", "--config", cfg_file, "--out", str(out), "--mask", mask]) == 2
+        assert repr(mask) in capsys.readouterr().err
+        assert not (out / "matrix.csv").exists()
+
 
 class TestSweepCommands:
     def test_sweep_window(self, cfg_file, tmp_path):

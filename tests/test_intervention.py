@@ -235,7 +235,7 @@ def unfused_train(cfg, dataset):
             yb = labels[idx]
             raw = [batch_preference(x, cfg.spectral, cfg.metric, cfg.omega_band) for x in xb]
             smooth = [bank.update(r) for bank, r in zip(banks, raw)]
-            t = relative_ratio(smooth, cfg.allocation.sigma)
+            t = relative_ratio(smooth, cfg.spectral.sigma)
             k = np.ones(m) if len(rows) < warmup else weight(t, cfg.allocation)
             logits, aux = forward(net_cfg, params, xb)
             loss = cross_entropy(logits, yb)

@@ -12,7 +12,6 @@ from freqbal.spectral import (
     fft_filter,
     idct2,
     spectral_energy,
-    to_plane,
 )
 
 
@@ -316,10 +315,6 @@ class TestSpectralEnergy:
 
 
 class TestHelpers:
-    def test_to_plane_averages_channels(self):
-        arr = np.stack([np.full((4, 4), 1.0), np.full((4, 4), 3.0)], axis=2)
-        assert np.array_equal(to_plane(arr), np.full((4, 4), 2.0))
-
     def test_center_crop(self):
         img = np.arange(11 * 13, dtype=float).reshape(11, 13)
         cropped = center_crop(img, 8)
