@@ -13,7 +13,7 @@ orchestrate sweeps through a CSV-emitting CLI.
 __version__ = "0.1.0"
 
 from .allocation import AllocationParams, ModalWeights, allocate, relative_ratio, weight
-from .preference import FrmBank, batch_preference, frm, mp_low, mp_sum, mp_weighted
+from .preference import FrmBank, frm, mp_low, mp_sum, mp_weighted, sample_preference
 from .spectral import FrequencyMaps, SpectralConfig, compute_maps, dct2, fft_filter, idct2
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "ModalWeights",
     "SpectralConfig",
     "allocate",
-    "batch_preference",
     "compute_maps",
     "dct2",
     "fft_filter",
@@ -33,5 +32,6 @@ __all__ = [
     "mp_sum",
     "mp_weighted",
     "relative_ratio",
+    "sample_preference",
     "weight",
 ]

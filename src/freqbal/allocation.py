@@ -8,6 +8,11 @@ lam > 0 the weight is strictly decreasing in T and stays inside the open
 interval (alpha - beta, alpha). The stabilizer sigma added to the mean
 score is the SpectralConfig's, the same one the ratio score adds to its
 denominator.
+
+allocate runs one step of that pipeline from the mini-batch's raw scores,
+one per modality. It computes no score itself: the training loop looks
+the scores up in a per-sample table, and a score that depends on the
+network could be passed in the same way.
 """
 
 from dataclasses import dataclass
@@ -15,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .preference import FrmBank, batch_preference
-from .spectral import SpectralConfig
 
 _EXP_CLAMP = 60.0
 
@@ -67,34 +70,21 @@ def weight(t, params: AllocationParams = AllocationParams()):
     return float(k) if k.ndim == 0 else k
 
 
-def allocate(
-    batches,
-    banks,
-    cfg: SpectralConfig,
-    params: AllocationParams,
-    kind: str = "frm",
-    omega_band: float = 0.9,
-) -> ModalWeights:
-    """Score each modality's batch, update its bank, and weight the result.
+def allocate(raw, banks, sigma: float, params: AllocationParams) -> ModalWeights:
+    """Fold each modality's raw batch score into its bank and weight the result.
 
     The caller owns the banks and must hold them exclusively for the
     duration of the step; banks are mutated in place. A non-finite score
     raises NumericError naming the modality, before any bank is updated.
     """
-    if len(batches) != len(banks):
-        raise ValueError(f"{len(batches)} batches for {len(banks)} banks")
-    if len(batches) == 0:
+    raw = np.array(raw, dtype=np.float64)
+    if len(raw) != len(banks):
+        raise ValueError(f"{len(raw)} scores for {len(banks)} banks")
+    if len(raw) == 0:
         raise ValueError("need at least one modality")
-    sizes = {np.asarray(b).shape[0] for b in batches}
-    if len(sizes) > 1:
-        raise ValueError(f"modalities disagree on batch size: {sorted(sizes)}")
-    # Each score is checked below, so numpy's warnings on bad pixels would
-    # only repeat it.
-    with np.errstate(invalid="ignore", over="ignore"):
-        raw = [batch_preference(batch, cfg, kind, omega_band) for batch in batches]
     for i, score in enumerate(raw):
         if not np.isfinite(score):
-            raise NumericError(f"non-finite {kind} score of modality {i}")
+            raise NumericError(f"non-finite score of modality {i}")
     smooth = [bank.update(r) for bank, r in zip(banks, raw)]
-    t = relative_ratio(smooth, cfg.sigma)
-    return ModalWeights(k=weight(t, params), t=t, raw=np.array(raw), smooth=np.array(smooth))
+    t = relative_ratio(smooth, sigma)
+    return ModalWeights(k=weight(t, params), t=t, raw=raw, smooth=np.array(smooth))

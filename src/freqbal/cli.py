@@ -16,7 +16,7 @@ from .config import config_hash, dump_config, load_config, override
 from .dynamics import decay_check
 from .errors import ConfigError, NumericError
 from .intervention import train as train_loop
-from .preference import METRIC_KINDS, batch_preference
+from .preference import METRIC_KINDS, sample_preference
 from .seeds import stream_rng
 from .spectral import SpectralConfig, center_crop, fft_filter
 from .synthdata import load_dataset, save_dataset
@@ -56,7 +56,7 @@ def cmd_analyze(args) -> int:
             # The score is checked instead of the stack, which would cost a
             # full pass; numpy's warnings on bad pixels would only repeat it.
             with np.errstate(invalid="ignore", over="ignore"):
-                score = batch_preference(stack, spectral, metric, args.omega_band)
+                score = float(sample_preference(stack, spectral, metric, args.omega_band).mean())
             if not np.isfinite(score):
                 raise ValueError(
                     f"{Path(args.data) / f'mod{i}.f32'}: non-finite {metric} score; "
@@ -67,7 +67,7 @@ def cmd_analyze(args) -> int:
         img = _read_plane(path)
         if args.center_crop:
             img = center_crop(img, spectral.p)
-        score = batch_preference(img[None], spectral, metric, args.omega_band)
+        score = float(sample_preference(img, spectral, metric, args.omega_band).mean())
         rows.append([Path(path).name, metric, score])
     if not rows:
         raise ConfigError("analyze needs image paths or --data")

@@ -85,6 +85,10 @@ def _int_tuple(text: str) -> tuple:
 
 
 def _path(text: str):
+    # parse_kv cuts values at "#", so such a path could not round-trip
+    # through a dumped config.
+    if "#" in text:
+        raise ConfigError(f"path {text!r} holds '#', which starts a comment in a config file")
     return text or None
 
 

@@ -9,8 +9,8 @@ each residual eigen-direction of the feature Gram matrix by exactly
 (1 - eta * lambda_i) per step, so large-eigenvalue (low-frequency)
 directions converge first; decay_check verifies the law numerically.
 
-The eigendecomposition uses cyclic Jacobi rotations: dependency-free,
-deterministic, and plenty fast for the N <= 256 problems used here.
+The eigendecomposition is numpy's LAPACK-backed eigh, behind a square and
+symmetry check.
 """
 
 from dataclasses import dataclass
@@ -59,48 +59,22 @@ def gram_matrix(x) -> np.ndarray:
     return x @ x.T
 
 
-def jacobi_eigh(h, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+def eigendecompose(h) -> SpectrumReport:
+    """Spectrum skeleton of a symmetric Gram matrix (no dynamics yet).
 
-    Returns (eigenvalues, eigenvectors) sorted descending, with
-    H = V diag(w) V^T. Sweeps run until the off-diagonal Frobenius mass
-    falls below tol relative to the matrix scale.
+    Eigenvalues come out descending, eigenvectors as orthonormal columns
+    with H = V diag(w) V^T. LAPACK's eigh reads only one triangle, so the
+    symmetry check is what keeps a non-symmetric matrix from passing
+    unnoticed.
     """
-    a = np.array(h, dtype=np.float64)
+    a = np.asarray(h, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(float(np.abs(a).max()), 1.0)
     if float(np.abs(a - a.T).max()) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
-    n = a.shape[0]
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-30 * scale:
-                    continue
-                phi = 0.5 * np.arctan2(2.0 * apq, a[q, q] - a[p, p])
-                c, s = np.cos(phi), np.sin(phi)
-                rp, rq = a[p].copy(), a[q].copy()
-                a[p], a[q] = c * rp - s * rq, s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p], a[:, q] = c * cp - s * cq, s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p], v[:, q] = c * vp - s * vq, s * vp + c * vq
-    w = np.diag(a).copy()
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
-
-
-def eigendecompose(h) -> SpectrumReport:
-    """Spectrum skeleton of a symmetric Gram matrix (no dynamics yet)."""
-    w, v = jacobi_eigh(h)
-    return SpectrumReport(eigenvalues=w, eigenvectors=v)
+    w, v = np.linalg.eigh(a)
+    return SpectrumReport(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
 
 
 def decay_check(x, y, eta: float = None, steps: int = 50) -> SpectrumReport:

@@ -1,7 +1,7 @@
 """The balanced training loop: score, smooth, weight, then intervene.
 
-Every iteration first measures each modality's frequency preference on the
-raw mini-batch, folds it into the per-modality banks, and converts the
+Every iteration first looks up each modality's frequency preference of
+the raw mini-batch, folds it into the per-modality banks, and converts the
 smoothed scores into guidance weights K. The four modes then differ only
 in where K is applied:
 
@@ -13,6 +13,16 @@ in where K is applied:
 The classifier head is updated with the unscaled learning rate in every
 mode. Weight computation runs in all modes so traces from different modes
 line up column for column.
+
+The preference score is computed on the input pixels, plane by plane,
+and a batch's score is the mean of its samples' scores. Neither depends on
+the network or on which batch a sample lands in, so train scores the whole
+training split once, before iteration 0, into one per-sample table per
+modality, and each step's raw score is the mean of its samples' entries:
+bitwise the value that scoring the batch's own pixels gives. A non-finite
+entry fails the run before any step, naming the training sample. A score
+computed on features would depend on the parameters and could not be
+tabled; allocation.allocate takes raw scores, so it could still feed K.
 
 A step makes one encoder pass: allocation.allocate gives K, then one
 tinynet.backward call yields the gradients together with the main and aux
@@ -27,7 +37,7 @@ import numpy as np
 
 from .allocation import AllocationParams, allocate
 from .errors import NumericError
-from .preference import METRIC_KINDS, FrmBank
+from .preference import METRIC_KINDS, FrmBank, sample_preference
 from .seeds import stream_rng, stream_seed
 from .spectral import SpectralConfig
 from .tinynet import (
@@ -141,10 +151,9 @@ def warmup_iterations(cfg: TrainConfig, n_train: int) -> int:
     return int(round(cfg.warmup_frac * cfg.epochs * per_epoch))
 
 
-def _numeric_context(iteration: int, trace: TrainTrace, k=None) -> str:
+def _numeric_context(iteration: int, trace: TrainTrace, k) -> str:
     last = trace.rows[-1][1] if trace.rows else "none"
-    weights = "" if k is None else f"k={[float(v) for v in k]}, "
-    return f"at iteration {iteration} ({weights}last finite total_loss={last})"
+    return f"at iteration {iteration} (k={[float(v) for v in k]}, last finite total_loss={last})"
 
 
 def train(cfg: TrainConfig, dataset, on_epoch_end=None):
@@ -152,10 +161,11 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
 
     Returns (net_config, params, trace). The parameter-init and shuffle
     randomness are independent named streams of cfg.seed, so traces are
-    bit-reproducible for a fixed config. Non-finite logits or a non-finite
-    loss abort with a NumericError that names the iteration, K and the
-    last finite total loss, and carries the partial trace; a non-finite
-    per-batch score does the same, naming the modality instead of K.
+    bit-reproducible for a fixed config. A non-finite per-sample score
+    raises NumericError naming the modality and the training sample before
+    any step runs. Non-finite logits or a non-finite loss abort with a
+    NumericError that names the iteration, K and the last finite total
+    loss, and carries the partial trace.
 
     on_epoch_end(epoch, net_cfg, params), when given, is called after each
     epoch; it must not mutate params.
@@ -176,6 +186,19 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
         aux_heads=cfg.uses_aux,
         seed=stream_seed(cfg.seed, "init"),
     )
+    # The table is checked entry by entry below, so numpy's warnings on bad
+    # pixels would only repeat it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        table = [
+            sample_preference(img, cfg.spectral, cfg.metric, cfg.omega_band)
+            for img in train_images
+        ]
+    for i, scores in enumerate(table):
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise NumericError(
+                f"non-finite {cfg.metric} score of modality {i} at training sample {bad[0]}"
+            )
     params = init_network(net_cfg)
     banks = [FrmBank(omega=cfg.spectral.omega_bank) for _ in range(m)]
     shuffle_rng = stream_rng(cfg.seed, "shuffle")
@@ -190,12 +213,8 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
             xb = [img[idx] for img in train_images]
             yb = train_labels[idx]
 
-            try:
-                mw = allocate(
-                    xb, banks, cfg.spectral, cfg.allocation, cfg.metric, cfg.omega_band
-                )
-            except NumericError as exc:
-                raise NumericError(f"{exc} {_numeric_context(iteration, trace)}", trace=trace) from exc
+            raw = [float(scores[idx].mean()) for scores in table]
+            mw = allocate(raw, banks, cfg.spectral.sigma, cfg.allocation)
             if cfg.weight_override is not None:
                 k = np.asarray(cfg.weight_override, dtype=np.float64)
             elif iteration < warmup:

@@ -3,7 +3,9 @@
 The main score is the frequency ratio metric: the L1 norm of the low band
 divided cellwise by the flipped high band (plus a stabilizer). Ablation
 variants keep only the low band, the plain sum of both bands, or a fixed
-convex blend of the two. A per-modality bank smooths the score across
+convex blend of the two. Every score is per plane: sample_preference
+scores a whole stack in one pass, and a mini-batch's score is the mean of
+its samples' scores. A per-modality bank smooths that batch score across
 mini-batches with an exponential moving average.
 """
 
@@ -43,20 +45,24 @@ def score_maps(maps: FrequencyMaps, kind: str, sigma: float = 1e-8, omega_band: 
     return float(_per_sample(maps.low, maps.high, kind, sigma, omega_band))
 
 
-def batch_preference(batch, cfg: SpectralConfig, kind: str = "frm", omega_band: float = 0.9) -> float:
-    """Mean per-sample score of one modality's mini-batch of planes.
+def sample_preference(
+    stack, cfg: SpectralConfig, kind: str = "frm", omega_band: float = 0.9
+) -> np.ndarray:
+    """Per-sample scores of one modality's stack of planes.
 
-    `batch` is an (N, H, W) stack (a single plane is promoted). The batch
-    score is the arithmetic mean of the per-sample scores, so it is
-    invariant to batch size for identical samples.
+    `stack` is an (N, H, W) stack (a single plane is promoted); the result
+    has shape (N,). Each plane is scored on its own, so a sample's score
+    does not depend on the stack that holds it, and the score of a
+    mini-batch, the mean of its samples' scores, is the mean of their
+    entries in a table built once over the whole split.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim == 2:
-        batch = batch[None]
-    if batch.ndim != 3 or batch.shape[0] == 0:
-        raise ValueError(f"expected a non-empty (N, H, W) batch, got shape {batch.shape}")
-    low, high = compute_maps_batch(batch, cfg)
-    return float(_per_sample(low, high, kind, cfg.sigma, omega_band).mean())
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim == 2:
+        stack = stack[None]
+    if stack.ndim != 3 or stack.shape[0] == 0:
+        raise ValueError(f"expected a non-empty (N, H, W) stack, got shape {stack.shape}")
+    low, high = compute_maps_batch(stack, cfg)
+    return _per_sample(low, high, kind, cfg.sigma, omega_band)
 
 
 def _l1(band):

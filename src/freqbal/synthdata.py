@@ -190,6 +190,11 @@ def lowband_specs():
     )
 
 
+# Manifest keys of dataset.json and of each of its modality specs.
+_MANIFEST_KEYS = ("n_train", "n_test", "n_classes", "height", "width", "seed", "specs")
+_SPEC_KEYS = ("low_energy", "high_energy", "signal_band", "snr")
+
+
 def save_dataset(out_dir, ds: SynthDataset) -> None:
     """Persist per-modality stacks as raw float32 matrices plus a manifest.
 
@@ -211,15 +216,7 @@ def save_dataset(out_dir, ds: SynthDataset) -> None:
             "height": h,
             "width": w,
             "seed": ds.seed,
-            "specs": [
-                {
-                    "low_energy": s.low_energy,
-                    "high_energy": s.high_energy,
-                    "signal_band": s.signal_band,
-                    "snr": s.snr,
-                }
-                for s in ds.specs
-            ],
+            "specs": [{key: getattr(s, key) for key in _SPEC_KEYS} for s in ds.specs],
         },
     )
 
@@ -233,20 +230,22 @@ def dataset_digest(in_dir) -> str:
     return digest.hexdigest()
 
 
+def _require(meta, keys, where) -> None:
+    for key in keys:
+        if key not in meta:
+            raise ValueError(f"{where}: missing key {key!r}")
+
+
 def load_dataset(in_dir) -> SynthDataset:
     src = Path(in_dir)
-    meta = tensorio.read_manifest(src / "dataset.json")
+    manifest = src / "dataset.json"
+    meta = tensorio.read_manifest(manifest)
+    _require(meta, _MANIFEST_KEYS, manifest)
+    for i, s in enumerate(meta["specs"]):
+        _require(s, _SPEC_KEYS, f"{manifest} specs[{i}]")
     h, w = int(meta["height"]), int(meta["width"])
     n = int(meta["n_train"]) + int(meta["n_test"])
-    specs = tuple(
-        ModalitySpec(
-            low_energy=s["low_energy"],
-            high_energy=s["high_energy"],
-            signal_band=s["signal_band"],
-            snr=s["snr"],
-        )
-        for s in meta["specs"]
-    )
+    specs = tuple(ModalitySpec(**{key: s[key] for key in _SPEC_KEYS}) for s in meta["specs"])
     images = []
     for i in range(len(specs)):
         stack = tensorio.read_raw(src / f"mod{i}.f32")

@@ -19,7 +19,7 @@ from freqbal.bench import filter_study, mask_order, pcr
 from freqbal.config import parse_config
 from freqbal.dynamics import decay_check, suppression_experiment
 from freqbal.intervention import TrainConfig, train, warmup_iterations
-from freqbal.preference import batch_preference, frm, mp_low, mp_sum, mp_weighted
+from freqbal.preference import frm, mp_low, mp_sum, mp_weighted, sample_preference
 from freqbal.spectral import FrequencyMaps, SpectralConfig, dct2, idct2
 from freqbal.synthdata import ModalitySpec, generate, imbalanced_specs, lowband_specs
 from freqbal.tinynet import NetConfig, backward, cross_entropy, evaluate, forward, init_network
@@ -280,7 +280,7 @@ def test_criterion_9_preference_ordering_fidelity():
         spec = ModalitySpec(low_energy=low, high_energy=high, signal_band="low", snr=1.0)
         ds = generate((spec,), n_train=8, n_test=0, seed=5000 + i)
         ratios.append(low / high)
-        scores.append(batch_preference(ds.images[0], cfg))
+        scores.append(sample_preference(ds.images[0], cfg).mean())
     rho = float(spearmanr(ratios, scores).statistic)
     ok = rho >= 0.9
     report(9, "preference ordering fidelity", ok, f"spearman rho={rho:.4f} over 100 configurations")

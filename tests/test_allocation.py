@@ -5,7 +5,7 @@ import pytest
 
 from freqbal.allocation import AllocationParams, allocate, relative_ratio, weight
 from freqbal.errors import NumericError
-from freqbal.preference import FrmBank, batch_preference
+from freqbal.preference import FrmBank, sample_preference
 from freqbal.spectral import SpectralConfig
 from freqbal.synthdata import ModalitySpec, generate
 
@@ -86,18 +86,20 @@ class TestScaleInvariance:
 class TestAllocate:
     def test_single_modality(self):
         rng = np.random.default_rng(1)
-        batch = rng.random((4, 16, 16))
         cfg = SpectralConfig()
+        score = sample_preference(rng.random((4, 16, 16)), cfg).mean()
         banks = [FrmBank(omega=0.5)]
-        mw = allocate([batch], banks, cfg, DEFAULTS)
+        mw = allocate([score], banks, cfg.sigma, DEFAULTS)
         assert mw.t[0] == pytest.approx(1.0, abs=1e-6)
         assert mw.k[0] == pytest.approx(weight(1.0, DEFAULTS), abs=1e-5)
 
     def test_identical_batches_get_equal_weights(self):
         rng = np.random.default_rng(2)
         batch = rng.random((4, 16, 16))
+        cfg = SpectralConfig()
+        scores = [sample_preference(b, cfg).mean() for b in (batch, batch.copy())]
         banks = [FrmBank() for _ in range(2)]
-        mw = allocate([batch, batch.copy()], banks, SpectralConfig(), DEFAULTS)
+        mw = allocate(scores, banks, cfg.sigma, DEFAULTS)
         assert mw.k[0] == mw.k[1]
         assert mw.t[0] == mw.t[1]
 
@@ -109,30 +111,20 @@ class TestAllocate:
         )
         ds = generate(specs, n_train=32, n_test=0, seed=3)
         cfg = SpectralConfig()
-        scores = [batch_preference(m, cfg) for m in ds.images]
+        scores = [float(sample_preference(m, cfg).mean()) for m in ds.images]
         banks = [FrmBank() for _ in range(3)]
-        mw = allocate(ds.images, banks, cfg, DEFAULTS)
+        mw = allocate(scores, banks, cfg.sigma, DEFAULTS)
         assert np.argsort(scores).tolist() == np.argsort(-mw.k).tolist()
         # A fresh bank's first smoothed value is the raw score itself.
         assert mw.raw.tolist() == scores and mw.smooth.tolist() == scores
 
     def test_non_finite_score_is_numeric_error(self):
-        batches = [np.ones((2, 8, 8)), np.ones((2, 8, 8))]
-        batches[1][1, 3, 4] = np.inf
         banks = [FrmBank(), FrmBank()]
-        with pytest.raises(NumericError, match="modality 1"):
-            allocate(batches, banks, SpectralConfig(), DEFAULTS)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NumericError, match="modality 1"):
+                allocate([1.0, bad], banks, SpectralConfig().sigma, DEFAULTS)
         assert [bank.count for bank in banks] == [0, 0]
 
     def test_bank_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            allocate([np.zeros((2, 8, 8))], [FrmBank(), FrmBank()], SpectralConfig(), DEFAULTS)
-
-    def test_unequal_batch_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            allocate(
-                [np.zeros((2, 8, 8)), np.zeros((3, 8, 8))],
-                [FrmBank(), FrmBank()],
-                SpectralConfig(),
-                DEFAULTS,
-            )
+            allocate([1.0], [FrmBank(), FrmBank()], SpectralConfig().sigma, DEFAULTS)

@@ -67,7 +67,8 @@ class TestExitCodes:
     def test_non_finite_training_pixel_is_numeric_error(self, cfg_file, tmp_path, capsys):
         data, out = tmp_path / "ds", tmp_path / "run"
         main(["gen", "--config", cfg_file, "--out", str(data)])
-        # Poison the sample that the shuffle puts first in the second batch.
+        # Poison the sample that the shuffle puts first in the second batch;
+        # the whole training split is scored before the first step.
         sample = stream_rng(0, "shuffle").permutation(64)[32]
         stack = tensorio.read_raw(data / "mod1.f32")
         stack[sample, 17] = np.inf
@@ -78,8 +79,32 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
-        assert "modality 1" in err and "iteration 1 " in err
-        assert len((out / "trace.csv").read_text().splitlines()) == 2  # header + iteration 0
+        assert "modality 1" in err and err.endswith(f"training sample {sample}\n")
+        assert not (out / "trace.csv").exists()
+
+    def test_manifest_missing_key_is_config_error(self, cfg_file, tmp_path, capsys):
+        data = tmp_path / "ds"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        meta = tensorio.read_manifest(data / "dataset.json")
+        del meta["n_classes"]
+        tensorio.write_manifest(data / "dataset.json", meta)
+        capsys.readouterr()
+        assert main(["analyze", "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(data / "dataset.json") in err and "'n_classes'" in err
+
+    def test_data_dir_with_comment_mark_is_config_error(self, cfg_file, tmp_path, capsys):
+        # The dataset exists, but config.txt could not record its path.
+        data = tmp_path / "run#2"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_file, "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(data) in err
+        assert not out.exists()
 
 
 class TestAnalyzeAndFilter:

@@ -121,6 +121,15 @@ class TestParseConfig:
             with pytest.raises(ConfigError):
                 override(cfg, bad)
 
+    def test_data_dir_with_comment_mark_rejected(self):
+        # "#" starts a comment, so the dump of such a config would parse
+        # back to another data_dir and another hash.
+        cfg = parse_config("")
+        with pytest.raises(ConfigError, match="#"):
+            override(cfg, {"data_dir": "/data/run#2"})
+        other = override(cfg, {"data_dir": "/data/run 2"})
+        assert parse_config(dump_config(other)) == other
+
 
 class TestSchema:
     def test_golden_hashes(self):

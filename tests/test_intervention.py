@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from freqbal import tinynet
+from freqbal import preference, tinynet
 from freqbal.allocation import relative_ratio, weight
 from freqbal.errors import NumericError
 from freqbal.intervention import TrainConfig, TrainTrace, train, warmup_iterations, weighted_loss
-from freqbal.preference import FrmBank, batch_preference
+from freqbal.preference import FrmBank, sample_preference
 from freqbal.seeds import stream_rng, stream_seed
 from freqbal.synthdata import ModalitySpec, generate, imbalanced_specs
 from freqbal.tinynet import (
@@ -233,7 +233,9 @@ def unfused_train(cfg, dataset):
             idx = order[start : start + cfg.batch_size]
             xb = [img[idx] for img in images]
             yb = labels[idx]
-            raw = [batch_preference(x, cfg.spectral, cfg.metric, cfg.omega_band) for x in xb]
+            raw = [
+                sample_preference(x, cfg.spectral, cfg.metric, cfg.omega_band).mean() for x in xb
+            ]
             smooth = [bank.update(r) for bank, r in zip(banks, raw)]
             t = relative_ratio(smooth, cfg.spectral.sigma)
             k = np.ones(m) if len(rows) < warmup else weight(t, cfg.allocation)
@@ -282,6 +284,36 @@ class TestFusedStep:
         assert len(trace.rows) == len(ref_rows) == 16
         for row, ref in zip(trace.rows, ref_rows):
             assert np.array(row).tobytes() == np.array(ref).tobytes()
+
+
+class TestScoreTable:
+    def test_training_split_scored_once_per_modality(self, monkeypatch):
+        ds = generate(imbalanced_specs(), n_test=32, seed=16)
+        planes = []
+        compute = preference.compute_maps_batch
+
+        def counting_compute(imgs, cfg):
+            planes.append(len(imgs))
+            return compute(imgs, cfg)
+
+        monkeypatch.setattr(preference, "compute_maps_batch", counting_compute)
+        _, _, trace = train(TrainConfig(seed=16), ds)
+        assert len(trace) == 128
+        assert planes == [ds.n_train] * ds.n_modalities
+
+    def test_non_finite_sample_fails_before_any_step(self):
+        ds = small_dataset()
+        ds.images[2][40, 3, 5] = np.nan
+        with pytest.raises(NumericError, match="modality 2 at training sample 40$") as err:
+            train(TrainConfig(metric="mp_sum", epochs=1, seed=3), ds)
+        assert "mp_sum" in str(err.value)
+        assert err.value.trace is None
+
+    def test_test_split_pixels_are_not_scored(self):
+        ds = small_dataset()
+        ds.images[0][ds.n_train + 1, 0, 0] = np.inf
+        _, _, trace = train(TrainConfig(epochs=1, seed=3), ds)
+        assert np.all(np.isfinite(trace.column("frm_raw_m0")))
 
 
 class TestDirectional:

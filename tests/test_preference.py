@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from freqbal.preference import (
+    METRIC_KINDS,
     FrmBank,
-    batch_preference,
     frm,
     mp_low,
     mp_sum,
     mp_weighted,
+    sample_preference,
     score_maps,
 )
 from freqbal.spectral import FrequencyMaps, SpectralConfig, compute_maps
+from freqbal.synthdata import generate, imbalanced_specs
 
 
 def maps_of(low, high):
@@ -122,14 +124,15 @@ class TestBatch:
         img = rng.random((16, 16))
         cfg = SpectralConfig()
         single = frm(compute_maps(img, cfg), cfg.sigma)
-        assert batch_preference(img[None], cfg) == pytest.approx(single, rel=1e-12)
+        assert sample_preference(img[None], cfg).shape == (1,)
+        assert sample_preference(img[None], cfg).mean() == pytest.approx(single, rel=1e-12)
 
     def test_duplicates_equal_single(self):
         rng = np.random.default_rng(8)
         img = rng.random((16, 16))
         cfg = SpectralConfig()
-        one = batch_preference(img[None], cfg)
-        two = batch_preference(np.stack([img, img]), cfg)
+        one = sample_preference(img[None], cfg).mean()
+        two = sample_preference(np.stack([img, img]), cfg).mean()
         assert two == pytest.approx(one, rel=1e-12)
 
     def test_mixed_batch_is_mean_of_singles(self):
@@ -140,13 +143,29 @@ class TestBatch:
             singles = [
                 score_maps(compute_maps(img, cfg), kind, cfg.sigma, 0.9) for img in batch
             ]
-            assert batch_preference(batch, cfg, kind) == pytest.approx(
-                float(np.mean(singles)), rel=1e-12
-            )
+            per_sample = sample_preference(batch, cfg, kind)
+            assert per_sample == pytest.approx(singles, rel=1e-12)
+            assert per_sample.mean() == pytest.approx(float(np.mean(singles)), rel=1e-12)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            batch_preference(np.zeros((0, 16, 16)), SpectralConfig())
+            sample_preference(np.zeros((0, 16, 16)), SpectralConfig())
+
+
+class TestScoreTable:
+    def test_table_lookup_is_bitwise_the_batch_score(self):
+        # The training loop scores a split once and averages a batch's
+        # entries; that must be exactly the score of the batch's own pixels,
+        # for full batches and for a short last batch alike.
+        stack = generate(imbalanced_specs(), n_train=500, n_test=0, seed=31).images[1]
+        cfg = SpectralConfig()
+        rng = np.random.default_rng(12)
+        for kind in METRIC_KINDS:
+            table = sample_preference(stack, cfg, kind)
+            for b in range(200):
+                idx = rng.choice(len(stack), 16 if b == 0 else 64, replace=False)
+                direct = sample_preference(stack[idx], cfg, kind).mean()
+                assert table[idx].mean().tobytes() == direct.tobytes(), (kind, b)
 
 
 class TestBank:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freqbal.intervention import TrainConfig, train
-from freqbal.preference import batch_preference, frm
+from freqbal.preference import frm, sample_preference
 from freqbal.spectral import FrequencyMaps, SpectralConfig, compute_maps_batch, idct2
 from freqbal.synthdata import (
     ModalitySpec,
@@ -42,8 +42,8 @@ class TestGenerate:
         )
         ds = generate(specs, n_train=32, n_test=0, seed=2)
         cfg = SpectralConfig()
-        s0 = batch_preference(ds.images[0], cfg)
-        s1 = batch_preference(ds.images[1], cfg)
+        s0 = sample_preference(ds.images[0], cfg).mean()
+        s1 = sample_preference(ds.images[1], cfg).mean()
         assert s0 / s1 > 10.0
 
     def test_same_seed_bit_identical(self):
@@ -195,8 +195,8 @@ class TestDominance:
             )
         means = np.mean(uni, axis=0)
         scores = [
-            batch_preference(generate(imbalanced_specs(), seed=1000).images[i][:64], SpectralConfig())
-            for i in range(3)
+            sample_preference(img[:64], SpectralConfig()).mean()
+            for img in generate(imbalanced_specs(), seed=1000).images
         ]
         assert int(np.argmax(scores)) == 0
         assert int(np.argmax(means)) == 0
