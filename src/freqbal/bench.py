@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensorio
 from .config import RunConfig, config_hash, dump_config, override
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .intervention import train
 from .preference import METRIC_KINDS
 from .seeds import stream_seed
@@ -99,7 +99,14 @@ def mask_label(mask) -> str:
 
 
 def run_matrix(net_cfg, params, inputs, labels, mode: str, seed: int, config: str):
-    """Evaluate every non-empty presence mask against the full-mask reference."""
+    """Evaluate every non-empty presence mask against the full-mask reference.
+
+    Each modality's test inputs are widened to float64 once for all masks.
+    They must be finite: a non-finite pixel would give NaN logits that
+    argmax still scores, so it raises NumericError naming the modality and
+    the test sample.
+    """
+    inputs = [_widen_finite(x, i) for i, x in enumerate(inputs)]
     m = net_cfg.n_modalities
     full_acc = evaluate(net_cfg, params, inputs, labels)
     records = []
@@ -111,6 +118,14 @@ def run_matrix(net_cfg, params, inputs, labels, mode: str, seed: int, config: st
             drop = pcr(full_acc, acc)
         records.append(RunRecord(mask=mask, acc=acc, pcr=drop, mode=mode, seed=seed, config=config))
     return records
+
+
+def _widen_finite(x, modality: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=tuple(range(1, x.ndim))))
+    if bad.size:
+        raise NumericError(f"non-finite input of modality {modality} at test sample {bad[0]}")
+    return x
 
 
 def matrix_average(records):

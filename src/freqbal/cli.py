@@ -1,8 +1,9 @@
 """Command-line interface: analysis, filtering, training, and sweeps.
 
-Exit codes: 0 on success, 2 for configuration errors and unreadable
-input files, 3 for numeric failures (a non-finite loss mid-training
-flushes the partial trace before exiting).
+Exit codes: 0 on success, 2 for configuration errors and unreadable or
+malformed input files, 3 for numeric failures (a non-finite loss
+mid-training flushes the partial trace before exiting), and 1 for any
+other error, reported as one "internal error" line.
 """
 
 import argparse
@@ -324,6 +325,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A bug, not bad input: one line, never a traceback.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

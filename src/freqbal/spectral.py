@@ -17,6 +17,12 @@ kept (low pass) or zeroed (high pass). That window is the outer product of
 one row mask and one column mask, so keeping it is a per-axis operator
 too, A = ifft diag(d) fft, applied to whole stacks of planes.
 
+Stacks are processed in fixed blocks of planes, each written into a
+preallocated float64 result. A block is widened to float64 just before
+its products, so a float32 stack (a loaded dataset) gives bitwise the
+results of its float64 copy while only one block is ever held widened;
+for a float64 stack the widening is a view.
+
 All functions are pure; arrays are never modified in place.
 """
 
@@ -146,6 +152,11 @@ def idct2(coeffs) -> np.ndarray:
     return b.T @ coeffs @ b
 
 
+# Planes per block of compute_maps_batch and fft_filter; bounds their
+# temporaries to a few MB on top of the output.
+_BLOCK = 256
+
+
 def compute_maps(img, cfg: SpectralConfig) -> FrequencyMaps:
     """Band maps of one plane."""
     img = _check_plane(img)
@@ -154,28 +165,32 @@ def compute_maps(img, cfg: SpectralConfig) -> FrequencyMaps:
 
 
 def compute_maps_batch(imgs, cfg: SpectralConfig):
-    """Band maps of a stack of planes of shape (N, H, W).
+    """Band maps of a stack of planes of shape (N, H, W), any float dtype.
 
-    Returns (low, high) arrays of shape (N, H*q/p, W*q/p).
+    Returns float64 (low, high) arrays of shape (N, H*q/p, W*q/p). Each
+    plane's maps are bitwise the same whatever the stack's size, and the
+    same for a float32 stack as for its float64 copy.
     """
-    imgs = np.asarray(imgs, dtype=np.float64)
+    imgs = np.asarray(imgs)
     if imgs.ndim != 3:
         raise ValueError(f"expected (N, H, W), got shape {imgs.shape}")
-    _, h, w = imgs.shape
+    n, h, w = imgs.shape
     if h % cfg.p or w % cfg.p:
         raise ValueError(f"planes {h}x{w} not divisible by patch side {cfg.p}")
     low_h, high_h = band_projections(h, cfg.p, cfg.q)
     low_w, high_w = band_projections(w, cfg.p, cfg.q)
-    # One product projects the rows onto both bands; each band's rows
-    # then meet their own column projection.
-    rows = np.concatenate((low_h, high_h)) @ imgs
+    both_h = np.concatenate((low_h, high_h))
     k = len(low_h)
-    return rows[:, :k] @ low_w.T, rows[:, k:] @ high_w.T
-
-
-# Planes filtered per block of fft_filter; bounds its temporaries to a
-# few MB on top of the output.
-_FILTER_BLOCK = 256
+    low = np.empty((n, k, len(low_w)))
+    high = np.empty_like(low)
+    for start in range(0, n, _BLOCK):
+        block = np.asarray(imgs[start : start + _BLOCK], dtype=np.float64)
+        # One product projects the rows onto both bands; each band's rows
+        # then meet their own column projection.
+        rows = both_h @ block
+        np.matmul(rows[:, :k], low_w.T, out=low[start : start + _BLOCK])
+        np.matmul(rows[:, k:], high_w.T, out=high[start : start + _BLOCK])
+    return low, high
 
 
 @lru_cache(maxsize=None)
@@ -200,20 +215,22 @@ def _window_operator(side: int, n: int):
 def fft_filter(img, kind: str, n: int) -> np.ndarray:
     """Keep (low_pass) or discard (high_pass) the centered n x n spectrum window.
 
-    `img` is one (H, W) plane or an (N, H, W) stack; the result has its
-    shape. The spectrum is fftshifted so DC lands at (H//2, W//2); the window
-    of side n starts at center - n//2 on each axis, putting any odd-window
-    asymmetry toward the bottom/right. Complementary kinds with the same n
-    sum back to the input exactly (up to float rounding).
+    `img` is one (H, W) plane or an (N, H, W) stack of any float dtype; the
+    result is float64 of its shape. The spectrum is fftshifted so DC lands
+    at (H//2, W//2); the window of side n starts at center - n//2 on each
+    axis, putting any odd-window asymmetry toward the bottom/right.
+    Complementary kinds with the same n sum back to the input exactly (up
+    to float rounding).
 
     The window is separable, so for a real plane X the low pass is
     Re(A_h X A_w^T) = C_h X C_w^T - S_h X S_w^T with (C, S) from
     `_window_operator`, and the high pass is X minus it. A stack is filtered
-    in fixed blocks of planes, each written into the preallocated result, so
-    memory beyond the result stays at one block's temporaries; each plane's
-    result is bitwise the same as filtering it alone.
+    in fixed blocks of planes, each widened to float64 and written into the
+    preallocated result, so memory beyond the result stays at one block's
+    temporaries; each plane's result is bitwise the same as filtering it
+    alone, and the same for a float32 stack as for its float64 copy.
     """
-    imgs = np.asarray(img, dtype=np.float64)
+    imgs = np.asarray(img)
     if imgs.ndim not in (2, 3):
         raise ValueError(f"expected an (H, W) plane or (N, H, W) stack, got shape {imgs.shape}")
     if not np.all(np.isfinite(imgs)):
@@ -227,10 +244,10 @@ def fft_filter(img, kind: str, n: int) -> np.ndarray:
     c_h, s_h = _window_operator(h, n)
     c_w, s_w = _window_operator(w, n)
     both_h = np.concatenate((c_h, s_h))
-    out = np.empty_like(stack)
-    for start in range(0, len(stack), _FILTER_BLOCK):
-        block = stack[start : start + _FILTER_BLOCK]
-        result = out[start : start + _FILTER_BLOCK]
+    out = np.empty(stack.shape)
+    for start in range(0, len(stack), _BLOCK):
+        block = np.asarray(stack[start : start + _BLOCK], dtype=np.float64)
+        result = out[start : start + _BLOCK]
         # One product applies both row parts; each half then meets its own
         # column part.
         rows = both_h @ block

@@ -64,6 +64,11 @@ class SynthDataset:
     """Per-modality image stacks with shared labels and a fixed split.
 
     The first n_train samples are the training split; the rest are test.
+    Generated stacks are float64. Loaded stacks are float32, the exact
+    values in their files, as views of one contiguous block. Consumers
+    widen to float64 before any arithmetic (per block of planes, or once
+    for a split), which is exact, so results do not depend on the stacks'
+    dtype.
     """
 
     images: list
@@ -237,6 +242,13 @@ def _require(meta, keys, where) -> None:
 
 
 def load_dataset(in_dir) -> SynthDataset:
+    """Inverse of save_dataset, keeping the stacks in their on-disk float32.
+
+    All modalities are read into one contiguous (m, n, h*w) float32 block,
+    and `images` holds (n, h, w) views of it. Labels must be n integral
+    values in [0, n_classes); a bad one is reported with the first bad
+    sample.
+    """
     src = Path(in_dir)
     manifest = src / "dataset.json"
     meta = tensorio.read_manifest(manifest)
@@ -245,19 +257,33 @@ def load_dataset(in_dir) -> SynthDataset:
         _require(s, _SPEC_KEYS, f"{manifest} specs[{i}]")
     h, w = int(meta["height"]), int(meta["width"])
     n = int(meta["n_train"]) + int(meta["n_test"])
+    n_classes = int(meta["n_classes"])
     specs = tuple(ModalitySpec(**{key: s[key] for key in _SPEC_KEYS}) for s in meta["specs"])
-    images = []
-    for i in range(len(specs)):
-        stack = tensorio.read_raw(src / f"mod{i}.f32")
-        if stack.shape != (n, h * w):
-            raise ValueError(f"mod{i}.f32: expected {(n, h * w)}, got {stack.shape}")
-        images.append(stack.reshape(n, h, w))
-    labels = tensorio.read_raw(src / "labels.f32").reshape(-1).astype(np.int64)
+    block = np.empty((len(specs), n, h * w), dtype=np.float32)
+    for i, stack in enumerate(block):
+        tensorio.read_raw(src / f"mod{i}.f32", out=stack)
+    labels_path = src / "labels.f32"
+    labels = _check_labels(tensorio.read_raw(labels_path).reshape(-1), n, n_classes, labels_path)
     return SynthDataset(
-        images=images,
+        images=[stack.reshape(n, h, w) for stack in block],
         labels=labels,
         n_train=int(meta["n_train"]),
-        n_classes=int(meta["n_classes"]),
+        n_classes=n_classes,
         specs=specs,
         seed=int(meta["seed"]),
     )
+
+
+def _check_labels(values, n: int, n_classes: int, path) -> np.ndarray:
+    if len(values) != n:
+        raise ValueError(
+            f"{path}: expected {n} labels, got {len(values)}; first bad sample {min(n, len(values))}"
+        )
+    valid = (values >= 0) & (values < n_classes) & (np.floor(values) == values)
+    bad = np.flatnonzero(~valid)
+    if bad.size:
+        label = float(values[bad[0]])
+        raise ValueError(
+            f"{path}: label {label!r} of sample {bad[0]} is not an integer in [0, {n_classes})"
+        )
+    return values.astype(np.int64)

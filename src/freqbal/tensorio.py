@@ -4,6 +4,12 @@ The raw matrix format is an 8-byte header (u32 rows, u32 cols, both
 little-endian) followed by rows*cols little-endian float32 values in
 row-major order. 1-D vectors are stored as a single row; the owning
 manifest records the logical shape.
+
+Raw matrices are read back as float32, the exact values in the file, and
+are never widened here: every float32 widens exactly to float64, so a
+caller that widens a block at a time right before its arithmetic gets the
+same results as from a float64 copy of the whole file, without holding
+one.
 """
 
 import json
@@ -14,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 _RAW_HEADER = struct.Struct("<II")
+_RAW_DTYPE = np.dtype("<f4")
 
 
 def write_raw(path, matrix) -> None:
@@ -26,20 +33,36 @@ def write_raw(path, matrix) -> None:
     rows, cols = matrix.shape
     with open(path, "wb") as fh:
         fh.write(_RAW_HEADER.pack(rows, cols))
-        fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(matrix, dtype=_RAW_DTYPE).tobytes())
 
 
-def read_raw(path) -> np.ndarray:
-    """Read a raw float32 matrix; returns float64 of shape (rows, cols)."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _RAW_HEADER.size:
-        raise ValueError(f"{path}: truncated raw header")
-    rows, cols = _RAW_HEADER.unpack_from(blob)
-    expected = _RAW_HEADER.size + 4 * rows * cols
-    if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f4", offset=_RAW_HEADER.size)
-    return data.reshape(rows, cols).astype(np.float64)
+def read_raw(path, out=None) -> np.ndarray:
+    """Read a raw float32 matrix as a writable float32 array of shape (rows, cols).
+
+    The header and the file size are checked before anything is allocated,
+    and the values are read straight into the result: no intermediate
+    bytes object, no dtype conversion. With `out`, a C-contiguous float32
+    array of shape (rows, cols), the values land in it and it is returned;
+    that lets a caller fill one slice of a larger block per file.
+    """
+    with open(path, "rb") as fh:
+        header = fh.read(_RAW_HEADER.size)
+        if len(header) < _RAW_HEADER.size:
+            raise ValueError(f"{path}: truncated raw header")
+        rows, cols = _RAW_HEADER.unpack(header)
+        expected = _RAW_HEADER.size + 4 * rows * cols
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}")
+        if out is None:
+            out = np.empty((rows, cols), dtype=_RAW_DTYPE)
+        elif out.shape != (rows, cols) or out.dtype != _RAW_DTYPE or not out.flags.c_contiguous:
+            raise ValueError(
+                f"{path}: holds a {rows}x{cols} matrix, destination is {out.dtype} {out.shape}"
+            )
+        if fh.readinto(out) != 4 * rows * cols:
+            raise ValueError(f"{path}: file shrank while it was read")
+    return out
 
 
 def write_pgm(path, img) -> None:

@@ -303,7 +303,7 @@ def save_checkpoint(out_dir, cfg: NetConfig, params: ParamSet) -> None:
 
 
 def load_checkpoint(in_dir):
-    """Inverse of save_checkpoint; returns (config, params)."""
+    """Inverse of save_checkpoint; returns (config, params), params widened to float64."""
     src = Path(in_dir)
     manifest = tensorio.read_manifest(src / "checkpoint.json")
     net = manifest["net"]
@@ -317,5 +317,5 @@ def load_checkpoint(in_dir):
     params: ParamSet = {}
     for entry in manifest["tensors"]:
         value = tensorio.read_raw(src / f"{entry['name']}.f32")
-        params[entry["name"]] = value.reshape(entry["shape"])
+        params[entry["name"]] = value.astype(np.float64).reshape(entry["shape"])
     return cfg, params

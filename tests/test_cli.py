@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freqbal import tensorio
+from freqbal import cli, tensorio
 from freqbal.cli import main
 from freqbal.preference import METRIC_KINDS
 from freqbal.seeds import stream_rng
@@ -81,6 +81,53 @@ class TestExitCodes:
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
         assert "modality 1" in err and err.endswith(f"training sample {sample}\n")
         assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit, bad",
+        [
+            (lambda labels: np.where(np.arange(96) == 40, 7.0, labels), "label 7.0 of sample 40 "),
+            (lambda labels: labels[:90], "expected 96 labels, got 90; first bad sample 90"),
+            (lambda labels: np.where(np.arange(96) == 13, 1.5, labels), "label 1.5 of sample 13 "),
+        ],
+        ids=["out_of_range", "truncated", "fractional"],
+    )
+    def test_bad_labels_fail_at_load(self, edit, bad, cfg_file, tmp_path, capsys):
+        data, out = tmp_path / "ds", tmp_path / "run"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        labels = tensorio.read_raw(data / "labels.f32").reshape(-1)
+        tensorio.write_raw(data / "labels.f32", edit(labels))
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text(TINY + f"data_dir = {data}\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {data / 'labels.f32'}: ") and err.count("\n") == 1
+        assert bad in err
+        assert not (out / "trace.csv").exists()
+
+    def test_non_finite_test_pixel_is_numeric_error(self, cfg_file, tmp_path, capsys):
+        # Training never reads the test split; the mask matrix must not score
+        # the NaN logits of a corrupt test sample.
+        data, out = tmp_path / "ds", tmp_path / "eval"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        stack = tensorio.read_raw(data / "mod1.f32")
+        stack[64 + 6, 100] = np.inf
+        tensorio.write_raw(data / "mod1.f32", stack)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_file, "--data", str(data), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: non-finite input of modality 1 at test sample 6\n"
+        assert not (out / "matrix.csv").exists()
+
+    def test_unexpected_exception_is_one_line(self, monkeypatch, cfg_file, tmp_path, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_gen", broken)
+        assert main(["gen", "--config", cfg_file, "--out", str(tmp_path / "ds")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: boom\n"
+        assert captured.out == ""
 
     def test_manifest_missing_key_is_config_error(self, cfg_file, tmp_path, capsys):
         data = tmp_path / "ds"

@@ -10,7 +10,7 @@ from freqbal.errors import NumericError
 from freqbal.intervention import TrainConfig, TrainTrace, train, warmup_iterations, weighted_loss
 from freqbal.preference import FrmBank, sample_preference
 from freqbal.seeds import stream_rng, stream_seed
-from freqbal.synthdata import ModalitySpec, generate, imbalanced_specs
+from freqbal.synthdata import ModalitySpec, generate, imbalanced_specs, load_dataset, save_dataset
 from freqbal.tinynet import (
     NetConfig,
     backward,
@@ -314,6 +314,26 @@ class TestScoreTable:
         ds.images[0][ds.n_train + 1, 0, 0] = np.inf
         _, _, trace = train(TrainConfig(epochs=1, seed=3), ds)
         assert np.all(np.isfinite(trace.column("frm_raw_m0")))
+
+
+class TestLoadedData:
+    def test_reloaded_dataset_trains_like_float32_rounded_generated(self, tmp_path):
+        # A loaded dataset stays float32 and is widened where it is used; the
+        # training split of 600 spans three scoring blocks.
+        ds = generate(imbalanced_specs(), n_train=600, n_test=40, seed=24)
+        save_dataset(tmp_path / "ds", ds)
+        loaded = load_dataset(tmp_path / "ds")
+        assert loaded.images[0].dtype == np.float32
+        rounded = dataclasses.replace(
+            ds, images=[img.astype(np.float32).astype(np.float64) for img in ds.images]
+        )
+        cfg = TrainConfig(mode="hybrid", epochs=1, seed=6)
+        _, params_a, trace_a = train(cfg, loaded)
+        _, params_b, trace_b = train(cfg, rounded)
+        trace_a.write_csv(tmp_path / "a.csv")
+        trace_b.write_csv(tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert params_equal(params_a, params_b)
 
 
 class TestDirectional:

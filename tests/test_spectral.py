@@ -218,6 +218,23 @@ class TestAssemble:
             assert np.array_equal(low[i], maps.low)
             assert np.array_equal(high[i], maps.high)
 
+    @pytest.mark.parametrize(
+        "p, q, shape",
+        [(8, 2, (32, 32)), (8, 3, (32, 32)), (8, 5, (32, 32)), (4, 1, (16, 16)), (8, 2, (24, 16))],
+    )
+    def test_float32_stack_matches_float64_copy_across_blocks(self, p, q, shape):
+        # 700 planes span three blocks of the stack loop; widening a float32
+        # block is exact, so its maps are bitwise those of the float64 copy.
+        stack = np.random.default_rng(19).normal(size=(700, *shape)).astype(np.float32)
+        cfg = SpectralConfig(p=p, q=q, allow_overlap=True)
+        low, high = compute_maps_batch(stack, cfg)
+        assert low.dtype == high.dtype == np.float64
+        ref_low, ref_high = compute_maps_batch(stack.astype(np.float64), cfg)
+        assert low.tobytes() == ref_low.tobytes() and high.tobytes() == ref_high.tobytes()
+        for i in (0, 255, 256, 511, 512, 699):
+            maps = compute_maps(stack[i], cfg)
+            assert np.array_equal(low[i], maps.low) and np.array_equal(high[i], maps.high)
+
     def test_mismatched_maps_rejected(self):
         with pytest.raises(ValueError):
             FrequencyMaps(low=np.zeros((2, 2)), high=np.zeros((3, 3)))
@@ -253,6 +270,15 @@ class TestFftFilter:
             out = fft_filter(stack, kind, 7)
             assert out.shape == stack.shape
             assert np.array_equal(out, np.stack([fft_filter(plane, kind, 7) for plane in stack]))
+
+    def test_float32_stack_matches_float64_copy_across_blocks(self):
+        stack = np.random.default_rng(20).random((700, 32, 32)).astype(np.float32)
+        for kind in ("low_pass", "high_pass"):
+            out = fft_filter(stack, kind, 7)
+            assert out.dtype == np.float64
+            assert out.tobytes() == fft_filter(stack.astype(np.float64), kind, 7).tobytes()
+            plane = fft_filter(stack[300], kind, 7)
+            assert plane.dtype == np.float64 and np.array_equal(plane, out[300])
 
     def test_non_finite_pixel_in_stack_rejected(self):
         for bad in (np.nan, np.inf):

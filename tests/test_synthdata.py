@@ -170,6 +170,18 @@ class TestPersistence:
             assert a.shape == b.shape
             assert np.abs(a - b).max() < 1e-5  # float32 storage
 
+    def test_loaded_images_are_float32_views_of_one_block(self, tmp_path):
+        ds = generate(imbalanced_specs(), n_train=10, n_test=6, dims=(16, 16), seed=12)
+        save_dataset(tmp_path / "ds", ds)
+        back = load_dataset(tmp_path / "ds")
+        block = back.images[0].base
+        assert block.shape == (3, 16, 16 * 16) and block.flags.c_contiguous
+        for i, (a, b) in enumerate(zip(back.images, ds.images)):
+            assert a.dtype == np.float32 and a.base is block
+            assert np.shares_memory(a, block[i])
+            assert a.tobytes() == b.astype(np.float32).tobytes()
+        assert back.labels.dtype == np.int64
+
     def test_manifest_drives_shapes(self, tmp_path):
         ds = generate(imbalanced_specs(), n_train=6, n_test=2, dims=(16, 16), seed=11)
         save_dataset(tmp_path / "ds", ds)

@@ -34,6 +34,44 @@ class TestRaw:
         with pytest.raises(ValueError):
             tensorio.read_raw(path)
 
+    def test_oversized_rejected(self, tmp_path):
+        path = tmp_path / "big.f32"
+        tensorio.write_raw(path, np.zeros((2, 2)))
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(ValueError, match="expected 24 bytes for 2x2, got 28"):
+            tensorio.read_raw(path)
+
+    def test_returns_exact_float32_values(self, tmp_path):
+        mat = np.random.default_rng(1).normal(size=(7, 5))
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, mat)
+        back = tensorio.read_raw(path)
+        assert back.dtype == np.float32
+        assert back.tobytes() == mat.astype(np.float32).tobytes()
+        back[0, 0] = np.inf  # callers may edit what they read
+
+    def test_reads_into_destination(self, tmp_path):
+        mat = np.random.default_rng(2).normal(size=(7, 5))
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, mat)
+        block = np.zeros((2, 7, 5), dtype=np.float32)
+        out = tensorio.read_raw(path, out=block[1])
+        assert np.shares_memory(out, block[1])
+        assert block[1].tobytes() == mat.astype(np.float32).tobytes()
+        assert not block[0].any()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.zeros((5, 7), np.float32), np.zeros((7, 5)), np.zeros((7, 10), np.float32)[:, ::2]],
+        ids=["shape", "dtype", "strided"],
+    )
+    def test_wrong_destination_rejected(self, out, tmp_path):
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, np.ones((7, 5)))
+        with pytest.raises(ValueError, match="7x5"):
+            tensorio.read_raw(path, out=out)
+        assert not out.any()
+
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             tensorio.write_raw(tmp_path / "x.f32", np.zeros((2, 2, 2)))

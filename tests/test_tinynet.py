@@ -397,6 +397,7 @@ class TestCheckpoint:
         assert set(params2) == set(params)
         for name in params:
             assert params2[name].shape == params[name].shape
+            assert params2[name].dtype == np.float64
             assert np.abs(params2[name] - params[name]).max() < 1e-6
 
     def test_second_save_is_byte_identical(self, tmp_path):
