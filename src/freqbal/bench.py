@@ -25,7 +25,7 @@ from .errors import ConfigError, NumericError
 from .intervention import train
 from .preference import METRIC_KINDS
 from .seeds import stream_seed
-from .spectral import fft_filter
+from .spectral import NonFinitePlane, fft_filter
 from .synthdata import SynthDataset, dataset_digest, generate, load_dataset
 from .tinynet import evaluate
 
@@ -251,8 +251,18 @@ def sweep_frm_variants(cfg: RunConfig, out_dir, kinds=METRIC_KINDS):
 
 
 def filter_dataset(ds: SynthDataset, kind: str, n: int) -> SynthDataset:
-    """Apply one FFT filter to every plane of every modality."""
-    return replace(ds, images=[fft_filter(stack, kind, n) for stack in ds.images])
+    """Apply one FFT filter to every plane of every modality.
+
+    A non-finite pixel raises NumericError naming the modality and the
+    first bad sample.
+    """
+    images = []
+    for i, stack in enumerate(ds.images):
+        try:
+            images.append(fft_filter(stack, kind, n))
+        except NonFinitePlane as exc:
+            raise NumericError(f"non-finite input of modality {i} at sample {exc.index}") from None
+    return replace(ds, images=images)
 
 
 def filter_study(cfg: RunConfig, windows, kinds, out_dir):

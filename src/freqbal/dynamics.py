@@ -188,6 +188,12 @@ def suppression_experiment(
     identical batch sequence; the control arm starts from the same joint
     initialization without any pre-fit. Returns a dict with the mean weak-
     encoder gradient norm of each arm and their ratio (treatment/control).
+
+    The pre-fit gathers only the dominant modality's batch, and its steps
+    leave the masked branches' tensors as the initial arrays. The two arms
+    then run in lockstep: each batch of the "measure" stream is gathered
+    once and fed to both, so each arm sees the same sequence it would alone.
+    The initial parameters are never written to.
     """
     m = dataset.n_modalities
     if not (0 <= dominant < m and 0 <= weak < m and dominant != weak):
@@ -204,12 +210,12 @@ def suppression_experiment(
     params0 = init_network(net_cfg)
     solo_mask = [i == dominant for i in range(m)]
 
-    prefit = dict(params0)
+    prefit = params0
     rng = stream_rng(seed, "prefit")
     prefit_loss = None
     for it in range(prefit_max_iters):
         idx = rng.integers(0, n, size=batch_size)
-        xb = [img[idx] for img in train_images]
+        xb = [img[idx] if present else None for img, present in zip(train_images, solo_mask)]
         grads, *_ = backward(net_cfg, prefit, xb, train_labels[idx], mask=solo_mask)
         prefit = sgd_step(net_cfg, prefit, grads, eta)
         if it % 25 == 24:
@@ -223,20 +229,18 @@ def suppression_experiment(
             f"within {prefit_max_iters} iterations (last {prefit_loss})"
         )
 
-    def measure(start_params):
-        batch_rng = stream_rng(seed, "measure")
-        params = dict(start_params)
-        norms = []
-        for _ in range(measure_iters):
-            idx = batch_rng.integers(0, n, size=batch_size)
-            xb = [img[idx] for img in train_images]
-            grads, *_ = backward(net_cfg, params, xb, train_labels[idx])
-            norms.append(encoder_grad_norms(net_cfg, grads)[weak])
-            params = sgd_step(net_cfg, params, grads, eta)
-        return float(np.mean(norms))
-
-    treated = measure(prefit)
-    control = measure(params0)
+    arms = [prefit, params0]  # treatment, control
+    norms = [[], []]
+    batch_rng = stream_rng(seed, "measure")
+    for _ in range(measure_iters):
+        idx = batch_rng.integers(0, n, size=batch_size)
+        xb = [img[idx] for img in train_images]
+        yb = train_labels[idx]
+        for a, params in enumerate(arms):
+            grads, *_ = backward(net_cfg, params, xb, yb)
+            norms[a].append(encoder_grad_norms(net_cfg, grads)[weak])
+            arms[a] = sgd_step(net_cfg, params, grads, eta)
+    treated, control = (float(np.mean(arm_norms)) for arm_norms in norms)
     return {
         "weak_norm_prefit": treated,
         "weak_norm_control": control,

@@ -45,6 +45,7 @@ from .tinynet import (
     backward,
     cross_entropy,
     encoder_grad_norms,
+    forward,
     init_network,
     sgd_step,
 )
@@ -156,6 +157,27 @@ def _numeric_context(iteration: int, trace: TrainTrace, k) -> str:
     return f"at iteration {iteration} (k={[float(v) for v in k]}, last finite total_loss={last})"
 
 
+def _first_bad_branch(net_cfg: NetConfig, params, xb, aux) -> str:
+    """Name the first modality whose own branch gives non-finite logits.
+
+    Runs only once the step's logits are known to be non-finite. The aux
+    logits already are per-branch outputs; without aux heads each branch is
+    encoded alone, with the other inputs left out.
+    """
+    m = net_cfg.n_modalities
+    for i in range(m):
+        if aux is not None:
+            z = aux[i]
+        else:
+            solo = [x if j == i else None for j, x in enumerate(xb)]
+            # The failing step has already warned about the same overflow.
+            with np.errstate(over="ignore", invalid="ignore"):
+                z, _ = forward(net_cfg, params, solo, mask=[j == i for j in range(m)])
+        if not np.all(np.isfinite(z)):
+            return f"first non-finite branch: modality {i}"
+    return "no single branch is non-finite"
+
+
 def train(cfg: TrainConfig, dataset, on_epoch_end=None):
     """Run the loop over the dataset's training split.
 
@@ -165,7 +187,8 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
     raises NumericError naming the modality and the training sample before
     any step runs. Non-finite logits or a non-finite loss abort with a
     NumericError that names the iteration, K and the last finite total
-    loss, and carries the partial trace.
+    loss, and carries the partial trace; for non-finite logits it also
+    names the first modality whose branch alone is non-finite.
 
     on_epoch_end(epoch, net_cfg, params), when given, is called after each
     epoch; it must not mutate params.
@@ -227,7 +250,9 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
             )
             if not all(np.all(np.isfinite(z)) for z in (logits, *(aux or ()))):
                 raise NumericError(
-                    f"non-finite logits {_numeric_context(iteration, trace, k)}", trace=trace
+                    f"non-finite logits {_numeric_context(iteration, trace, k)}; "
+                    f"{_first_bad_branch(net_cfg, params, xb, aux)}",
+                    trace=trace,
                 )
             if cfg.uses_aux:
                 loss, aux_losses = weighted_loss(logits, aux, yb, k)

@@ -212,6 +212,14 @@ def _window_operator(side: int, n: int):
     return c, s
 
 
+class NonFinitePlane(ValueError):
+    """A NaN or inf pixel; index is the first such plane of the stack."""
+
+    def __init__(self, index: int):
+        super().__init__(f"plane {index} contains non-finite values")
+        self.index = index
+
+
 def fft_filter(img, kind: str, n: int) -> np.ndarray:
     """Keep (low_pass) or discard (high_pass) the centered n x n spectrum window.
 
@@ -229,12 +237,18 @@ def fft_filter(img, kind: str, n: int) -> np.ndarray:
     preallocated result, so memory beyond the result stays at one block's
     temporaries; each plane's result is bitwise the same as filtering it
     alone, and the same for a float32 stack as for its float64 copy.
+
+    A NaN or inf pixel raises NonFinitePlane with the index of the first
+    plane that holds one (0 for a single plane).
     """
     imgs = np.asarray(img)
     if imgs.ndim not in (2, 3):
         raise ValueError(f"expected an (H, W) plane or (N, H, W) stack, got shape {imgs.shape}")
-    if not np.all(np.isfinite(imgs)):
-        raise ValueError("plane contains non-finite values")
+    finite = np.isfinite(imgs)
+    if not finite.all():
+        # argmin finds the first False pixel; dividing by the plane size
+        # gives its plane.
+        raise NonFinitePlane(int(np.argmin(finite.reshape(-1))) // (imgs.shape[-2] * imgs.shape[-1]))
     if kind not in ("low_pass", "high_pass"):
         raise ValueError(f"unknown filter kind {kind!r}")
     h, w = imgs.shape[-2:]

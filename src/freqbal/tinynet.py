@@ -12,7 +12,9 @@ through which the modality branches interact. forward serves inference
 (evaluation and probes) and gives bitwise the same logits.
 
 Absent modalities (presence mask False) contribute an all-zero feature
-vector: their encoders are not evaluated and receive zero gradients.
+vector: their inputs are never read (they may be None), their encoders are
+not evaluated, and they have no gradient entries, so sgd_step leaves them
+untouched.
 """
 
 from dataclasses import dataclass
@@ -101,10 +103,17 @@ def _check_mask(cfg: NetConfig, mask):
 
 
 def _encode(cfg: NetConfig, params: ParamSet, inputs, mask):
-    """Run present encoders; returns per-modality features and relu caches."""
+    """Run present encoders; returns per-modality features and relu caches.
+
+    The sample count comes from the first present input; an absent
+    modality's input is never read and may be None.
+    """
     if len(inputs) != cfg.n_modalities:
         raise ValueError(f"{len(inputs)} inputs for {cfg.n_modalities} modalities")
-    n = np.asarray(inputs[0]).shape[0]
+    for i, present in enumerate(mask):
+        if present and inputs[i] is None:
+            raise ValueError(f"modality {i} is present but its input is None")
+    n = np.asarray(inputs[mask.index(True)]).shape[0]
     feats, caches = [], []
     for i, present in enumerate(mask):
         if not present:
@@ -179,10 +188,12 @@ def backward(cfg: NetConfig, params: ParamSet, inputs, labels, mask=None,
     signal (softmax - onehot), which is how the coupling probes scale or
     zero the branch coupling while holding features fixed.
 
-    Returns (grads, error, logits, aux_logits). grads has the key order
-    of params; tensors of absent branches, and the aux tensors when no
-    aux_weights are given, are zero. error is the natural softmax - onehot
-    of the main logits. logits and aux_logits are bitwise what forward
+    Returns (grads, error, logits, aux_logits). grads holds only the
+    tensors computed, in the key order of params: clf.*, the encoders of
+    present branches and, when aux_weights are given, their aux tensors.
+    Absent branches, and the aux tensors without aux_weights, have no
+    entry; sgd_step carries them over unchanged. error is the natural
+    softmax - onehot of the main logits. logits and aux_logits are bitwise what forward
     returns for the same arguments (aux_logits is None without aux heads),
     so a training step needs no separate forward pass.
     """
@@ -221,10 +232,7 @@ def backward(cfg: NetConfig, params: ParamSet, inputs, labels, mask=None,
             grads[f"enc{i}.b{l}"] = delta.sum(axis=0)
             if l > 0:
                 delta = delta @ params[f"enc{i}.w{l}"].T
-    grads = {
-        name: grads[name] if name in grads else np.zeros_like(value)
-        for name, value in params.items()
-    }
+    grads = {name: grads[name] for name in params if name in grads}
     return grads, error, logits, aux_logits
 
 
@@ -232,23 +240,27 @@ def sgd_step(cfg: NetConfig, params: ParamSet, grads: ParamSet, eta: float, weig
     """One SGD update: encoder and aux tensors move by K_i * (eta * grad),
     the classifier always by the unscaled eta * grad.
 
-    weights is one factor per modality (None means all ones). params and
-    grads are not modified: each update is formed in one fresh temporary
-    that becomes the new tensor.
+    weights is one factor per modality (None means all ones). Only the
+    tensors named in grads move; every other tensor of the result is the
+    same array object as in params, which is exact because a zero gradient
+    would subtract a zero. That sharing is sound only because sgd_step
+    never writes into params or grads: each update is formed in one fresh
+    temporary that becomes the new tensor.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if set(params) != set(grads):
-        raise ValueError("params and grads disagree on tensor names")
+    unknown = [name for name in grads if name not in params]
+    if unknown:
+        raise ValueError(f"grads name tensors that params lacks: {unknown}")
     if weights is None:
         k = np.ones(cfg.n_modalities)
     else:
         k = np.asarray(getattr(weights, "k", weights), dtype=np.float64)
         if k.shape != (cfg.n_modalities,):
             raise ValueError(f"need {cfg.n_modalities} weights, got shape {k.shape}")
-    out: ParamSet = {}
-    for name, value in params.items():
-        grad = grads[name]
+    out = dict(params)
+    for name, grad in grads.items():
+        value = params[name]
         if grad.shape != value.shape:
             raise ValueError(f"{name}: grad shape {grad.shape} vs param shape {value.shape}")
         step = eta * grad
@@ -268,9 +280,12 @@ def evaluate(cfg: NetConfig, params: ParamSet, inputs, labels, mask=None) -> flo
 
 
 def encoder_grad_norms(cfg: NetConfig, grads: ParamSet) -> np.ndarray:
-    """L2 norm of each encoder's stacked gradient tensors."""
+    """L2 norm of each encoder's stacked gradient tensors; 0.0 for a
+    branch with no gradient entries (absent under the step's mask)."""
     norms = np.zeros(cfg.n_modalities)
     for i in range(cfg.n_modalities):
+        if f"enc{i}.w0" not in grads:
+            continue
         total = 0.0
         for l in range(len(cfg.hidden)):
             total += float(np.sum(grads[f"enc{i}.w{l}"] ** 2))

@@ -119,6 +119,25 @@ class TestExitCodes:
         assert err == "numeric failure: non-finite input of modality 1 at test sample 6\n"
         assert not (out / "matrix.csv").exists()
 
+    @pytest.mark.parametrize("command", ["filter", "filter-study"])
+    def test_non_finite_pixel_in_filtered_data_is_numeric_error(self, command, cfg_file, tmp_path, capsys):
+        data, out = tmp_path / "ds", tmp_path / "out"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        stack = tensorio.read_raw(data / "mod2.f32")
+        stack[70, 9] = np.nan
+        stack[75, 3] = np.inf
+        tensorio.write_raw(data / "mod2.f32", stack)
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text(TINY + f"data_dir = {data}\n")
+        argv = {
+            "filter": ["filter", "--data", str(data), "--out", str(out), "--kind", "low_pass", "--window", "4"],
+            "filter-study": ["filter-study", "--config", str(cfg), "--out", str(out), "--windows", "4"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "numeric failure: non-finite input of modality 2 at sample 70\n"
+        assert not (out / "summary.csv").exists() and not (out / "mod0.f32").exists()
+
     def test_unexpected_exception_is_one_line(self, monkeypatch, cfg_file, tmp_path, capsys):
         def broken(args):
             raise RuntimeError("boom")

@@ -7,7 +7,14 @@ import pytest
 from freqbal import preference, tinynet
 from freqbal.allocation import relative_ratio, weight
 from freqbal.errors import NumericError
-from freqbal.intervention import TrainConfig, TrainTrace, train, warmup_iterations, weighted_loss
+from freqbal.intervention import (
+    TrainConfig,
+    TrainTrace,
+    _first_bad_branch,
+    train,
+    warmup_iterations,
+    weighted_loss,
+)
 from freqbal.preference import FrmBank, sample_preference
 from freqbal.seeds import stream_rng, stream_seed
 from freqbal.synthdata import ModalitySpec, generate, imbalanced_specs, load_dataset, save_dataset
@@ -187,7 +194,36 @@ class TestLoop:
             with pytest.raises(NumericError) as err:
                 train(cfg, ds)
         assert len(err.value.trace) == 1
-        assert str(err.value).startswith("non-finite logits at iteration 1 (k=[1e+150, 1.0, 1.0]")
+        message = str(err.value)
+        assert message.startswith("non-finite logits at iteration 1 (k=[1e+150, 1.0, 1.0]")
+        assert message.endswith("; first non-finite branch: modality 0")
+
+    def test_non_finite_branch_named_without_aux_heads(self):
+        # Gradient mode has no aux heads: branch 1's K-scaled update makes
+        # its features, and so every logit, overflow at the next step.
+        ds = small_dataset()
+        cfg = TrainConfig(
+            mode="gradient", epochs=2, batch_size=32, seed=3, weight_override=(1.0, 1e200, 1.0)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as err:
+                train(cfg, ds)
+        message = str(err.value)
+        assert message.startswith("non-finite logits at iteration 1 (k=[1.0, 1e+200, 1.0]")
+        assert message.endswith("; first non-finite branch: modality 1")
+
+    def test_overflow_only_in_the_sum_names_no_branch(self):
+        # Each branch alone gives a logit of 1e308; only their sum overflows.
+        net_cfg = NetConfig(input_dims=(1, 1), hidden=(1,), n_classes=2)
+        params = init_network(net_cfg)
+        for i in range(2):
+            params[f"enc{i}.w0"] = np.ones((1, 1))
+        params["clf.w"] = np.array([[1e308, 0.0], [1e308, 0.0]])
+        xb = [np.ones((1, 1)), np.ones((1, 1))]
+        with np.errstate(over="ignore"):
+            logits, _ = forward(net_cfg, params, xb)
+        assert not np.all(np.isfinite(logits))
+        assert _first_bad_branch(net_cfg, params, xb, None) == "no single branch is non-finite"
 
     def test_epoch_callback_sees_every_epoch(self):
         ds = small_dataset()

@@ -63,6 +63,17 @@ def min_abs_preactivation(cfg, params, inputs):
     return smallest
 
 
+def enc_keys(i, layers=2):
+    return [f"enc{i}.{t}{l}" for l in range(layers) for t in "wb"]
+
+
+def aux_keys(i):
+    return [f"aux{i}.w", f"aux{i}.b"]
+
+
+CLF_KEYS = ["clf.w", "clf.b"]
+
+
 def identity_encoder_params(cfg, rng):
     # ReLU encoder that passes nonnegative inputs through unchanged.
     d = cfg.input_dims[0]
@@ -140,6 +151,28 @@ class TestForward:
         for i in range(2):
             exp_aux = feats[i] @ params[f"aux{i}.w"] + params[f"aux{i}.b"]
             assert np.abs(aux[i] - exp_aux).max() < 1e-9
+
+    def test_absent_input_may_be_none(self):
+        rng = np.random.default_rng(4)
+        cfg = NetConfig(input_dims=(5, 4), hidden=(6, 3), n_classes=3, aux_heads=True, seed=4)
+        params = init_network(cfg)
+        inputs = [rng.normal(size=(4, 5)), rng.normal(size=(4, 4))]
+        for mask in ([True, False], [False, True]):
+            ref, ref_aux = forward(cfg, params, inputs, mask=mask)
+            sparse = [x if present else None for x, present in zip(inputs, mask)]
+            logits, aux = forward(cfg, params, sparse, mask=mask)
+            assert logits.tobytes() == ref.tobytes()
+            for a, r in zip(aux, ref_aux):
+                assert a.tobytes() == r.tobytes()
+
+    def test_present_input_none_rejected(self):
+        cfg = NetConfig(input_dims=(5, 4), hidden=(3,), n_classes=2)
+        params = init_network(cfg)
+        for mask in (None, [False, True]):
+            with pytest.raises(ValueError, match="modality 1 is present"):
+                forward(cfg, params, [np.zeros((2, 5)), None], mask=mask)
+        with pytest.raises(ValueError, match="modality 1 is present"):
+            backward(cfg, params, [np.zeros((2, 5)), None], np.array([0, 1]))
 
     def test_all_absent_rejected(self):
         cfg = NetConfig(input_dims=(4,), hidden=(3,), n_classes=2)
@@ -245,27 +278,38 @@ class TestBackward:
         fd = finite_difference(cfg, params, inputs, labels, aux_weights=aux_w)
         assert max_rel_err(grads, fd) < 1e-4
 
-    def test_masked_modality_gets_zero_gradients(self):
+    def test_masked_modality_gets_no_gradients(self):
         rng = np.random.default_rng(8)
         cfg = NetConfig(input_dims=(5, 4), hidden=(4,), n_classes=2, seed=8)
         params = init_network(cfg)
+        params["enc1.b0"][1] = -0.0  # a zero step must keep the sign bit too
         inputs = [rng.normal(size=(3, 5)), rng.normal(size=(3, 4))]
         grads, *_ = backward(cfg, params, inputs, np.array([0, 1, 0]), mask=[True, False])
-        assert np.all(grads["enc1.w0"] == 0.0)
-        assert np.all(grads["enc1.b0"] == 0.0)
+        assert not any(name.startswith("enc1.") for name in grads)
         assert encoder_grad_norms(cfg, grads)[1] == 0.0
+        dense = {name: grads.get(name, np.zeros_like(value)) for name, value in params.items()}
+        for weights in (None, [1.4, 0.6]):
+            out = sgd_step(cfg, params, grads, 0.1, weights)
+            ref = sgd_step(cfg, params, dense, 0.1, weights)
+            assert list(out) == list(params)
+            for name in ("enc1.w0", "enc1.b0"):
+                assert out[name] is params[name]
+            for name in params:
+                assert out[name].tobytes() == ref[name].tobytes(), name
 
     @pytest.mark.parametrize(
-        "aux_heads, mask, aux_w",
+        "aux_heads, mask, aux_w, keys",
         [
-            (True, None, [1.3, 0.6, 0.9]),
-            (True, [True, False, True], [1.3, 0.6, 0.9]),
-            (True, [False, True, False], None),
-            (False, [True, True, False], None),
+            (True, None, [1.3, 0.6, 0.9],
+             enc_keys(0) + enc_keys(1) + enc_keys(2) + CLF_KEYS + aux_keys(0) + aux_keys(1) + aux_keys(2)),
+            (True, [True, False, True], [1.3, 0.6, 0.9],
+             enc_keys(0) + enc_keys(2) + CLF_KEYS + aux_keys(0) + aux_keys(2)),
+            (True, [False, True, False], None, enc_keys(1) + CLF_KEYS),
+            (False, [True, True, False], None, enc_keys(0) + enc_keys(1) + CLF_KEYS),
         ],
         ids=["aux_full", "aux_partial", "aux_unweighted", "no_aux"],
     )
-    def test_returned_logits_match_forward(self, aux_heads, mask, aux_w):
+    def test_returned_logits_match_forward(self, aux_heads, mask, aux_w, keys):
         rng = np.random.default_rng(15)
         cfg = NetConfig(input_dims=(6, 5, 4), hidden=(5, 3), n_classes=3, aux_heads=aux_heads, seed=15)
         params = init_network(cfg)
@@ -278,7 +322,7 @@ class TestBackward:
         )
         ref_logits, ref_aux = forward(cfg, params, inputs, mask)
         assert logits.tobytes() == ref_logits.tobytes()
-        assert list(grads) == list(params)
+        assert list(grads) == keys
         if aux_heads:
             assert len(aux_logits) == cfg.n_modalities
             for a, r in zip(aux_logits, ref_aux):
@@ -342,6 +386,24 @@ class TestSgdStep:
             assert self.grads[name].tobytes() == grads[name].tobytes(), name
             assert not np.shares_memory(out[name], self.params[name]), name
             assert not np.shares_memory(out[name], self.grads[name]), name
+
+    def test_missing_grads_carry_params_over_unwritten(self):
+        params = {n: v.copy() for n, v in self.params.items()}
+        grads = {n: g for n, g in self.grads.items() if not n[3:].startswith("1.")}
+        out = sgd_step(self.cfg, self.params, grads, 0.1, weights=[1.4, 0.6])
+        assert list(out) == list(self.params)
+        for name in params:
+            assert self.params[name].tobytes() == params[name].tobytes(), name
+            if name in grads:
+                assert not np.shares_memory(out[name], self.params[name]), name
+            else:
+                assert out[name] is self.params[name], name
+
+    def test_unknown_grad_name_rejected(self):
+        bad = dict(self.grads)
+        bad["enc2.w0"] = np.zeros((5, 4))
+        with pytest.raises(ValueError, match="enc2.w0"):
+            sgd_step(self.cfg, self.params, bad, 0.1)
 
     def test_shape_mismatch_rejected(self):
         bad = dict(self.grads)
