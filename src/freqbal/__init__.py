@@ -13,24 +13,16 @@ orchestrate sweeps through a CSV-emitting CLI.
 __version__ = "0.1.0"
 
 from .allocation import AllocationParams, ModalWeights, allocate, relative_ratio, weight
-from .preference import FrmBank, frm, mp_low, mp_sum, mp_weighted, sample_preference
-from .spectral import FrequencyMaps, SpectralConfig, compute_maps, dct2, fft_filter, idct2
+from .preference import FrmBank, sample_preference
+from .spectral import SpectralConfig, fft_filter
 
 __all__ = [
     "AllocationParams",
-    "FrequencyMaps",
     "FrmBank",
     "ModalWeights",
     "SpectralConfig",
     "allocate",
-    "compute_maps",
-    "dct2",
     "fft_filter",
-    "frm",
-    "idct2",
-    "mp_low",
-    "mp_sum",
-    "mp_weighted",
     "relative_ratio",
     "sample_preference",
     "weight",

@@ -34,7 +34,7 @@ def _read_plane(path) -> np.ndarray:
     path = Path(path)
     img = tensorio.read_pgm(path) if path.suffix == ".pgm" else tensorio.read_raw(path)
     if not np.all(np.isfinite(img)):
-        raise ValueError(f"{path}: plane contains non-finite values")
+        raise NumericError(f"{path}: plane contains non-finite values")
     return img
 
 
@@ -59,7 +59,7 @@ def cmd_analyze(args) -> int:
             with np.errstate(invalid="ignore", over="ignore"):
                 score = float(sample_preference(stack, spectral, metric, args.omega_band).mean())
             if not np.isfinite(score):
-                raise ValueError(
+                raise NumericError(
                     f"{Path(args.data) / f'mod{i}.f32'}: non-finite {metric} score; "
                     "the stack holds non-finite or overflowing pixels"
                 )

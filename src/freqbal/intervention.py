@@ -66,7 +66,6 @@ class TrainConfig:
     spectral: SpectralConfig = field(default_factory=SpectralConfig)
     allocation: AllocationParams = field(default_factory=AllocationParams)
     seed: int = 0
-    weight_override: tuple = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -198,8 +197,6 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
     n = len(train_labels)
     if n < 1:
         raise ValueError("dataset has no training samples")
-    if cfg.weight_override is not None and len(cfg.weight_override) != m:
-        raise ValueError(f"weight_override needs {m} entries")
 
     h, w = dataset.dims
     net_cfg = NetConfig(
@@ -238,12 +235,7 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
 
             raw = [float(scores[idx].mean()) for scores in table]
             mw = allocate(raw, banks, cfg.spectral.sigma, cfg.allocation)
-            if cfg.weight_override is not None:
-                k = np.asarray(cfg.weight_override, dtype=np.float64)
-            elif iteration < warmup:
-                k = np.ones(m)
-            else:
-                k = mw.k
+            k = np.ones(m) if iteration < warmup else mw.k
 
             grads, _, logits, aux = backward(
                 net_cfg, params, xb, yb, aux_weights=(k if cfg.uses_aux else None)

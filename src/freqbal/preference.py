@@ -3,46 +3,18 @@
 The main score is the frequency ratio metric: the L1 norm of the low band
 divided cellwise by the flipped high band (plus a stabilizer). Ablation
 variants keep only the low band, the plain sum of both bands, or a fixed
-convex blend of the two. Every score is per plane: sample_preference
-scores a whole stack in one pass, and a mini-batch's score is the mean of
-its samples' scores. A per-modality bank smooths that batch score across
-mini-batches with an exponential moving average.
+convex blend of the two. Every score is per plane. score_bands scores
+band maps that are already computed; sample_preference scores a whole
+stack of planes in one pass through it, and a mini-batch's score is the
+mean of its samples' scores. A per-modality bank smooths that batch score
+across mini-batches with an exponential moving average.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FrequencyMaps, SpectralConfig, compute_maps_batch
-
-
-def frm(maps: FrequencyMaps, sigma: float = 1e-8) -> float:
-    """Ratio score: sum of |low[a,b] / (high[-1-a, -1-b] + sigma)|.
-
-    The high map is flipped along both axes before the cellwise division,
-    pairing each low coefficient with its mirrored high counterpart.
-    """
-    return score_maps(maps, "frm", sigma=sigma)
-
-
-def mp_low(maps: FrequencyMaps) -> float:
-    """Low-band L1 norm."""
-    return score_maps(maps, "mp_low")
-
-
-def mp_sum(maps: FrequencyMaps) -> float:
-    """Plain sum of low- and high-band L1 norms."""
-    return score_maps(maps, "mp_sum")
-
-
-def mp_weighted(maps: FrequencyMaps, omega_band: float = 0.9) -> float:
-    """Convex blend omega*|low| + (1-omega)*|high| of the band L1 norms."""
-    return score_maps(maps, "mp_weighted", omega_band=omega_band)
-
-
-def score_maps(maps: FrequencyMaps, kind: str, sigma: float = 1e-8, omega_band: float = 0.9) -> float:
-    """Score of one plane's band maps; one plane is a batch of one."""
-    return float(_per_sample(maps.low, maps.high, kind, sigma, omega_band))
+from .spectral import SpectralConfig, compute_maps_batch
 
 
 def sample_preference(
@@ -63,7 +35,7 @@ def sample_preference(
     if stack.ndim != 3 or stack.shape[0] == 0:
         raise ValueError(f"expected a non-empty (N, H, W) stack, got shape {stack.shape}")
     low, high = compute_maps_batch(stack, cfg)
-    return _per_sample(low, high, kind, cfg.sigma, omega_band)
+    return score_bands(low, high, kind, cfg.sigma, omega_band)
 
 
 def _l1(band):
@@ -83,8 +55,7 @@ def _mp_weighted(low, high, sigma, omega_band):
     return omega_band * _l1(low) + (1.0 - omega_band) * _l1(high)
 
 
-# Per-sample reducers keyed by metric kind. The trailing two axes are the
-# band map; leading axes (the batch) broadcast.
+# Per-sample reducers keyed by metric kind.
 _REDUCERS = {
     "frm": _frm,
     "mp_low": lambda low, high, sigma, omega_band: _l1(low),
@@ -94,7 +65,16 @@ _REDUCERS = {
 METRIC_KINDS = tuple(_REDUCERS)
 
 
-def _per_sample(low, high, kind, sigma, omega_band):
+def score_bands(low, high, kind, sigma, omega_band):
+    """Score of the metric `kind` of low and high band maps of equal shape.
+
+    frm is sum |low[a,b] / (high[-1-a,-1-b] + sigma)|, the high map flipped
+    along both axes; mp_low is the low band's L1 norm, mp_sum the sum of
+    both bands' L1 norms, and mp_weighted the blend
+    omega_band*|low| + (1-omega_band)*|high|. The trailing two axes are the
+    band map and leading axes broadcast: one (h, w) pair gives a scalar, an
+    (N, h, w) stack one score per sample.
+    """
     if kind not in _REDUCERS:
         raise ValueError(f"unknown metric kind {kind!r}; expected one of {METRIC_KINDS}")
     return _REDUCERS[kind](low, high, sigma, omega_band)

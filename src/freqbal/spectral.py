@@ -33,14 +33,9 @@ import numpy as np
 
 __all__ = [
     "SpectralConfig",
-    "FrequencyMaps",
     "band_projections",
-    "dct2",
-    "idct2",
-    "compute_maps",
     "compute_maps_batch",
     "fft_filter",
-    "spectral_energy",
     "center_crop",
 ]
 
@@ -78,18 +73,6 @@ class SpectralConfig:
             raise ValueError(f"omega_bank must lie in [0,1], got {self.omega_bank}")
 
 
-@dataclass(frozen=True)
-class FrequencyMaps:
-    """Low- and high-band coefficient maps of one plane, same shape each."""
-
-    low: np.ndarray
-    high: np.ndarray
-
-    def __post_init__(self):
-        if self.low.shape != self.high.shape:
-            raise ValueError(f"band maps differ in shape: {self.low.shape} vs {self.high.shape}")
-
-
 @lru_cache(maxsize=None)
 def _dct_basis(p: int) -> np.ndarray:
     # Orthonormal DCT-II: row k holds c_k * cos(pi*(2n+1)*k / (2p)),
@@ -125,43 +108,9 @@ def band_projections(side: int, p: int, q: int):
     return low, high
 
 
-def _check_plane(img) -> np.ndarray:
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"expected a 2-D plane, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise ValueError("plane contains non-finite values")
-    return img
-
-
-def dct2(patch) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of the trailing two (square) axes."""
-    patch = np.asarray(patch, dtype=np.float64)
-    if patch.ndim < 2 or patch.shape[-1] != patch.shape[-2]:
-        raise ValueError(f"dct2 needs square trailing axes, got shape {patch.shape}")
-    b = _dct_basis(patch.shape[-1])
-    return b @ patch @ b.T
-
-
-def idct2(coeffs) -> np.ndarray:
-    """Inverse of dct2 (exact up to float rounding)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim < 2 or coeffs.shape[-1] != coeffs.shape[-2]:
-        raise ValueError(f"idct2 needs square trailing axes, got shape {coeffs.shape}")
-    b = _dct_basis(coeffs.shape[-1])
-    return b.T @ coeffs @ b
-
-
 # Planes per block of compute_maps_batch and fft_filter; bounds their
 # temporaries to a few MB on top of the output.
 _BLOCK = 256
-
-
-def compute_maps(img, cfg: SpectralConfig) -> FrequencyMaps:
-    """Band maps of one plane."""
-    img = _check_plane(img)
-    low, high = compute_maps_batch(img[None], cfg)
-    return FrequencyMaps(low=low[0], high=high[0])
 
 
 def compute_maps_batch(imgs, cfg: SpectralConfig):
@@ -272,16 +221,13 @@ def fft_filter(img, kind: str, n: int) -> np.ndarray:
     return out if imgs.ndim == 3 else out[0]
 
 
-def spectral_energy(img) -> float:
-    """Total spectral power, sum |FFT|^2 / N; equals the spatial sum of squares."""
-    img = _check_plane(img)
-    spec = np.fft.fft2(img)
-    return float(np.sum(np.abs(spec) ** 2) / img.size)
-
-
 def center_crop(img, multiple: int) -> np.ndarray:
     """Crop a plane to the largest centered region divisible by `multiple`."""
-    img = _check_plane(img)
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError(f"expected a 2-D plane, got shape {img.shape}")
+    if not np.all(np.isfinite(img)):
+        raise ValueError("plane contains non-finite values")
     h, w = img.shape
     h2, w2 = (h // multiple) * multiple, (w // multiple) * multiple
     if h2 == 0 or w2 == 0:

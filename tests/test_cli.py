@@ -189,11 +189,22 @@ class TestAnalyzeAndFilter:
         assert main(["analyze", str(tmp_path / "odd.pgm")]) == 2  # not divisible
         assert main(["analyze", str(tmp_path / "odd.pgm"), "--center-crop"]) == 0
 
-    def test_analyze_non_finite_plane_rejected(self, tmp_path):
+    def test_analyze_non_finite_plane_rejected(self, tmp_path, capsys):
         img = np.random.default_rng(3).random((16, 16))
         img[3, 5] = np.nan
-        tensorio.write_raw(tmp_path / "nan.f32", img)
-        assert main(["analyze", str(tmp_path / "nan.f32")]) == 2
+        path = tmp_path / "nan.f32"
+        tensorio.write_raw(path, img)
+        out = tmp_path / "out.f32"
+        for argv in (
+            ["analyze", str(path)],
+            ["filter", str(path), str(out), "--kind", "low_pass", "--window", "8"],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"numeric failure: {path}: plane contains non-finite values\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "metric, pixel", [(kind, np.nan) for kind in METRIC_KINDS] + [("frm", np.inf)]
@@ -204,10 +215,10 @@ class TestAnalyzeAndFilter:
         stack[5, 17] = pixel
         tensorio.write_raw(tmp_path / "ds" / "mod1.f32", stack)
         capsys.readouterr()
-        assert main(["analyze", "--data", str(tmp_path / "ds"), "--metric", metric]) == 2
+        assert main(["analyze", "--data", str(tmp_path / "ds"), "--metric", metric]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith("numeric failure: ") and captured.err.count("\n") == 1
         assert "mod1.f32" in captured.err and metric in captured.err
 
     def test_analyze_dataset(self, cfg_file, tmp_path, capsys):

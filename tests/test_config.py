@@ -148,7 +148,7 @@ class TestSchema:
             "allocation": AllocationParams,
             "data": DataConfig,
         }
-        exempt = {"spectral", "allocation", "specs", "weight_override"}
+        exempt = {"spectral", "allocation", "specs"}
         for section, cls in sections.items():
             names = [f.name for f in fields(cls) if f.name not in exempt]
             keyed = [name for _, sec, name, _ in _KEYS if sec == section]

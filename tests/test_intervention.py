@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from freqbal import preference, tinynet
-from freqbal.allocation import relative_ratio, weight
+from freqbal import intervention, preference, tinynet
+from freqbal.allocation import AllocationParams, allocate, relative_ratio, weight
 from freqbal.errors import NumericError
 from freqbal.intervention import (
     TrainConfig,
@@ -37,6 +37,21 @@ def small_dataset(seed=21):
 
 def params_equal(a, b):
     return set(a) == set(b) and all(np.array_equal(a[n], b[n]) for n in a)
+
+
+@pytest.fixture
+def pin_k(monkeypatch):
+    """pin_k(*k) makes every step's K equal k; allocate still runs."""
+
+    def pin(*k):
+        def pinned(*args):
+            mw = allocate(*args)
+            mw.k = np.array(k, dtype=np.float64)
+            return mw
+
+        monkeypatch.setattr(intervention, "allocate", pinned)
+
+    return pin
 
 
 class TestWeightedLoss:
@@ -77,18 +92,17 @@ class TestWeightedLoss:
 class TestModeLattice:
     def test_none_equals_gradient_with_unit_override(self):
         ds = small_dataset()
-        base = dict(epochs=2, eta=0.2, batch_size=32, seed=3, weight_override=(1.0, 1.0, 1.0))
+        unit = AllocationParams(alpha=1.0, beta=0.0)
+        base = dict(epochs=2, eta=0.2, batch_size=32, seed=3, allocation=unit)
         _, p_none, t_none = train(TrainConfig(mode="none", **base), ds)
         _, p_grad, t_grad = train(TrainConfig(mode="gradient", **base), ds)
         assert params_equal(p_none, p_grad)
         assert t_none.rows == t_grad.rows
 
-    def test_zero_weight_freezes_encoder_through_training(self):
+    def test_zero_weight_freezes_encoder_through_training(self, pin_k):
         ds = small_dataset()
-        cfg = TrainConfig(
-            mode="gradient", epochs=2, eta=0.2, batch_size=32, seed=4,
-            weight_override=(1.0, 1.0, 0.0),
-        )
+        pin_k(1.0, 1.0, 0.0)
+        cfg = TrainConfig(mode="gradient", epochs=2, eta=0.2, batch_size=32, seed=4)
         net_cfg, params, _ = train(cfg, ds)
         from freqbal.tinynet import init_network
 
@@ -122,7 +136,7 @@ class TestLoop:
         ds = small_dataset()
         cfg = TrainConfig(
             mode="gradient", epochs=1, eta=0.25, batch_size=96, seed=7,
-            weight_override=(0.0, 0.0, 0.0),
+            allocation=AllocationParams(alpha=0.0, beta=0.0),
         )
         net_cfg, params, trace = train(cfg, ds)
         from freqbal.seeds import stream_rng
@@ -183,13 +197,12 @@ class TestLoop:
         assert f"k={k}" in message
         assert f"last finite total_loss={last!r}" in message
 
-    def test_non_finite_aux_logits_are_numeric_error(self):
+    def test_non_finite_aux_logits_are_numeric_error(self, pin_k):
         # A huge aux weight blows up only the aux path at first: the main
         # logits stay finite while aux0's overflow.
         ds = small_dataset()
-        cfg = TrainConfig(
-            mode="loss", epochs=2, batch_size=32, seed=3, weight_override=(1e150, 1.0, 1.0)
-        )
+        pin_k(1e150, 1.0, 1.0)
+        cfg = TrainConfig(mode="loss", epochs=2, batch_size=32, seed=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as err:
                 train(cfg, ds)
@@ -198,13 +211,12 @@ class TestLoop:
         assert message.startswith("non-finite logits at iteration 1 (k=[1e+150, 1.0, 1.0]")
         assert message.endswith("; first non-finite branch: modality 0")
 
-    def test_non_finite_branch_named_without_aux_heads(self):
+    def test_non_finite_branch_named_without_aux_heads(self, pin_k):
         # Gradient mode has no aux heads: branch 1's K-scaled update makes
         # its features, and so every logit, overflow at the next step.
         ds = small_dataset()
-        cfg = TrainConfig(
-            mode="gradient", epochs=2, batch_size=32, seed=3, weight_override=(1.0, 1e200, 1.0)
-        )
+        pin_k(1.0, 1e200, 1.0)
+        cfg = TrainConfig(mode="gradient", epochs=2, batch_size=32, seed=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as err:
                 train(cfg, ds)

@@ -1,22 +1,11 @@
 import numpy as np
 import pytest
 
-from freqbal.preference import (
-    METRIC_KINDS,
-    FrmBank,
-    frm,
-    mp_low,
-    mp_sum,
-    mp_weighted,
-    sample_preference,
-    score_maps,
-)
-from freqbal.spectral import FrequencyMaps, SpectralConfig, compute_maps
+import freqbal
+from freqbal import preference, spectral
+from freqbal.preference import METRIC_KINDS, FrmBank, sample_preference, score_bands
+from freqbal.spectral import SpectralConfig, compute_maps_batch
 from freqbal.synthdata import generate, imbalanced_specs
-
-
-def maps_of(low, high):
-    return FrequencyMaps(low=np.asarray(low, float), high=np.asarray(high, float))
 
 
 def literal_frm(low, high, sigma):
@@ -31,78 +20,81 @@ def literal_frm(low, high, sigma):
 
 class TestFrm:
     def test_ones_over_zero_high(self):
-        m = maps_of(np.ones((2, 2)), np.zeros((2, 2)))
-        assert frm(m, sigma=1.0) == pytest.approx(4.0, abs=1e-12)
+        score = score_bands(np.ones((2, 2)), np.zeros((2, 2)), "frm", 1.0, 0.9)
+        assert score == pytest.approx(4.0, abs=1e-12)
 
     def test_zero_low_gives_zero(self):
-        m = maps_of(np.zeros((3, 3)), np.random.default_rng(0).random((3, 3)))
-        assert frm(m) == 0.0
+        high = np.random.default_rng(0).random((3, 3))
+        assert score_bands(np.zeros((3, 3)), high, "frm", 1e-8, 0.9) == 0.0
 
     def test_matches_literal_formula(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             low = rng.normal(size=(4, 4))
             high = rng.normal(size=(4, 4))
-            m = maps_of(low, high)
-            assert frm(m, sigma=1e-8) == pytest.approx(
+            assert score_bands(low, high, "frm", 1e-8, 0.9) == pytest.approx(
                 literal_frm(low, high, 1e-8), rel=1e-12
             )
 
     def test_degenerate_high_equals_mp_low_over_sigma(self):
         rng = np.random.default_rng(2)
         low = rng.normal(size=(4, 4))
-        m = maps_of(low, np.zeros((4, 4)))
+        high = np.zeros((4, 4))
         sigma = 1e-8
-        assert frm(m, sigma) == mp_low(m) / sigma
+        assert score_bands(low, high, "frm", sigma, 0.9) == (
+            score_bands(low, high, "mp_low", sigma, 0.9) / sigma
+        )
 
     def test_bad_sigma_rejected(self):
         with pytest.raises(ValueError):
-            frm(maps_of(np.ones((2, 2)), np.ones((2, 2))), sigma=0.0)
+            score_bands(np.ones((2, 2)), np.ones((2, 2)), "frm", 0.0, 0.9)
 
 
 class TestMpVariants:
     def test_mp_low_absolute_sum(self):
-        assert mp_low(maps_of([[1, -1], [2, -2]], np.zeros((2, 2)))) == 6.0
+        low = np.array([[1, -1], [2, -2]], float)
+        assert score_bands(low, np.zeros((2, 2)), "mp_low", 1e-8, 0.9) == 6.0
 
     def test_mp_low_zero(self):
-        assert mp_low(maps_of(np.zeros((2, 2)), np.ones((2, 2)))) == 0.0
+        assert score_bands(np.zeros((2, 2)), np.ones((2, 2)), "mp_low", 1e-8, 0.9) == 0.0
 
     def test_mp_sum_single_cells(self):
-        assert mp_sum(maps_of([[1.0]], [[2.0]])) == 3.0
+        assert score_bands(np.array([[1.0]]), np.array([[2.0]]), "mp_sum", 1e-8, 0.9) == 3.0
 
     def test_mp_sum_zero(self):
-        assert mp_sum(maps_of(np.zeros((2, 2)), np.zeros((2, 2)))) == 0.0
+        assert score_bands(np.zeros((2, 2)), np.zeros((2, 2)), "mp_sum", 1e-8, 0.9) == 0.0
 
     def test_weighted_boundaries(self):
         rng = np.random.default_rng(3)
-        m = maps_of(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
-        assert mp_weighted(m, 1.0) == mp_low(m)
-        assert mp_weighted(m, 0.0) == np.abs(m.high).sum()
+        low, high = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        mp_low = score_bands(low, high, "mp_low", 1e-8, 0.9)
+        assert score_bands(low, high, "mp_weighted", 1e-8, 1.0) == mp_low
+        assert score_bands(low, high, "mp_weighted", 1e-8, 0.0) == np.abs(high).sum()
 
     def test_weighted_linear_combination(self):
         rng = np.random.default_rng(4)
-        m = maps_of(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
-        expected = 0.9 * np.abs(m.low).sum() + 0.1 * np.abs(m.high).sum()
-        assert mp_weighted(m, 0.9) == pytest.approx(expected, rel=1e-12)
+        low, high = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        expected = 0.9 * np.abs(low).sum() + 0.1 * np.abs(high).sum()
+        assert score_bands(low, high, "mp_weighted", 1e-8, 0.9) == pytest.approx(expected, rel=1e-12)
 
     def test_weighted_range_check(self):
-        m = maps_of(np.ones((2, 2)), np.ones((2, 2)))
         with pytest.raises(ValueError):
-            mp_weighted(m, 1.1)
+            score_bands(np.ones((2, 2)), np.ones((2, 2)), "mp_weighted", 1e-8, 1.1)
 
     def test_l1_oracles(self):
         rng = np.random.default_rng(5)
         low = rng.normal(size=(4, 4))
         high = rng.normal(size=(4, 4))
-        m = maps_of(low, high)
         l1_low = sum(abs(v) for v in low.ravel())
         l1_high = sum(abs(v) for v in high.ravel())
-        assert mp_low(m) == pytest.approx(l1_low, rel=1e-12)
-        assert mp_sum(m) == pytest.approx(l1_low + l1_high, rel=1e-12)
+        assert score_bands(low, high, "mp_low", 1e-8, 0.9) == pytest.approx(l1_low, rel=1e-12)
+        assert score_bands(low, high, "mp_sum", 1e-8, 0.9) == pytest.approx(
+            l1_low + l1_high, rel=1e-12
+        )
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            score_maps(maps_of([[1.0]], [[1.0]]), "mp_quadratic")
+            score_bands(np.array([[1.0]]), np.array([[1.0]]), "mp_quadratic", 1e-8, 0.9)
 
 
 class TestScaleMonotonicity:
@@ -110,12 +102,9 @@ class TestScaleMonotonicity:
         rng = np.random.default_rng(6)
         low = rng.normal(size=(4, 4)) + 0.1
         high = rng.normal(size=(4, 4))
-        base = maps_of(low, high)
-        scaled = maps_of(2.5 * low, high)
-        assert frm(scaled) > frm(base)
-        assert mp_low(scaled) > mp_low(base)
-        assert mp_sum(scaled) > mp_sum(base)
-        assert mp_weighted(scaled, 0.9) > mp_weighted(base, 0.9)
+        for kind in METRIC_KINDS:
+            scaled = score_bands(2.5 * low, high, kind, 1e-8, 0.9)
+            assert scaled > score_bands(low, high, kind, 1e-8, 0.9), kind
 
 
 class TestBatch:
@@ -123,7 +112,8 @@ class TestBatch:
         rng = np.random.default_rng(7)
         img = rng.random((16, 16))
         cfg = SpectralConfig()
-        single = frm(compute_maps(img, cfg), cfg.sigma)
+        (low,), (high,) = compute_maps_batch(img[None], cfg)
+        single = score_bands(low, high, "frm", cfg.sigma, 0.9)
         assert sample_preference(img[None], cfg).shape == (1,)
         assert sample_preference(img[None], cfg).mean() == pytest.approx(single, rel=1e-12)
 
@@ -140,9 +130,10 @@ class TestBatch:
         batch = rng.random((6, 16, 16))
         cfg = SpectralConfig()
         for kind in ("frm", "mp_low", "mp_sum", "mp_weighted"):
-            singles = [
-                score_maps(compute_maps(img, cfg), kind, cfg.sigma, 0.9) for img in batch
-            ]
+            singles = []
+            for img in batch:
+                (low,), (high,) = compute_maps_batch(img[None], cfg)
+                singles.append(score_bands(low, high, kind, cfg.sigma, 0.9))
             per_sample = sample_preference(batch, cfg, kind)
             assert per_sample == pytest.approx(singles, rel=1e-12)
             assert per_sample.mean() == pytest.approx(float(np.mean(singles)), rel=1e-12)
@@ -211,3 +202,9 @@ class TestBank:
     def test_bad_omega_rejected(self):
         with pytest.raises(ValueError):
             FrmBank(omega=1.5)
+
+
+def test_every_exported_name_resolves():
+    for module in (freqbal, spectral, preference):
+        for name in getattr(module, "__all__", ()):
+            assert getattr(module, name, None) is not None, (module.__name__, name)

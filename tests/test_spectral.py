@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 
 from freqbal.spectral import (
-    FrequencyMaps,
     SpectralConfig,
     band_projections,
     center_crop,
-    compute_maps,
     compute_maps_batch,
-    dct2,
     fft_filter,
-    idct2,
-    spectral_energy,
 )
 
 
-def naive_dct2(x):
+def naive_dct(x):
     # Literal O(p^4) orthonormal DCT-II double sum.
     p = x.shape[0]
     out = np.zeros((p, p))
@@ -39,22 +34,23 @@ class TestPartition:
     def test_quadrants(self):
         # Patch (r, c) of the plane fills block (r, c) of each band map.
         img = np.arange(256, dtype=float).reshape(16, 16)
-        maps = compute_maps(img, SpectralConfig())
-        assert maps.low.shape == (4, 4)
+        (low,), (high,) = compute_maps_batch(img[None], SpectralConfig())
+        assert low.shape == (4, 4)
+        b, _ = band_projections(8, 8, 8)
         for r in range(2):
             for c in range(2):
-                coeffs = dct2(img[r * 8 : (r + 1) * 8, c * 8 : (c + 1) * 8])
+                coeffs = b @ img[r * 8 : (r + 1) * 8, c * 8 : (c + 1) * 8] @ b.T
                 block = np.s_[r * 2 : (r + 1) * 2, c * 2 : (c + 1) * 2]
-                assert np.abs(maps.low[block] - coeffs[:2, :2]).max() < 1e-9
-                assert np.abs(maps.high[block] - coeffs[6:, 6:]).max() < 1e-9
+                assert np.abs(low[block] - coeffs[:2, :2]).max() < 1e-9
+                assert np.abs(high[block] - coeffs[6:, 6:]).max() < 1e-9
 
     def test_single_patch(self):
         img = np.random.default_rng(0).random((8, 8))
-        coeffs = naive_dct2(img)
+        coeffs = naive_dct(img)
         for q in (1, 2, 3, 4):
-            maps = compute_maps(img, SpectralConfig(q=q))
-            assert np.abs(maps.low - coeffs[:q, :q]).max() < 1e-12
-            assert np.abs(maps.high - coeffs[8 - q :, 8 - q :]).max() < 1e-12
+            (low,), (high,) = compute_maps_batch(img[None], SpectralConfig(q=q))
+            assert np.abs(low - coeffs[:q, :q]).max() < 1e-12
+            assert np.abs(high - coeffs[8 - q :, 8 - q :]).max() < 1e-12
 
     def test_roundtrip_24x16(self):
         # Band maps put back into pixels by the transposed projections are
@@ -64,9 +60,9 @@ class TestPartition:
         low_h, high_h = band_projections(24, 8, 2)
         low_w, high_w = band_projections(16, 8, 2)
         img = low_h.T @ low @ low_w + high_h.T @ high @ high_w
-        maps = compute_maps(img, SpectralConfig())
-        assert np.abs(maps.low - low).max() < 1e-12
-        assert np.abs(maps.high - high).max() < 1e-12
+        (got_low,), (got_high,) = compute_maps_batch(img[None], SpectralConfig())
+        assert np.abs(got_low - low).max() < 1e-12
+        assert np.abs(got_high - high).max() < 1e-12
 
     def test_bijection_property(self):
         # The low and high projections of an axis together have orthonormal
@@ -89,59 +85,62 @@ class TestPartition:
 
 class TestDct:
     def test_constant_patch_dc_only(self):
-        coeffs = dct2(np.full((8, 8), 3.0))
+        b, _ = band_projections(8, 8, 8)
+        coeffs = b @ np.full((8, 8), 3.0) @ b.T
         assert coeffs[0, 0] == pytest.approx(8 * 3.0, abs=1e-12)
         off = coeffs.copy()
         off[0, 0] = 0.0
         assert np.abs(off).max() < 1e-12
 
     def test_zero_patch(self):
-        assert np.abs(dct2(np.zeros((8, 8)))).max() == 0.0
+        b, _ = band_projections(8, 8, 8)
+        assert np.abs(b @ np.zeros((8, 8)) @ b.T).max() == 0.0
 
     def test_matches_naive_definition(self):
         rng = np.random.default_rng(3)
         for p in (4, 8):
             x = rng.random((p, p))
-            assert np.abs(dct2(x) - naive_dct2(x)).max() < 1e-9
+            b, _ = band_projections(p, p, p)
+            assert np.abs(b @ x @ b.T - naive_dct(x)).max() < 1e-9
 
     def test_roundtrip_and_parseval(self):
         rng = np.random.default_rng(4)
+        b, _ = band_projections(8, 8, 8)
         for _ in range(50):
             x = rng.random((8, 8))
-            c = dct2(x)
-            assert np.abs(idct2(c) - x).max() < 1e-9
+            c = b @ x @ b.T
+            assert np.abs(b.T @ c @ b - x).max() < 1e-9
             assert abs((c**2).sum() - (x**2).sum()) < 1e-9
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            dct2(np.zeros((4, 8)))
 
 
 class TestBands:
     def test_index_encoding_corners(self):
         coeffs = np.array([[10.0 * r + c for c in range(8)] for r in range(8)])
-        maps = compute_maps(idct2(coeffs), SpectralConfig(q=2))
-        assert np.abs(maps.low - [[0.0, 1.0], [10.0, 11.0]]).max() < 1e-12
-        assert np.abs(maps.high - [[66.0, 67.0], [76.0, 77.0]]).max() < 1e-12
+        b, _ = band_projections(8, 8, 8)
+        (low,), (high,) = compute_maps_batch((b.T @ coeffs @ b)[None], SpectralConfig(q=2))
+        assert np.abs(low - [[0.0, 1.0], [10.0, 11.0]]).max() < 1e-12
+        assert np.abs(high - [[66.0, 67.0], [76.0, 77.0]]).max() < 1e-12
 
     def test_half_patch_disjoint_tiling(self):
         coeffs = np.random.default_rng(5).random((8, 8))
-        maps = compute_maps(idct2(coeffs), SpectralConfig(q=4))
-        assert np.abs(maps.low - coeffs[:4, :4]).max() < 1e-12
-        assert np.abs(maps.high - coeffs[4:, 4:]).max() < 1e-12
+        b, _ = band_projections(8, 8, 8)
+        (low,), (high,) = compute_maps_batch((b.T @ coeffs @ b)[None], SpectralConfig(q=4))
+        assert np.abs(low - coeffs[:4, :4]).max() < 1e-12
+        assert np.abs(high - coeffs[4:, 4:]).max() < 1e-12
 
     def test_matches_bruteforce_slicing(self):
         rng = np.random.default_rng(6)
         coeffs = rng.random((8, 8))
-        img = idct2(coeffs)
+        b, _ = band_projections(8, 8, 8)
+        img = b.T @ coeffs @ b
         for q in (1, 2, 3, 4):
-            maps = compute_maps(img, SpectralConfig(q=q))
+            (low,), (high,) = compute_maps_batch(img[None], SpectralConfig(q=q))
             exp_low = np.array([[coeffs[a, b] for b in range(q)] for a in range(q)])
             exp_high = np.array(
                 [[coeffs[8 - q + a, 8 - q + b] for b in range(q)] for a in range(q)]
             )
-            assert np.abs(maps.low - exp_low).max() < 1e-12
-            assert np.abs(maps.high - exp_high).max() < 1e-12
+            assert np.abs(low - exp_low).max() < 1e-12
+            assert np.abs(high - exp_high).max() < 1e-12
 
     def test_band_index_sets_disjoint(self):
         # Disjoint corners make the two band projections orthogonal.
@@ -154,23 +153,24 @@ class TestBands:
         with pytest.raises(ValueError):
             SpectralConfig(q=6)
         img = np.random.default_rng(7).random((8, 8))
-        maps = compute_maps(img, SpectralConfig(q=6, allow_overlap=True))
-        assert maps.low.shape == maps.high.shape == (6, 6)
-        assert np.abs(maps.high[:4, :4] - maps.low[2:, 2:]).max() < 1e-12
+        (low,), (high,) = compute_maps_batch(img[None], SpectralConfig(q=6, allow_overlap=True))
+        assert low.shape == high.shape == (6, 6)
+        assert np.abs(high[:4, :4] - low[2:, 2:]).max() < 1e-12
 
 
 class TestAssemble:
     def test_dims_16x16(self):
         img = np.random.default_rng(7).random((16, 16))
-        maps = compute_maps(img, SpectralConfig())
-        assert maps.low.shape == maps.high.shape == (4, 4)
+        (low,), (high,) = compute_maps_batch(img[None], SpectralConfig())
+        assert low.shape == high.shape == (4, 4)
 
     def test_single_patch_maps_equal_blocks(self):
         img = np.random.default_rng(8).random((8, 8))
-        coeffs = dct2(img)
-        maps = compute_maps(img, SpectralConfig())
-        assert np.allclose(maps.low, coeffs[:2, :2], atol=1e-12)
-        assert np.allclose(maps.high, coeffs[6:, 6:], atol=1e-12)
+        b, _ = band_projections(8, 8, 8)
+        coeffs = b @ img @ b.T
+        (low,), (high,) = compute_maps_batch(img[None], SpectralConfig())
+        assert np.allclose(low, coeffs[:2, :2], atol=1e-12)
+        assert np.allclose(high, coeffs[6:, 6:], atol=1e-12)
 
     @pytest.mark.parametrize(
         "p, q, shape",
@@ -186,7 +186,7 @@ class TestAssemble:
         for i in range(2):
             for r in range(gh):
                 for c in range(gw):
-                    coeffs = naive_dct2(imgs[i, r * p : (r + 1) * p, c * p : (c + 1) * p])
+                    coeffs = naive_dct(imgs[i, r * p : (r + 1) * p, c * p : (c + 1) * p])
                     block = np.s_[i, r * q : (r + 1) * q, c * q : (c + 1) * q]
                     exp_low[block] = coeffs[:q, :q]
                     exp_high[block] = coeffs[p - q :, p - q :]
@@ -197,16 +197,16 @@ class TestAssemble:
         rng = np.random.default_rng(9)
         img = rng.random((32, 32))
         cfg = SpectralConfig(p=8, q=2)
-        maps = compute_maps(img, cfg)
+        (low,), (high,) = compute_maps_batch(img[None], cfg)
         exp_low = np.zeros((8, 8))
         exp_high = np.zeros((8, 8))
         for r in range(4):
             for c in range(4):
-                coeffs = naive_dct2(img[r * 8 : (r + 1) * 8, c * 8 : (c + 1) * 8])
+                coeffs = naive_dct(img[r * 8 : (r + 1) * 8, c * 8 : (c + 1) * 8])
                 exp_low[r * 2 : r * 2 + 2, c * 2 : c * 2 + 2] = coeffs[:2, :2]
                 exp_high[r * 2 : r * 2 + 2, c * 2 : c * 2 + 2] = coeffs[6:, 6:]
-        assert np.abs(maps.low - exp_low).max() < 1e-9
-        assert np.abs(maps.high - exp_high).max() < 1e-9
+        assert np.abs(low - exp_low).max() < 1e-9
+        assert np.abs(high - exp_high).max() < 1e-9
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(10)
@@ -214,9 +214,9 @@ class TestAssemble:
         cfg = SpectralConfig()
         low, high = compute_maps_batch(imgs, cfg)
         for i in range(5):
-            maps = compute_maps(imgs[i], cfg)
-            assert np.array_equal(low[i], maps.low)
-            assert np.array_equal(high[i], maps.high)
+            (single_low,), (single_high,) = compute_maps_batch(imgs[i][None], cfg)
+            assert np.array_equal(low[i], single_low)
+            assert np.array_equal(high[i], single_high)
 
     @pytest.mark.parametrize(
         "p, q, shape",
@@ -232,12 +232,8 @@ class TestAssemble:
         ref_low, ref_high = compute_maps_batch(stack.astype(np.float64), cfg)
         assert low.tobytes() == ref_low.tobytes() and high.tobytes() == ref_high.tobytes()
         for i in (0, 255, 256, 511, 512, 699):
-            maps = compute_maps(stack[i], cfg)
-            assert np.array_equal(low[i], maps.low) and np.array_equal(high[i], maps.high)
-
-    def test_mismatched_maps_rejected(self):
-        with pytest.raises(ValueError):
-            FrequencyMaps(low=np.zeros((2, 2)), high=np.zeros((3, 3)))
+            (single_low,), (single_high,) = compute_maps_batch(stack[i][None], cfg)
+            assert np.array_equal(low[i], single_low) and np.array_equal(high[i], single_high)
 
 
 def fft_window_reference(img, kind, n):
@@ -313,8 +309,8 @@ class TestFftFilter:
 
     def test_energy_monotone_in_window(self):
         img = np.random.default_rng(15).random((64, 64))
-        e15 = spectral_energy(fft_filter(img, "low_pass", 15))
-        e7 = spectral_energy(fft_filter(img, "low_pass", 7))
+        e15 = (fft_filter(img, "low_pass", 15) ** 2).sum()
+        e7 = (fft_filter(img, "low_pass", 7) ** 2).sum()
         assert e15 > e7
 
     def test_window_too_large_rejected(self):
@@ -324,20 +320,6 @@ class TestFftFilter:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             fft_filter(np.zeros((16, 16)), "band_pass", 4)
-
-
-class TestSpectralEnergy:
-    def test_zero_image(self):
-        assert spectral_energy(np.zeros((16, 16))) == 0.0
-
-    def test_unit_impulse(self):
-        img = np.zeros((16, 16))
-        img[3, 5] = 1.0
-        assert spectral_energy(img) == pytest.approx(1.0, abs=1e-6)
-
-    def test_parseval(self):
-        img = np.random.default_rng(16).random((32, 32))
-        assert spectral_energy(img) == pytest.approx(float((img**2).sum()), abs=1e-6)
 
 
 class TestHelpers:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from freqbal.intervention import TrainConfig, train
-from freqbal.preference import frm, sample_preference
-from freqbal.spectral import FrequencyMaps, SpectralConfig, compute_maps_batch, idct2
+from freqbal.preference import sample_preference, score_bands
+from freqbal.spectral import SpectralConfig, band_projections, compute_maps_batch
 from freqbal.synthdata import (
     ModalitySpec,
     generate,
@@ -80,7 +80,7 @@ class TestGenerate:
         assert np.allclose(np.abs(high), spec.high_energy / cells, rtol=1e-9, atol=0.0)
         expected = cells * spec.low_energy / spec.high_energy
         for lo, hi in zip(low, high):
-            score = frm(FrequencyMaps(low=lo, high=hi), cfg.sigma)
+            score = score_bands(lo, hi, "frm", cfg.sigma, 0.9)
             assert abs(score - expected) / expected < 1e-6
 
     def test_random_stream_matches_gaussian_reference(self):
@@ -120,6 +120,7 @@ class TestGenerate:
         ds = generate(specs, n_train=n_train, n_test=n_test, n_classes=n_classes, seed=seed)
         n, p, q = n_train + n_test, 8, 2
         gh = gw = 32 // p  # default dims (32, 32)
+        b, _ = band_projections(p, p, p)
         rng = np.random.default_rng(seed)
         labels = rng.permutation(np.arange(n) % n_classes)
 
@@ -141,7 +142,7 @@ class TestGenerate:
             coeffs = np.zeros((n, gh, gw, p, p))
             coeffs[..., :q, :q] = low
             coeffs[..., p - q :, p - q :] = high
-            expected = idct2(coeffs).swapaxes(2, 3).reshape(n, 32, 32)
+            expected = (b.T @ coeffs @ b).swapaxes(2, 3).reshape(n, 32, 32)
             img = ds.images[i]
             assert np.abs(img - expected).max() <= 1e-12 * np.abs(expected).max()
             got_low, got_high = compute_maps_batch(img, SpectralConfig(p=p, q=q))
