@@ -25,7 +25,7 @@ from .errors import ConfigError, NumericError
 from .intervention import train
 from .preference import METRIC_KINDS
 from .seeds import stream_seed
-from .spectral import NonFinitePlane, fft_filter
+from .spectral import NonFinitePlane, check_finite, check_window, fft_filter
 from .synthdata import SynthDataset, dataset_digest, generate, load_dataset
 from .tinynet import evaluate
 
@@ -167,10 +167,18 @@ def generate_dataset(cfg: RunConfig) -> SynthDataset:
     )
 
 
+def require_test_split(cfg: RunConfig, dataset: SynthDataset) -> None:
+    """Raise ConfigError for a dataset with no test samples, before any training."""
+    if dataset.n_test == 0:
+        where = f"dataset at {cfg.data.data_dir}" if cfg.data.data_dir else "config"
+        raise ConfigError(f"empty evaluation set: {where} has n_test = 0")
+
+
 def train_and_eval(cfg: RunConfig, dataset: SynthDataset = None):
     """One full cell: train on the config, evaluate the mask matrix on test."""
     if dataset is None:
         dataset = get_dataset(cfg)
+    require_test_split(cfg, dataset)
     net_cfg, params, trace = train(cfg.train, dataset)
     test_inputs, test_labels = dataset.test_split()
     records = run_matrix(
@@ -261,38 +269,57 @@ def filter_dataset(ds: SynthDataset, kind: str, n: int) -> SynthDataset:
         try:
             images.append(fft_filter(stack, kind, n))
         except NonFinitePlane as exc:
-            raise NumericError(f"non-finite input of modality {i} at sample {exc.index}") from None
+            raise _non_finite(i, exc) from None
     return replace(ds, images=images)
+
+
+def _non_finite(modality: int, exc: NonFinitePlane) -> NumericError:
+    return NumericError(f"non-finite input of modality {modality} at sample {exc.index}")
 
 
 def filter_study(cfg: RunConfig, windows, kinds, out_dir):
     """Train on filtered variants of one dataset; emit loss/accuracy curves.
 
-    The base dataset is generated (or loaded) once; each cell filters every
-    plane with one (kind, window) pair. The raw dataset is always included
-    as the control. curves.csv holds per-epoch mean training loss and test
-    accuracy; summary.csv the final values per cell.
+    The base dataset is generated (or loaded) once. The raw dataset is the
+    first variant, the control; then each kind at each window, in that
+    order. Everything that could fail a variant's build is checked before
+    the first variant trains: an unknown kind, a window that does not fit
+    the planes, a non-finite pixel in the base, an empty test split.
+
+    Each variant is built only when its turn to train comes, and dropped
+    once it has trained unless a later variant needs it. A window's low
+    pass is filtered once; its high pass is the base minus that low pass,
+    which is bitwise fft_filter's high pass, formed in the low pass's own
+    arrays once no later variant needs the low pass. So a run holds the
+    base plus the low passes still waiting for their high passes, not
+    every variant at once.
+
+    curves.csv holds per-epoch mean training loss and test accuracy;
+    summary.csv the final values per variant.
     """
     out = Path(out_dir)
     base = get_dataset(cfg)
-    variants = [("raw", 0, base)]
     for kind in kinds:
         if kind not in ("low_pass", "high_pass"):
             raise ConfigError(f"unknown filter kind {kind!r}")
+    if kinds and windows:
         for n in windows:
-            variants.append((kind, n, filter_dataset(base, kind, n)))
+            check_window(n, *base.dims)
+        for i, stack in enumerate(base.images):
+            try:
+                check_finite(stack)
+            except NonFinitePlane as exc:
+                raise _non_finite(i, exc) from None
+    require_test_split(cfg, base)
 
+    variants = [("raw", 0)] + [(kind, n) for kind in kinds for n in windows]
     curve_rows, summary_rows = [], []
     per_epoch = math.ceil(base.n_train / cfg.train.batch_size)
-    for kind, n, ds in variants:
-        accs = []
-
-        def on_epoch_end(epoch, net_cfg, params, _accs=accs, _ds=ds):
-            test_inputs, test_labels = _ds.test_split()
-            _accs.append(evaluate(net_cfg, params, test_inputs, test_labels))
-
-        _, _, trace = train(cfg.train, ds, on_epoch_end=on_epoch_end)
-        losses = trace.column("total_loss")
+    held = {}
+    for j, (kind, n) in enumerate(variants):
+        ds = _build_variant(base, kind, n, variants[j + 1 :], held)
+        losses, accs = _train_curves(cfg, ds)
+        del ds  # so the next build does not run beside this variant
         for epoch in range(cfg.train.epochs):
             epoch_loss = float(losses[epoch * per_epoch : (epoch + 1) * per_epoch].mean())
             curve_rows.append([kind, n, cfg.seed, epoch, epoch_loss, accs[epoch]])
@@ -309,3 +336,43 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
         summary_rows,
     )
     return summary_rows
+
+
+def _build_variant(base, kind, n, later, held):
+    """The (kind, n) variant of base, taken from `held` or built.
+
+    `later` lists the (kind, window) variants still to train. `held` maps
+    a (kind, window) key to a built variant that one of them still needs;
+    it is updated here, so it never holds a variant no later one needs.
+    """
+    if kind == "raw":
+        return base
+    key, low_key, high_key = (kind, n), ("low_pass", n), ("high_pass", n)
+    ds = held.pop(key, None)
+    if ds is None:
+        low = held.pop(low_key, None) or filter_dataset(base, "low_pass", n)
+        if kind == "low_pass":
+            ds = low
+        else:
+            # Into the low pass's own arrays, unless a later variant needs them.
+            keep = low_key in later
+            ds = replace(low, images=[
+                np.subtract(b, l, out=None if keep else l) for b, l in zip(base.images, low.images)
+            ])
+            if keep:
+                held[low_key] = low
+    if key in later or (key == low_key and high_key in later and high_key not in held):
+        held[key] = ds
+    return ds
+
+
+def _train_curves(cfg: RunConfig, ds: SynthDataset):
+    """Train on ds; return the per-step total losses and the per-epoch test accuracies."""
+    test_inputs, test_labels = ds.test_split()
+    accs = []
+
+    def on_epoch_end(epoch, net_cfg, params):
+        accs.append(evaluate(net_cfg, params, test_inputs, test_labels))
+
+    _, _, trace = train(cfg.train, ds, on_epoch_end=on_epoch_end)
+    return trace.column("total_loss"), accs

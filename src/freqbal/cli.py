@@ -140,6 +140,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"mask {args.mask!r} must be {dataset.n_modalities} characters of 0/1 with at least one 1"
         )
+    bench.require_test_split(cfg, dataset)
     if args.checkpoint:
         net_cfg, params = load_checkpoint(args.checkpoint)
     else:

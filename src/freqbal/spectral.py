@@ -36,6 +36,8 @@ __all__ = [
     "band_projections",
     "compute_maps_batch",
     "fft_filter",
+    "check_finite",
+    "check_window",
     "center_crop",
 ]
 
@@ -169,6 +171,21 @@ class NonFinitePlane(ValueError):
         self.index = index
 
 
+def check_finite(imgs) -> None:
+    """Raise NonFinitePlane for the first plane of a plane or stack with a NaN or inf pixel."""
+    finite = np.isfinite(imgs)
+    if not finite.all():
+        # argmin finds the first False pixel; dividing by the plane size
+        # gives its plane.
+        raise NonFinitePlane(int(np.argmin(finite.reshape(-1))) // (imgs.shape[-2] * imgs.shape[-1]))
+
+
+def check_window(n: int, h: int, w: int) -> None:
+    """Raise ValueError unless an n x n window fits an h x w plane."""
+    if n < 1 or n > min(h, w):
+        raise ValueError(f"window side {n} out of range for {h}x{w} plane")
+
+
 def fft_filter(img, kind: str, n: int) -> np.ndarray:
     """Keep (low_pass) or discard (high_pass) the centered n x n spectrum window.
 
@@ -181,11 +198,14 @@ def fft_filter(img, kind: str, n: int) -> np.ndarray:
 
     The window is separable, so for a real plane X the low pass is
     Re(A_h X A_w^T) = C_h X C_w^T - S_h X S_w^T with (C, S) from
-    `_window_operator`, and the high pass is X minus it. A stack is filtered
-    in fixed blocks of planes, each widened to float64 and written into the
-    preallocated result, so memory beyond the result stays at one block's
-    temporaries; each plane's result is bitwise the same as filtering it
-    alone, and the same for a float32 stack as for its float64 copy.
+    `_window_operator`, and the high pass is X minus it: bitwise
+    `img - fft_filter(img, "low_pass", n)`, so a caller that holds the low
+    pass can form the high pass without filtering again. A stack is
+    filtered in fixed blocks of planes, each widened to float64 and written
+    into the preallocated result, so memory beyond the result stays at one
+    block's temporaries; each plane's result is bitwise the same as
+    filtering it alone, and the same for a float32 stack as for its float64
+    copy.
 
     A NaN or inf pixel raises NonFinitePlane with the index of the first
     plane that holds one (0 for a single plane).
@@ -193,16 +213,11 @@ def fft_filter(img, kind: str, n: int) -> np.ndarray:
     imgs = np.asarray(img)
     if imgs.ndim not in (2, 3):
         raise ValueError(f"expected an (H, W) plane or (N, H, W) stack, got shape {imgs.shape}")
-    finite = np.isfinite(imgs)
-    if not finite.all():
-        # argmin finds the first False pixel; dividing by the plane size
-        # gives its plane.
-        raise NonFinitePlane(int(np.argmin(finite.reshape(-1))) // (imgs.shape[-2] * imgs.shape[-1]))
+    check_finite(imgs)
     if kind not in ("low_pass", "high_pass"):
         raise ValueError(f"unknown filter kind {kind!r}")
     h, w = imgs.shape[-2:]
-    if n < 1 or n > min(h, w):
-        raise ValueError(f"window side {n} out of range for {h}x{w} plane")
+    check_window(n, h, w)
     stack = imgs if imgs.ndim == 3 else imgs[None]
     c_h, s_h = _window_operator(h, n)
     c_w, s_w = _window_operator(w, n)

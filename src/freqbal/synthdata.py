@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorio
-from .spectral import band_projections
+from .spectral import _BLOCK, band_projections
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,11 @@ def generate(
     dims must be divisible by the generation patch side p, and the two
     q x q corners of a patch must not overlap. Labels are exactly
     class-balanced and shared across modalities.
+
+    Each modality's pixels, low_h.T @ low @ low_w + high_h.T @ high @ high_w
+    for its band maps, are computed in blocks of planes straight into one
+    preallocated float64 stack, so the only whole-stack array made per
+    modality is the result; each plane is bitwise the one-shot formula's.
     """
     specs = tuple(specs)
     if not specs:
@@ -147,7 +152,12 @@ def generate(
             high = _rescale_band(signal, spec.high_energy)
         low = low.swapaxes(2, 3).reshape(n, gh * q, gw * q)
         high = high.swapaxes(2, 3).reshape(n, gh * q, gw * q)
-        images.append(low_h.T @ low @ low_w + high_h.T @ high @ high_w)
+        stack = np.empty((n, h, w))
+        for start in range(0, n, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            np.matmul(low_h.T @ low[block], low_w, out=stack[block])
+            stack[block] += high_h.T @ high[block] @ high_w
+        images.append(stack)
 
     return SynthDataset(
         images=images,

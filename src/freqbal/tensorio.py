@@ -21,19 +21,32 @@ import numpy as np
 
 _RAW_HEADER = struct.Struct("<II")
 _RAW_DTYPE = np.dtype("<f4")
+# Values per block of write_raw: 1 MB of float32.
+_WRITE_BLOCK = 1 << 18
 
 
 def write_raw(path, matrix) -> None:
-    """Write a 2-D float array in the raw float32 format."""
-    matrix = np.asarray(matrix, dtype=np.float32)
+    """Write a 2-D float array in the raw float32 format.
+
+    The values are converted to little-endian float32 a block of rows at a
+    time and each block is written straight to the file, so no float32 copy
+    of the whole matrix is made; the bytes are those of converting it
+    whole. A non-numeric or non-2-D input fails before the file is created.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.dtype.kind not in "biuf":
+        # Strings and objects are converted, or rejected, as a whole.
+        matrix = matrix.astype(_RAW_DTYPE)
     if matrix.ndim == 1:
         matrix = matrix[None, :]
     if matrix.ndim != 2:
         raise ValueError(f"raw format stores 2-D matrices, got shape {matrix.shape}")
     rows, cols = matrix.shape
+    step = max(1, _WRITE_BLOCK // max(1, cols))
     with open(path, "wb") as fh:
         fh.write(_RAW_HEADER.pack(rows, cols))
-        fh.write(np.ascontiguousarray(matrix, dtype=_RAW_DTYPE).tobytes())
+        for start in range(0, rows, step):
+            fh.write(np.ascontiguousarray(matrix[start : start + step], dtype=_RAW_DTYPE))
 
 
 def read_raw(path, out=None) -> np.ndarray:

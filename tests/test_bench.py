@@ -268,3 +268,74 @@ class TestFilterStudy:
         curves = (tmp_path / "fs" / "curves.csv").read_text().splitlines()
         assert curves[0] == "kind,window,seed,epoch,train_loss,eval_acc"
         assert len(curves) == 1 + 3 * 2  # three variants x two epochs
+
+    STUDY = "seed = 0\nepochs = 2\nbatch_size = 32\nn_train = 64\nn_test = 32\nhidden = 16,8\n"
+
+    @pytest.mark.parametrize(
+        "kinds, windows, loaded",
+        [
+            (["low_pass", "high_pass"], [8, 16], False),
+            (["high_pass", "low_pass"], [8, 16], False),
+            (["low_pass", "high_pass"], [16, 16], False),
+            (["high_pass", "low_pass"], [16, 16], False),
+            (["low_pass", "high_pass"], [8, 16], True),
+            (["high_pass", "low_pass"], [8, 16], True),
+        ],
+    )
+    def test_matches_eagerly_filtered_variants(self, kinds, windows, loaded, tmp_path, monkeypatch):
+        cfg = parse_config(self.STUDY)
+        if loaded:
+            save_dataset(tmp_path / "dd", bench.generate_dataset(cfg))
+            cfg = override(cfg, {"data_dir": tmp_path / "dd"})
+        base = bench.get_dataset(cfg)
+        assert base.images[0].dtype == (np.float32 if loaded else np.float64)
+        before = [stack.copy() for stack in base.images]
+        monkeypatch.setattr(bench, "get_dataset", lambda cfg: base)
+        # The reference: every variant filtered on its own, all before any training.
+        eager = {(kind, n): filter_dataset(base, kind, n) for kind in kinds for n in windows}
+        eager["raw", 0] = base
+        with monkeypatch.context() as patch:
+            patch.setattr(bench, "_build_variant", lambda base, kind, n, later, held: eager[kind, n])
+            filter_study(cfg, windows, kinds, tmp_path / "eager")
+        filter_study(cfg, windows, kinds, tmp_path / "lazy")
+        for name in ("curves.csv", "summary.csv"):
+            assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "eager" / name).read_bytes()
+        for stack, copy in zip(base.images, before):
+            assert stack.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize("kinds", [["low_pass", "high_pass"], ["high_pass", "low_pass"]])
+    def test_filters_each_window_once(self, kinds, tmp_path, monkeypatch):
+        calls = []
+        original = bench.fft_filter
+        monkeypatch.setattr(
+            bench, "fft_filter", lambda x, kind, n: calls.append((kind, n)) or original(x, kind, n)
+        )
+        cfg = parse_config(self.STUDY.replace("epochs = 2", "epochs = 1"))
+        filter_study(cfg, [8, 16, 16], kinds, tmp_path / "fs")
+        assert sorted(calls) == [("low_pass", 8)] * 3 + [("low_pass", 16)] * 3
+
+    @pytest.mark.parametrize(
+        "kinds, windows, held",
+        [
+            (["low_pass", "high_pass"], [8, 16], [[], ["low8"], ["low16", "low8"], ["low16"], []]),
+            (["high_pass", "low_pass"], [8, 16], [[], ["low8"], ["low16", "low8"], ["low16"], []]),
+            (["low_pass", "high_pass"], [16, 16], [[], ["low16"], ["low16"], ["high16"], []]),
+        ],
+    )
+    def test_holds_only_what_a_later_variant_needs(self, kinds, windows, held, tmp_path, monkeypatch):
+        built, kept = [], []
+        original = bench._build_variant
+
+        def spy(base, kind, n, later, held):
+            built.append(original(base, kind, n, later, held))
+            kept.append(sorted(f"{k[: k.index('_')]}{w}" for k, w in held))
+            return built[-1]
+
+        monkeypatch.setattr(bench, "_build_variant", spy)
+        cfg = parse_config(self.STUDY.replace("epochs = 2", "epochs = 1"))
+        filter_study(cfg, windows, kinds, tmp_path / "fs")
+        assert kept == held
+        if kinds[0] == "low_pass" and windows == [8, 16]:
+            # Each high pass is formed in its low pass's arrays.
+            for low, high in ((built[1], built[3]), (built[2], built[4])):
+                assert all(a is b for a, b in zip(low.images, high.images))

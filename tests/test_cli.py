@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freqbal import cli, tensorio
+from freqbal import bench, cli, tensorio
 from freqbal.cli import main
 from freqbal.preference import METRIC_KINDS
 from freqbal.seeds import stream_rng
@@ -137,6 +137,70 @@ class TestExitCodes:
         assert main(argv) == 3
         assert capsys.readouterr().err == "numeric failure: non-finite input of modality 2 at sample 70\n"
         assert not (out / "summary.csv").exists() and not (out / "mod0.f32").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "extra, pixel, code, message",
+        [
+            (["--kinds", "low_pass,band_pass"], None, 2, "config error: unknown filter kind 'band_pass'\n"),
+            (["--windows", "16,33"], None, 2, "config error: window side 33 out of range for 32x32 plane\n"),
+            (["--windows", "0"], None, 2, "config error: window side 0 out of range for 32x32 plane\n"),
+            (["--windows", "16"], (0, 5), 3, "numeric failure: non-finite input of modality 0 at sample 5\n"),
+            (["--windows", "16"], (2, 90), 3, "numeric failure: non-finite input of modality 2 at sample 90\n"),
+        ],
+        ids=["kind", "window_too_wide", "window_zero", "train_pixel", "test_pixel"],
+    )
+    def test_filter_study_fails_before_training(
+        self, extra, pixel, code, message, cfg_file, tmp_path, monkeypatch, capsys
+    ):
+        data, out = tmp_path / "ds", tmp_path / "out"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        if pixel is not None:
+            modality, sample = pixel
+            stack = tensorio.read_raw(data / f"mod{modality}.f32")
+            stack[sample, 40] = np.nan
+            tensorio.write_raw(data / f"mod{modality}.f32", stack)
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text(TINY + f"data_dir = {data}\n")
+        calls = []
+        original = bench.train
+        monkeypatch.setattr(bench, "train", lambda *a, **k: calls.append(1) or original(*a, **k))
+        capsys.readouterr()
+        assert main(["filter-study", "--config", str(cfg), "--out", str(out), *extra]) == code
+        assert capsys.readouterr().err == message
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["filter-study", "--windows", "16"], ["sweep-params", "--tuples", "1.5,1,6,0.7"], ["eval"]],
+        ids=["filter-study", "sweep-params", "eval"],
+    )
+    def test_empty_test_split_fails_before_training(self, argv, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "no_test.cfg"
+        cfg.write_text(TINY.replace("n_test = 32", "n_test = 0"))
+        calls = []
+        for module, name in ((bench, "train"), (cli, "train_loop")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
+        out = tmp_path / "out"
+        assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 2
+        assert capsys.readouterr().err == "config error: empty evaluation set: config has n_test = 0\n"
+        assert calls == []
+        assert not (out / "summary.csv").exists() and not (out / "matrix.csv").exists()
+
+    def test_empty_test_split_of_a_data_dir_names_it(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "no_test.cfg"
+        cfg.write_text(TINY.replace("n_test = 32", "n_test = 0"))
+        data = tmp_path / "ds"
+        main(["gen", "--config", str(cfg), "--out", str(data)])
+        calls = []
+        monkeypatch.setattr(cli, "train_loop", lambda *a, **k: calls.append(1))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: empty evaluation set: dataset at {data} has n_test = 0\n"
+        assert calls == []
 
     def test_unexpected_exception_is_one_line(self, monkeypatch, cfg_file, tmp_path, capsys):
         def broken(args):

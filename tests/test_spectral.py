@@ -276,6 +276,14 @@ class TestFftFilter:
             plane = fft_filter(stack[300], kind, 7)
             assert plane.dtype == np.float64 and np.array_equal(plane, out[300])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_high_pass_is_input_minus_low_pass_bitwise(self, dtype, n):
+        # filter_study forms its high-pass variants from the low pass this way.
+        stack = np.random.default_rng(21).normal(size=(300, 32, 32)).astype(dtype)
+        high = fft_filter(stack, "high_pass", n)
+        assert high.tobytes() == (stack - fft_filter(stack, "low_pass", n)).tobytes()
+
     def test_non_finite_pixel_in_stack_rejected(self):
         for bad in (np.nan, np.inf):
             stack = np.zeros((300, 16, 16))

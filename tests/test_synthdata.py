@@ -149,6 +149,31 @@ class TestGenerate:
             assert np.abs(got_low - as_map(low)).max() <= 1e-12 * np.abs(low).max()
             assert np.abs(got_high - as_map(high)).max() <= 1e-12 * np.abs(high).max()
 
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_blockwise_synthesis_matches_one_shot_formula(self, n):
+        # The reference builds each modality's whole stack in one expression
+        # from the same draws; the generator works in blocks of planes.
+        specs, n_classes, seed, p, q = imbalanced_specs(), 4, 40 + n, 8, 2
+        ds = generate(specs, n_train=n, n_test=0, n_classes=n_classes, seed=seed)
+        gh = gw = 32 // p  # default dims (32, 32)
+        low_p, high_p = band_projections(32, p, q)
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.arange(n) % n_classes)
+
+        def as_map(blocks, target):
+            blocks = blocks * (target / np.abs(blocks).sum(axis=(1, 2, 3, 4), keepdims=True))
+            return blocks.swapaxes(2, 3).reshape(n, gh * q, gw * q)
+
+        for i, spec in enumerate(specs):
+            templates = rng.normal(size=(n_classes, gh, gw, q, q))
+            signal = spec.snr * templates[labels] + rng.normal(size=(n, gh, gw, q, q))
+            noise = np.copysign(1.0, rng.normal(size=(n, gh, gw, q, q)))
+            low, high = (signal, noise) if spec.signal_band == "low" else (noise, signal)
+            low, high = as_map(low, spec.low_energy), as_map(high, spec.high_energy)
+            expected = low_p.T @ low @ low_p + high_p.T @ high @ high_p
+            assert ds.images[i].dtype == np.float64
+            assert ds.images[i].tobytes() == expected.tobytes()
+
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
             generate(imbalanced_specs(), n_train=4, n_test=0, dims=(30, 32), seed=0)

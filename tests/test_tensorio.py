@@ -27,6 +27,33 @@ class TestRaw:
         tensorio.write_raw(path, np.arange(5.0))
         assert tensorio.read_raw(path).shape == (1, 5)
 
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            np.random.default_rng(3).normal(size=(50, 3)) * 1e3,  # several rows per block
+            np.random.default_rng(4).normal(size=(4, 25)),  # wider than a block
+            np.arange(-20, 20).reshape(8, 5),
+            np.arange(7.0),
+        ],
+        ids=["rows", "wide", "int", "vector"],
+    )
+    def test_blocks_write_the_bytes_of_a_whole_conversion(self, mat, tmp_path, monkeypatch):
+        monkeypatch.setattr(tensorio, "_WRITE_BLOCK", 10)
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, mat)
+        rows, cols = (1, mat.size) if mat.ndim == 1 else mat.shape
+        expected = rows.to_bytes(4, "little") + cols.to_bytes(4, "little")
+        assert path.read_bytes() == expected + np.asarray(mat, dtype="<f4").tobytes()
+
+    @pytest.mark.parametrize(
+        "bad", [[["a", "b"]], np.zeros((2, 2, 2)), np.float64(1.0)], ids=["strings", "3d", "scalar"]
+    )
+    def test_bad_input_fails_before_the_file_exists(self, bad, tmp_path):
+        path = tmp_path / "m.f32"
+        with pytest.raises(ValueError):
+            tensorio.write_raw(path, bad)
+        assert not path.exists()
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "bad.f32"
         tensorio.write_raw(path, np.zeros((2, 2)))
