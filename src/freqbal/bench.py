@@ -284,7 +284,8 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
     first variant, the control; then each kind at each window, in that
     order. Everything that could fail a variant's build is checked before
     the first variant trains: an unknown kind, a window that does not fit
-    the planes, a non-finite pixel in the base, an empty test split.
+    the planes, a non-finite pixel in the base (checked even when the
+    control is the only variant), an empty test split.
 
     Each variant is built only when its turn to train comes, and dropped
     once it has trained unless a later variant needs it. A window's low
@@ -302,14 +303,16 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
     for kind in kinds:
         if kind not in ("low_pass", "high_pass"):
             raise ConfigError(f"unknown filter kind {kind!r}")
-    if kinds and windows:
+    if kinds:
         for n in windows:
             check_window(n, *base.dims)
-        for i, stack in enumerate(base.images):
-            try:
-                check_finite(stack)
-            except NonFinitePlane as exc:
-                raise _non_finite(i, exc) from None
+    # With or without filtered variants: the raw control trains and is
+    # evaluated on these pixels too.
+    for i, stack in enumerate(base.images):
+        try:
+            check_finite(stack)
+        except NonFinitePlane as exc:
+            raise _non_finite(i, exc) from None
     require_test_split(cfg, base)
 
     variants = [("raw", 0)] + [(kind, n) for kind in kinds for n in windows]

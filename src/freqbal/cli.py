@@ -20,7 +20,7 @@ from .intervention import train as train_loop
 from .preference import METRIC_KINDS, sample_preference
 from .seeds import stream_rng
 from .spectral import SpectralConfig, center_crop, fft_filter
-from .synthdata import load_dataset, save_dataset
+from .synthdata import load_dataset, modality_blocks, save_dataset
 from .tinynet import load_checkpoint, save_checkpoint
 
 # A.9-style sensitivity grid (alpha, beta, lambda, gamma); includes the default tuple.
@@ -47,23 +47,32 @@ def _write_plane(path, img) -> None:
 
 
 def cmd_analyze(args) -> int:
+    """Print, and with --out write, the mean score of each plane or modality.
+
+    With --data each modality is scored a block of planes at a time,
+    straight from its file, and its score is the mean of the per-sample
+    scores of all its blocks. Every score is per plane, so that is bitwise
+    the mean over the whole stack, and the dataset is never held whole.
+    Every file is checked before the first block is scored, so a malformed
+    file exits 2 even when a pixel of an earlier modality is not finite.
+    """
     cfg = load_config(args.config) if args.config else None
     spectral = cfg.train.spectral if cfg else SpectralConfig()
     metric = args.metric
     rows = []
     if args.data:
-        ds = load_dataset(args.data)
-        for i, stack in enumerate(ds.images):
-            # The score is checked instead of the stack, which would cost a
+        for path, blocks in modality_blocks(args.data):
+            # The score is checked instead of the pixels, which would cost a
             # full pass; numpy's warnings on bad pixels would only repeat it.
             with np.errstate(invalid="ignore", over="ignore"):
-                score = float(sample_preference(stack, spectral, metric, args.omega_band).mean())
+                scores = [sample_preference(b, spectral, metric, args.omega_band) for b in blocks]
+                score = float(np.concatenate(scores).mean())
             if not np.isfinite(score):
                 raise NumericError(
-                    f"{Path(args.data) / f'mod{i}.f32'}: non-finite {metric} score; "
+                    f"{path}: non-finite {metric} score; "
                     "the stack holds non-finite or overflowing pixels"
                 )
-            rows.append([f"mod{i}", metric, score])
+            rows.append([path.stem, metric, score])
     for path in args.images:
         img = _read_plane(path)
         if args.center_crop:

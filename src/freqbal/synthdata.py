@@ -236,12 +236,21 @@ def save_dataset(out_dir, ds: SynthDataset) -> None:
     )
 
 
+# Bytes per read of dataset_digest.
+_DIGEST_CHUNK = 1 << 20
+
+
 def dataset_digest(in_dir) -> str:
-    """sha256 over the bytes of the manifest, the labels and every modality file."""
+    """sha256 over the bytes of the manifest, the labels and every modality file.
+
+    Files are hashed a fixed-size chunk at a time, so no whole file is held.
+    """
     src = Path(in_dir)
     digest = hashlib.sha256()
     for path in [src / "dataset.json", src / "labels.f32", *sorted(src.glob("mod*.f32"))]:
-        digest.update(path.read_bytes())
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_DIGEST_CHUNK):
+                digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -251,15 +260,27 @@ def _require(meta, keys, where) -> None:
             raise ValueError(f"{where}: missing key {key!r}")
 
 
-def load_dataset(in_dir) -> SynthDataset:
-    """Inverse of save_dataset, keeping the stacks in their on-disk float32.
+@dataclass(frozen=True)
+class _SavedDataset:
+    """What a saved dataset's manifest and labels say, and where its pixels are."""
 
-    All modalities are read into one contiguous (m, n, h*w) float32 block,
-    and `images` holds (n, h, w) views of it. Labels must be n integral
-    values in [0, n_classes); a bad one is reported with the first bad
-    sample.
+    paths: tuple  # one raw (n, h*w) matrix per modality
+    dims: tuple  # (h, w)
+    labels: np.ndarray
+    n_train: int
+    n_classes: int
+    specs: tuple
+    seed: int
+
+
+def _check_saved(src: Path) -> _SavedDataset:
+    """Check a saved dataset without reading a pixel, in a fixed order.
+
+    First the manifest (its keys, its specs and the sample count), then each
+    modality file's header, size and (n, h*w) shape, then the labels: n
+    integral values in [0, n_classes), a bad one reported with the first bad
+    sample. So a malformed file is always reported before any pixel is used.
     """
-    src = Path(in_dir)
     manifest = src / "dataset.json"
     meta = tensorio.read_manifest(manifest)
     _require(meta, _MANIFEST_KEYS, manifest)
@@ -267,21 +288,67 @@ def load_dataset(in_dir) -> SynthDataset:
         _require(s, _SPEC_KEYS, f"{manifest} specs[{i}]")
     h, w = int(meta["height"]), int(meta["width"])
     n = int(meta["n_train"]) + int(meta["n_test"])
+    if n < 1:
+        raise ValueError(f"{manifest}: n_train + n_test is {n}; a dataset needs at least one sample")
     n_classes = int(meta["n_classes"])
     specs = tuple(ModalitySpec(**{key: s[key] for key in _SPEC_KEYS}) for s in meta["specs"])
-    block = np.empty((len(specs), n, h * w), dtype=np.float32)
-    for i, stack in enumerate(block):
-        tensorio.read_raw(src / f"mod{i}.f32", out=stack)
+    paths = tuple(src / f"mod{i}.f32" for i in range(len(specs)))
+    for path in paths:
+        tensorio.check_raw(path, (n, h * w))
     labels_path = src / "labels.f32"
     labels = _check_labels(tensorio.read_raw(labels_path).reshape(-1), n, n_classes, labels_path)
-    return SynthDataset(
-        images=[stack.reshape(n, h, w) for stack in block],
+    return _SavedDataset(
+        paths=paths,
+        dims=(h, w),
         labels=labels,
         n_train=int(meta["n_train"]),
         n_classes=n_classes,
         specs=specs,
         seed=int(meta["seed"]),
     )
+
+
+def load_dataset(in_dir) -> SynthDataset:
+    """Inverse of save_dataset, keeping the stacks in their on-disk float32.
+
+    The files are checked as modality_blocks checks them, so both reject
+    the same datasets with the same errors. All modalities are then read
+    into one contiguous (m, n, h*w) float32 block, and `images` holds
+    (n, h, w) views of it.
+    """
+    saved = _check_saved(Path(in_dir))
+    n, (h, w) = len(saved.labels), saved.dims
+    block = np.empty((len(saved.paths), n, h * w), dtype=np.float32)
+    for path, stack in zip(saved.paths, block):
+        tensorio.read_raw(path, out=stack)
+    return SynthDataset(
+        images=[stack.reshape(n, h, w) for stack in block],
+        labels=saved.labels,
+        n_train=saved.n_train,
+        n_classes=saved.n_classes,
+        specs=saved.specs,
+        seed=saved.seed,
+    )
+
+
+def modality_blocks(in_dir):
+    """Stream a saved dataset's pixels a modality and a block of planes at a time.
+
+    Every file is checked, as load_dataset checks it, before this returns,
+    so a malformed file fails before any pixel is read. Returns, per
+    modality in order, the path of its file and an iterator over its
+    consecutive (rows, h, w) float32 blocks of _BLOCK planes, the last one
+    possibly fewer. A modality's blocks share one buffer, so each block is
+    valid only until the next is read; the dataset is never held whole.
+    """
+    saved = _check_saved(Path(in_dir))
+    n, (h, w) = len(saved.labels), saved.dims
+
+    def blocks(path):
+        for block in tensorio.read_raw_blocks(path, (n, h * w), _BLOCK):
+            yield block.reshape(-1, h, w)
+
+    return [(path, blocks(path)) for path in saved.paths]
 
 
 def _check_labels(values, n: int, n_classes: int, path) -> np.ndarray:

@@ -9,7 +9,10 @@ Raw matrices are read back as float32, the exact values in the file, and
 are never widened here: every float32 widens exactly to float64, so a
 caller that widens a block at a time right before its arithmetic gets the
 same results as from a float64 copy of the whole file, without holding
-one.
+one. A matrix is read whole (read_raw), or in consecutive blocks of rows
+that all land in one reused buffer (read_raw_blocks), so a caller that
+consumes one block at a time never holds the file. Both check the header
+and the file size before they read a value.
 """
 
 import json
@@ -59,23 +62,67 @@ def read_raw(path, out=None) -> np.ndarray:
     that lets a caller fill one slice of a larger block per file.
     """
     with open(path, "rb") as fh:
-        header = fh.read(_RAW_HEADER.size)
-        if len(header) < _RAW_HEADER.size:
-            raise ValueError(f"{path}: truncated raw header")
-        rows, cols = _RAW_HEADER.unpack(header)
-        expected = _RAW_HEADER.size + 4 * rows * cols
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise ValueError(f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}")
+        rows, cols = _read_header(fh, path)
         if out is None:
             out = np.empty((rows, cols), dtype=_RAW_DTYPE)
         elif out.shape != (rows, cols) or out.dtype != _RAW_DTYPE or not out.flags.c_contiguous:
-            raise ValueError(
-                f"{path}: holds a {rows}x{cols} matrix, destination is {out.dtype} {out.shape}"
-            )
-        if fh.readinto(out) != 4 * rows * cols:
-            raise ValueError(f"{path}: file shrank while it was read")
+            raise _mismatch(path, rows, cols, out.dtype, out.shape)
+        _fill(fh, path, out)
     return out
+
+
+def check_raw(path, shape) -> None:
+    """Raise ValueError unless `path` holds a well-formed raw matrix of `shape`.
+
+    Only the header and the file size are read. The errors, and their
+    messages, are those of read_raw into a float32 array of `shape`.
+    """
+    with open(path, "rb") as fh:
+        _read_header(fh, path, shape)
+
+
+def read_raw_blocks(path, shape, block_rows: int):
+    """Yield a raw float32 matrix of `shape` in consecutive blocks of rows.
+
+    The file is checked as check_raw checks it before any value is read.
+    Each block holds block_rows rows, the last one possibly fewer, and is
+    a view of one float32 buffer that the next block overwrites, so a
+    caller must be done with a block before it asks for the next one.
+    """
+    rows, cols = shape
+    with open(path, "rb") as fh:
+        _read_header(fh, path, shape)
+        buffer = np.empty((min(rows, block_rows), cols), dtype=_RAW_DTYPE)
+        for start in range(0, rows, block_rows):
+            block = buffer[: rows - start]
+            _fill(fh, path, block)
+            yield block
+
+
+def _read_header(fh, path, shape=None) -> tuple[int, int]:
+    # Returns (rows, cols) of an open raw file, positioned at its first
+    # value, once the header is whole, the file size matches it and, given
+    # `shape`, the matrix fits a float32 destination of that shape.
+    header = fh.read(_RAW_HEADER.size)
+    if len(header) < _RAW_HEADER.size:
+        raise ValueError(f"{path}: truncated raw header")
+    rows, cols = _RAW_HEADER.unpack(header)
+    expected = _RAW_HEADER.size + 4 * rows * cols
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise ValueError(f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}")
+    if shape is not None and (rows, cols) != tuple(shape):
+        raise _mismatch(path, rows, cols, _RAW_DTYPE, tuple(shape))
+    return rows, cols
+
+
+def _mismatch(path, rows, cols, dtype, shape) -> ValueError:
+    return ValueError(f"{path}: holds a {rows}x{cols} matrix, destination is {dtype} {shape}")
+
+
+def _fill(fh, path, out) -> None:
+    if fh.readinto(out) != out.nbytes:
+        raise ValueError(f"{path}: file shrank while it was read")
 
 
 def write_pgm(path, img) -> None:
@@ -138,4 +185,11 @@ def write_manifest(path, entries: dict) -> None:
 
 
 def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """Read a JSON object; invalid JSON or another top level is a ValueError naming the file."""
+    try:
+        entries = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(entries, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(entries).__name__}")
+    return entries

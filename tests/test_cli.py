@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from freqbal import bench, cli, tensorio
+from freqbal import bench, cli, synthdata, tensorio
 from freqbal.cli import main
-from freqbal.preference import METRIC_KINDS
+from freqbal.preference import METRIC_KINDS, sample_preference
 from freqbal.seeds import stream_rng
+from freqbal.spectral import SpectralConfig
+from freqbal.synthdata import generate, imbalanced_specs, load_dataset, save_dataset
 
 TINY = "seed = 0\nepochs = 1\nbatch_size = 32\nn_train = 64\nn_test = 32\nhidden = 16,8\n"
 
@@ -18,6 +20,32 @@ def cfg_file(tmp_path):
 
 def read(path):
     return path.read_bytes()
+
+
+def damage(data, fault):
+    """Break the 64 + 32 sample, 32x32 dataset saved in `data` in the named way."""
+    if fault in ("manifest_key", "no_samples"):
+        meta = tensorio.read_manifest(data / "dataset.json")
+        if fault == "manifest_key":
+            del meta["height"]
+        else:
+            meta["n_train"] = meta["n_test"] = 0
+        tensorio.write_manifest(data / "dataset.json", meta)
+    elif fault == "header_shape":
+        tensorio.write_raw(data / "mod1.f32", tensorio.read_raw(data / "mod1.f32").reshape(192, 512))
+    elif fault == "missing_modality":
+        (data / "mod2.f32").unlink()
+    elif fault == "bad_label":
+        labels = tensorio.read_raw(data / "labels.f32")
+        labels[0, 50] = 4.0
+        tensorio.write_raw(data / "labels.f32", labels)
+    else:
+        if fault == "truncated_after_nan":
+            stack = tensorio.read_raw(data / "mod0.f32")
+            stack[3, 7] = np.nan
+            tensorio.write_raw(data / "mod0.f32", stack)
+        path = data / ("mod1.f32" if fault == "truncated_modality" else "mod2.f32")
+        path.write_bytes(path.read_bytes()[:-4])
 
 
 class TestExitCodes:
@@ -147,8 +175,10 @@ class TestExitCodes:
             (["--windows", "0"], None, 2, "config error: window side 0 out of range for 32x32 plane\n"),
             (["--windows", "16"], (0, 5), 3, "numeric failure: non-finite input of modality 0 at sample 5\n"),
             (["--windows", "16"], (2, 90), 3, "numeric failure: non-finite input of modality 2 at sample 90\n"),
+            (["--windows", ""], (1, 80), 3, "numeric failure: non-finite input of modality 1 at sample 80\n"),
+            (["--kinds", ""], (1, 80), 3, "numeric failure: non-finite input of modality 1 at sample 80\n"),
         ],
-        ids=["kind", "window_too_wide", "window_zero", "train_pixel", "test_pixel"],
+        ids=["kind", "window_too_wide", "window_zero", "train_pixel", "test_pixel", "no_window", "no_kind"],
     )
     def test_filter_study_fails_before_training(
         self, extra, pixel, code, message, cfg_file, tmp_path, monkeypatch, capsys
@@ -224,6 +254,31 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(data / "dataset.json") in err and "'n_classes'" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"n_train": 4,\n', "not valid JSON: "), ("7\n", "expected a JSON object, got int\n")],
+        ids=["truncated", "not_an_object"],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "eval"])
+    def test_malformed_manifest_is_config_error_naming_it(
+        self, command, text, message, cfg_file, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        if command == "analyze":
+            main(["gen", "--config", cfg_file, "--out", str(tmp_path / "ds")])
+            manifest = tmp_path / "ds" / "dataset.json"
+            argv = ["analyze", "--data", str(tmp_path / "ds"), "--out", str(out)]
+        else:
+            main(["train", "--config", cfg_file, "--out", str(tmp_path / "run")])
+            manifest = tmp_path / "run" / "checkpoint" / "checkpoint.json"
+            argv = ["eval", "--config", cfg_file, "--checkpoint", str(manifest.parent), "--out", str(out)]
+        manifest.write_text(text)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {manifest}: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_data_dir_with_comment_mark_is_config_error(self, cfg_file, tmp_path, capsys):
         # The dataset exists, but config.txt could not record its path.
         data = tmp_path / "run#2"
@@ -291,6 +346,56 @@ class TestAnalyzeAndFilter:
         assert main(["analyze", "--data", str(tmp_path / "ds"), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 4  # header + three modalities
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 300])
+    def test_analyze_dataset_scores_match_the_whole_stack(self, n, tmp_path):
+        data = tmp_path / "ds"
+        save_dataset(data, generate(imbalanced_specs(), n_train=n, n_test=0, dims=(16, 16), seed=n))
+        stacks = load_dataset(data).images
+        for kind in METRIC_KINDS:
+            rows = [
+                [f"mod{i}", kind, float(sample_preference(stack, SpectralConfig(), kind).mean())]
+                for i, stack in enumerate(stacks)
+            ]
+            bench.write_csv(tmp_path / f"expected_{kind}.csv", ["input", "metric", "score"], rows)
+            out = tmp_path / f"scores_{kind}.csv"
+            assert main(["analyze", "--data", str(data), "--metric", kind, "--out", str(out)]) == 0
+            assert out.read_bytes() == (tmp_path / f"expected_{kind}.csv").read_bytes(), kind
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["manifest_key", "no_samples", "truncated_modality", "header_shape", "missing_modality",
+         "bad_label", "truncated_after_nan"],
+    )
+    def test_analyze_dataset_rejects_what_load_dataset_rejects(self, fault, cfg_file, tmp_path, capsys):
+        data, out = tmp_path / "ds", tmp_path / "scores.csv"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        damage(data, fault)
+        try:
+            load_dataset(data)
+        except ValueError as exc:
+            expected = f"config error: {exc}\n"
+        except OSError as exc:
+            expected = f"error: {exc}\n"
+        else:
+            pytest.fail("load_dataset accepted the faulty dataset")
+        capsys.readouterr()
+        assert main(["analyze", "--data", str(data), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == expected and captured.out == ""
+        assert not out.exists()
+
+    def test_analyze_dataset_never_loads_it_whole(self, cfg_file, tmp_path, monkeypatch):
+        main(["gen", "--config", cfg_file, "--out", str(tmp_path / "ds")])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze --data loaded the whole dataset")
+
+        for module in (cli, synthdata):
+            monkeypatch.setattr(module, "load_dataset", refuse)
+        out = tmp_path / "scores.csv"
+        assert main(["analyze", "--data", str(tmp_path / "ds"), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
 
     def test_filter_single_image_roundtrip(self, tmp_path):
         img = np.random.default_rng(2).random((16, 16))

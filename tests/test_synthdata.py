@@ -1,15 +1,20 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from freqbal import synthdata
 from freqbal.intervention import TrainConfig, train
 from freqbal.preference import sample_preference, score_bands
 from freqbal.spectral import SpectralConfig, band_projections, compute_maps_batch
 from freqbal.synthdata import (
     ModalitySpec,
+    dataset_digest,
     generate,
     imbalanced_specs,
     load_dataset,
     lowband_specs,
+    modality_blocks,
     save_dataset,
 )
 from freqbal.tinynet import evaluate
@@ -213,6 +218,31 @@ class TestPersistence:
         save_dataset(tmp_path / "ds", ds)
         back = load_dataset(tmp_path / "ds")
         assert back.dims == (16, 16)
+
+
+    def test_modality_blocks_stream_the_loaded_stacks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(synthdata, "_BLOCK", 4)
+        ds = generate(imbalanced_specs(), n_train=7, n_test=3, dims=(16, 16), seed=13)
+        save_dataset(tmp_path / "ds", ds)
+        loaded = load_dataset(tmp_path / "ds")
+        modalities = modality_blocks(tmp_path / "ds")
+        assert len(modalities) == 3
+        for i, (path, blocks) in enumerate(modalities):
+            assert path == tmp_path / "ds" / f"mod{i}.f32"
+            copies = [block.copy() for block in blocks]
+            assert [b.shape for b in copies] == [(4, 16, 16), (4, 16, 16), (2, 16, 16)]
+            assert np.concatenate(copies).tobytes() == loaded.images[i].tobytes()
+
+    def test_digest_is_sha256_of_the_files_in_any_chunk_size(self, tmp_path, monkeypatch):
+        ds = generate(imbalanced_specs(), n_train=6, n_test=2, dims=(16, 16), seed=14)
+        src = tmp_path / "ds"
+        save_dataset(src, ds)
+        names = ["dataset.json", "labels.f32", "mod0.f32", "mod1.f32", "mod2.f32"]
+        expected = hashlib.sha256(b"".join((src / name).read_bytes() for name in names)).hexdigest()
+        assert dataset_digest(src) == expected
+        monkeypatch.setattr(synthdata, "_DIGEST_CHUNK", 100)
+        assert (src / "mod0.f32").stat().st_size > 100
+        assert dataset_digest(src) == expected
 
 
 class TestDominance:

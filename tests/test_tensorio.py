@@ -99,6 +99,52 @@ class TestRaw:
             tensorio.read_raw(path, out=out)
         assert not out.any()
 
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, 10])
+    def test_blocks_cover_the_matrix_in_one_buffer(self, block_rows, tmp_path):
+        mat = np.random.default_rng(5).normal(size=(7, 5))
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, mat)
+        blocks, copies = [], []
+        for block in tensorio.read_raw_blocks(path, (7, 5), block_rows):
+            assert block.dtype == np.float32 and block.flags.c_contiguous
+            blocks.append(block)
+            copies.append(block.copy())
+        assert [len(b) for b in copies] == [min(block_rows, 7 - s) for s in range(0, 7, block_rows)]
+        assert all(np.shares_memory(b, blocks[0]) for b in blocks)
+        assert np.concatenate(copies).tobytes() == tensorio.read_raw(path).tobytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda path: tensorio.write_raw(path, np.ones((5, 7))),
+            lambda path: path.write_bytes(path.read_bytes()[:-3]),
+            lambda path: path.write_bytes(path.read_bytes()[:5]),
+        ],
+        ids=["shape", "truncated", "header"],
+    )
+    def test_block_reader_checks_as_read_raw_does(self, edit, tmp_path):
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, np.ones((7, 5)))
+        edit(path)
+        with pytest.raises(ValueError) as whole:
+            tensorio.read_raw(path, out=np.empty((7, 5), np.float32))
+        with pytest.raises(ValueError) as checked:
+            tensorio.check_raw(path, (7, 5))
+        blocks = tensorio.read_raw_blocks(path, (7, 5), 2)
+        with pytest.raises(ValueError) as streamed:
+            next(blocks)
+        assert str(checked.value) == str(streamed.value) == str(whole.value)
+
+    def test_block_reader_reports_a_file_that_shrinks(self, tmp_path):
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, np.ones((4, 4096)))
+        blocks = tensorio.read_raw_blocks(path, (4, 4096), 1)
+        next(blocks)
+        with open(path, "r+b") as fh:
+            fh.truncate(8 + 4 * 4096 + 100)
+        with pytest.raises(ValueError, match="file shrank while it was read"):
+            next(blocks)
+
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             tensorio.write_raw(tmp_path / "x.f32", np.zeros((2, 2, 2)))
@@ -165,3 +211,16 @@ def test_failed_manifest_write_keeps_previous_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         tensorio.write_manifest(path, {"v": 2})
     assert tensorio.read_manifest(path) == {"v": 1}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"n_train": 4,\n', "not valid JSON: "), ("7\n", "expected a JSON object, got int")],
+    ids=["truncated", "not_an_object"],
+)
+def test_malformed_manifest_names_the_file(text, message, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        tensorio.read_manifest(path)
+    assert str(exc.value).startswith(f"{path}: {message}")
