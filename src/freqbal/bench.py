@@ -21,11 +21,11 @@ import numpy as np
 
 from . import tensorio
 from .config import RunConfig, config_hash, dump_config, override
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .intervention import train
 from .preference import METRIC_KINDS
 from .seeds import stream_seed
-from .spectral import NonFinitePlane, check_finite, check_window, fft_filter
+from .spectral import check_window, fft_filter
 from .synthdata import SynthDataset, dataset_digest, generate, load_dataset
 from .tinynet import evaluate
 
@@ -102,11 +102,8 @@ def run_matrix(net_cfg, params, inputs, labels, mode: str, seed: int, config: st
     """Evaluate every non-empty presence mask against the full-mask reference.
 
     Each modality's test inputs are widened to float64 once for all masks.
-    They must be finite: a non-finite pixel would give NaN logits that
-    argmax still scores, so it raises NumericError naming the modality and
-    the test sample.
     """
-    inputs = [_widen_finite(x, i) for i, x in enumerate(inputs)]
+    inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
     m = net_cfg.n_modalities
     full_acc = evaluate(net_cfg, params, inputs, labels)
     records = []
@@ -118,14 +115,6 @@ def run_matrix(net_cfg, params, inputs, labels, mode: str, seed: int, config: st
             drop = pcr(full_acc, acc)
         records.append(RunRecord(mask=mask, acc=acc, pcr=drop, mode=mode, seed=seed, config=config))
     return records
-
-
-def _widen_finite(x, modality: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=tuple(range(1, x.ndim))))
-    if bad.size:
-        raise NumericError(f"non-finite input of modality {modality} at test sample {bad[0]}")
-    return x
 
 
 def matrix_average(records):
@@ -259,22 +248,8 @@ def sweep_frm_variants(cfg: RunConfig, out_dir, kinds=METRIC_KINDS):
 
 
 def filter_dataset(ds: SynthDataset, kind: str, n: int) -> SynthDataset:
-    """Apply one FFT filter to every plane of every modality.
-
-    A non-finite pixel raises NumericError naming the modality and the
-    first bad sample.
-    """
-    images = []
-    for i, stack in enumerate(ds.images):
-        try:
-            images.append(fft_filter(stack, kind, n))
-        except NonFinitePlane as exc:
-            raise _non_finite(i, exc) from None
-    return replace(ds, images=images)
-
-
-def _non_finite(modality: int, exc: NonFinitePlane) -> NumericError:
-    return NumericError(f"non-finite input of modality {modality} at sample {exc.index}")
+    """Apply one FFT filter to every plane of every modality."""
+    return replace(ds, images=[fft_filter(stack, kind, n) for stack in ds.images])
 
 
 def filter_study(cfg: RunConfig, windows, kinds, out_dir):
@@ -284,16 +259,15 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
     first variant, the control; then each kind at each window, in that
     order. Everything that could fail a variant's build is checked before
     the first variant trains: an unknown kind, a window that does not fit
-    the planes, a non-finite pixel in the base (checked even when the
-    control is the only variant), an empty test split.
+    the planes, an empty test split. The pixels need no check: generated
+    ones are finite and loaded ones were checked as they were read.
 
-    Each variant is built only when its turn to train comes, and dropped
-    once it has trained unless a later variant needs it. A window's low
-    pass is filtered once; its high pass is the base minus that low pass,
-    which is bitwise fft_filter's high pass, formed in the low pass's own
-    arrays once no later variant needs the low pass. So a run holds the
-    base plus the low passes still waiting for their high passes, not
-    every variant at once.
+    Variants train window by window. A window's low pass is filtered once
+    and trained if asked for; its high pass is the base minus that low
+    pass, which is bitwise fft_filter's high pass, formed in the low pass's
+    own arrays and then trained. So a run holds the base plus at most one
+    filtered variant. A variant listed twice trains once: training is
+    deterministic, so its rows are those a second run would give.
 
     curves.csv holds per-epoch mean training loss and test accuracy;
     summary.csv the final values per variant.
@@ -306,23 +280,22 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
     if kinds:
         for n in windows:
             check_window(n, *base.dims)
-    # With or without filtered variants: the raw control trains and is
-    # evaluated on these pixels too.
-    for i, stack in enumerate(base.images):
-        try:
-            check_finite(stack)
-        except NonFinitePlane as exc:
-            raise _non_finite(i, exc) from None
     require_test_split(cfg, base)
 
-    variants = [("raw", 0)] + [(kind, n) for kind in kinds for n in windows]
+    curves = {("raw", 0): _train_curves(cfg, base)}
+    for n in dict.fromkeys(windows) if kinds else ():
+        ds = filter_dataset(base, "low_pass", n)
+        if "low_pass" in kinds:
+            curves["low_pass", n] = _train_curves(cfg, ds)
+        if "high_pass" in kinds:
+            ds = replace(ds, images=[np.subtract(b, l, out=l) for b, l in zip(base.images, ds.images)])
+            curves["high_pass", n] = _train_curves(cfg, ds)
+        del ds  # so the next window's low pass is not built beside this one
+
     curve_rows, summary_rows = [], []
     per_epoch = math.ceil(base.n_train / cfg.train.batch_size)
-    held = {}
-    for j, (kind, n) in enumerate(variants):
-        ds = _build_variant(base, kind, n, variants[j + 1 :], held)
-        losses, accs = _train_curves(cfg, ds)
-        del ds  # so the next build does not run beside this variant
+    for kind, n in [("raw", 0)] + [(kind, n) for kind in kinds for n in windows]:
+        losses, accs = curves[kind, n]
         for epoch in range(cfg.train.epochs):
             epoch_loss = float(losses[epoch * per_epoch : (epoch + 1) * per_epoch].mean())
             curve_rows.append([kind, n, cfg.seed, epoch, epoch_loss, accs[epoch]])
@@ -339,34 +312,6 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
         summary_rows,
     )
     return summary_rows
-
-
-def _build_variant(base, kind, n, later, held):
-    """The (kind, n) variant of base, taken from `held` or built.
-
-    `later` lists the (kind, window) variants still to train. `held` maps
-    a (kind, window) key to a built variant that one of them still needs;
-    it is updated here, so it never holds a variant no later one needs.
-    """
-    if kind == "raw":
-        return base
-    key, low_key, high_key = (kind, n), ("low_pass", n), ("high_pass", n)
-    ds = held.pop(key, None)
-    if ds is None:
-        low = held.pop(low_key, None) or filter_dataset(base, "low_pass", n)
-        if kind == "low_pass":
-            ds = low
-        else:
-            # Into the low pass's own arrays, unless a later variant needs them.
-            keep = low_key in later
-            ds = replace(low, images=[
-                np.subtract(b, l, out=None if keep else l) for b, l in zip(base.images, low.images)
-            ])
-            if keep:
-                held[low_key] = low
-    if key in later or (key == low_key and high_key in later and high_key not in held):
-        held[key] = ds
-    return ds
 
 
 def _train_curves(cfg: RunConfig, ds: SynthDataset):

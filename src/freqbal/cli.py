@@ -1,9 +1,10 @@
 """Command-line interface: analysis, filtering, training, and sweeps.
 
 Exit codes: 0 on success, 2 for configuration errors and unreadable or
-malformed input files, 3 for numeric failures (a non-finite loss
-mid-training flushes the partial trace before exiting), and 1 for any
-other error, reported as one "internal error" line.
+malformed input files, 3 for numeric failures (a NaN or inf in an input
+file, or a non-finite score or loss; a non-finite loss mid-training
+flushes the partial trace before exiting), and 1 for any other error,
+reported as one "internal error" line.
 """
 
 import argparse
@@ -32,10 +33,7 @@ DEFAULT_PARAM_TUPLES = (
 
 def _read_plane(path) -> np.ndarray:
     path = Path(path)
-    img = tensorio.read_pgm(path) if path.suffix == ".pgm" else tensorio.read_raw(path)
-    if not np.all(np.isfinite(img)):
-        raise NumericError(f"{path}: plane contains non-finite values")
-    return img
+    return tensorio.read_pgm(path) if path.suffix == ".pgm" else tensorio.read_raw(path)
 
 
 def _write_plane(path, img) -> None:

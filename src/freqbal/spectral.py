@@ -23,7 +23,9 @@ its products, so a float32 stack (a loaded dataset) gives bitwise the
 results of its float64 copy while only one block is ever held widened;
 for a float64 stack the widening is a view.
 
-All functions are pure; arrays are never modified in place.
+All functions are pure; arrays are never modified in place. None checks
+that its input is finite: planes and stacks come from files, which
+tensorio.read_raw checks as it reads them, or from the generator.
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,6 @@ __all__ = [
     "band_projections",
     "compute_maps_batch",
     "fft_filter",
-    "check_finite",
     "check_window",
     "center_crop",
 ]
@@ -163,23 +164,6 @@ def _window_operator(side: int, n: int):
     return c, s
 
 
-class NonFinitePlane(ValueError):
-    """A NaN or inf pixel; index is the first such plane of the stack."""
-
-    def __init__(self, index: int):
-        super().__init__(f"plane {index} contains non-finite values")
-        self.index = index
-
-
-def check_finite(imgs) -> None:
-    """Raise NonFinitePlane for the first plane of a plane or stack with a NaN or inf pixel."""
-    finite = np.isfinite(imgs)
-    if not finite.all():
-        # argmin finds the first False pixel; dividing by the plane size
-        # gives its plane.
-        raise NonFinitePlane(int(np.argmin(finite.reshape(-1))) // (imgs.shape[-2] * imgs.shape[-1]))
-
-
 def check_window(n: int, h: int, w: int) -> None:
     """Raise ValueError unless an n x n window fits an h x w plane."""
     if n < 1 or n > min(h, w):
@@ -206,14 +190,10 @@ def fft_filter(img, kind: str, n: int) -> np.ndarray:
     block's temporaries; each plane's result is bitwise the same as
     filtering it alone, and the same for a float32 stack as for its float64
     copy.
-
-    A NaN or inf pixel raises NonFinitePlane with the index of the first
-    plane that holds one (0 for a single plane).
     """
     imgs = np.asarray(img)
     if imgs.ndim not in (2, 3):
         raise ValueError(f"expected an (H, W) plane or (N, H, W) stack, got shape {imgs.shape}")
-    check_finite(imgs)
     if kind not in ("low_pass", "high_pass"):
         raise ValueError(f"unknown filter kind {kind!r}")
     h, w = imgs.shape[-2:]
@@ -241,8 +221,6 @@ def center_crop(img, multiple: int) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D plane, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise ValueError("plane contains non-finite values")
     h, w = img.shape
     h2, w2 = (h // multiple) * multiple, (w // multiple) * multiple
     if h2 == 0 or w2 == 0:

@@ -21,6 +21,7 @@ consumes the same random stream as a Gaussian noise band would.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +42,7 @@ class ModalitySpec:
     with no mean.
     snr: template-to-noise blend inside the signal band; 0 means the
     signal band is pure Gaussian noise.
+    All three numbers must be finite, so generated pixels are finite.
     """
 
     low_energy: float = 1.0
@@ -49,6 +51,9 @@ class ModalitySpec:
     snr: float = 1.0
 
     def __post_init__(self):
+        for name in ("low_energy", "high_energy", "snr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.low_energy < 0 or self.high_energy < 0:
             raise ValueError("band energies must be >= 0")
         if self.low_energy + self.high_energy <= 0:
@@ -64,6 +69,8 @@ class SynthDataset:
     """Per-modality image stacks with shared labels and a fixed split.
 
     The first n_train samples are the training split; the rest are test.
+    Pixels are finite: generated ones by construction from finite specs,
+    loaded ones because tensorio.read_raw checks every value it reads.
     Generated stacks are float64. Loaded stacks are float32, the exact
     values in their files, as views of one contiguous block. Consumers
     widen to float64 before any arithmetic (per block of planes, or once
@@ -254,12 +261,6 @@ def dataset_digest(in_dir) -> str:
     return digest.hexdigest()
 
 
-def _require(meta, keys, where) -> None:
-    for key in keys:
-        if key not in meta:
-            raise ValueError(f"{where}: missing key {key!r}")
-
-
 @dataclass(frozen=True)
 class _SavedDataset:
     """What a saved dataset's manifest and labels say, and where its pixels are."""
@@ -279,13 +280,13 @@ def _check_saved(src: Path) -> _SavedDataset:
     First the manifest (its keys, its specs and the sample count), then each
     modality file's header, size and (n, h*w) shape, then the labels: n
     integral values in [0, n_classes), a bad one reported with the first bad
-    sample. So a malformed file is always reported before any pixel is used.
+    sample. So a malformed file is always reported, as a ValueError, before
+    any pixel is read, and so before read_raw can find a non-finite one.
     """
     manifest = src / "dataset.json"
     meta = tensorio.read_manifest(manifest)
-    _require(meta, _MANIFEST_KEYS, manifest)
-    for i, s in enumerate(meta["specs"]):
-        _require(s, _SPEC_KEYS, f"{manifest} specs[{i}]")
+    tensorio.require_keys(meta, _MANIFEST_KEYS, manifest)
+    tensorio.require_objects(meta["specs"], _SPEC_KEYS, f"{manifest} specs")
     h, w = int(meta["height"]), int(meta["width"])
     n = int(meta["n_train"]) + int(meta["n_test"])
     if n < 1:

@@ -13,6 +13,14 @@ one. A matrix is read whole (read_raw), or in consecutive blocks of rows
 that all land in one reused buffer (read_raw_blocks), so a caller that
 consumes one block at a time never holds the file. Both check the header
 and the file size before they read a value.
+
+read_raw also checks every value it reads: a NaN or inf raises NumericError
+naming the file and the first row that holds one. Every array the program
+reads whole from a file (dataset modalities and labels, checkpoint tensors,
+single planes) comes through it, so no consumer checks pixels again.
+read_raw_blocks does not check: its caller scores each block, and a
+finite stack can still give a non-finite score, so it checks the score,
+which also catches a non-finite pixel, without a second pass over the file.
 """
 
 import json
@@ -22,10 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericError
+
 _RAW_HEADER = struct.Struct("<II")
 _RAW_DTYPE = np.dtype("<f4")
-# Values per block of write_raw: 1 MB of float32.
-_WRITE_BLOCK = 1 << 18
+# Values per block of write_raw and of read_raw's check: 1 MB of float32.
+_BLOCK_VALUES = 1 << 18
 
 
 def write_raw(path, matrix) -> None:
@@ -45,7 +55,7 @@ def write_raw(path, matrix) -> None:
     if matrix.ndim != 2:
         raise ValueError(f"raw format stores 2-D matrices, got shape {matrix.shape}")
     rows, cols = matrix.shape
-    step = max(1, _WRITE_BLOCK // max(1, cols))
+    step = _block_rows(cols)
     with open(path, "wb") as fh:
         fh.write(_RAW_HEADER.pack(rows, cols))
         for start in range(0, rows, step):
@@ -60,6 +70,11 @@ def read_raw(path, out=None) -> np.ndarray:
     bytes object, no dtype conversion. With `out`, a C-contiguous float32
     array of shape (rows, cols), the values land in it and it is returned;
     that lets a caller fill one slice of a larger block per file.
+
+    Once all are read, the values are checked a block of rows at a time: a
+    NaN or inf raises NumericError("<path>: non-finite value in row <r>")
+    for the first row that holds one. A malformed file is a ValueError,
+    raised before any value is read.
     """
     with open(path, "rb") as fh:
         rows, cols = _read_header(fh, path)
@@ -68,6 +83,11 @@ def read_raw(path, out=None) -> np.ndarray:
         elif out.shape != (rows, cols) or out.dtype != _RAW_DTYPE or not out.flags.c_contiguous:
             raise _mismatch(path, rows, cols, out.dtype, out.shape)
         _fill(fh, path, out)
+    step = _block_rows(cols)
+    for start in range(0, rows, step):
+        finite = np.isfinite(out[start : start + step]).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"{path}: non-finite value in row {start + int(np.argmin(finite))}")
     return out
 
 
@@ -85,6 +105,8 @@ def read_raw_blocks(path, shape, block_rows: int):
     """Yield a raw float32 matrix of `shape` in consecutive blocks of rows.
 
     The file is checked as check_raw checks it before any value is read.
+    The values are not checked: a caller that needs them finite checks
+    what it computes from them.
     Each block holds block_rows rows, the last one possibly fewer, and is
     a view of one float32 buffer that the next block overwrites, so a
     caller must be done with a block before it asks for the next one.
@@ -114,6 +136,10 @@ def _read_header(fh, path, shape=None) -> tuple[int, int]:
     if shape is not None and (rows, cols) != tuple(shape):
         raise _mismatch(path, rows, cols, _RAW_DTYPE, tuple(shape))
     return rows, cols
+
+
+def _block_rows(cols: int) -> int:
+    return max(1, _BLOCK_VALUES // max(1, cols))
 
 
 def _mismatch(path, rows, cols, dtype, shape) -> ValueError:
@@ -193,3 +219,20 @@ def read_manifest(path) -> dict:
     if not isinstance(entries, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(entries).__name__}")
     return entries
+
+
+def require_keys(entries, keys, where) -> None:
+    """Raise ValueError naming `where` unless `entries` is an object holding every key."""
+    if not isinstance(entries, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(entries).__name__}")
+    for key in keys:
+        if key not in entries:
+            raise ValueError(f"{where}: missing key {key!r}")
+
+
+def require_objects(entries, keys, where) -> None:
+    """Raise ValueError naming `where` unless `entries` is a list of objects each holding every key."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{where}: expected a list, got {type(entries).__name__}")
+    for i, entry in enumerate(entries):
+        require_keys(entry, keys, f"{where}[{i}]")

@@ -317,11 +317,25 @@ def save_checkpoint(out_dir, cfg: NetConfig, params: ParamSet) -> None:
     )
 
 
+# Keys of checkpoint.json, of its "net" object and of each "tensors" entry.
+_CHECKPOINT_KEYS = ("net", "tensors")
+_NET_KEYS = ("input_dims", "hidden", "n_classes", "aux_heads", "seed")
+_TENSOR_KEYS = ("name", "shape")
+
+
 def load_checkpoint(in_dir):
-    """Inverse of save_checkpoint; returns (config, params), params widened to float64."""
+    """Inverse of save_checkpoint; returns (config, params), params widened to float64.
+
+    The manifest's keys are checked before any tensor is read; a missing
+    one is a ValueError naming the file and the key.
+    """
     src = Path(in_dir)
-    manifest = tensorio.read_manifest(src / "checkpoint.json")
-    net = manifest["net"]
+    path = src / "checkpoint.json"
+    manifest = tensorio.read_manifest(path)
+    tensorio.require_keys(manifest, _CHECKPOINT_KEYS, path)
+    net, tensors = manifest["net"], manifest["tensors"]
+    tensorio.require_keys(net, _NET_KEYS, f"{path} net")
+    tensorio.require_objects(tensors, _TENSOR_KEYS, f"{path} tensors")
     cfg = NetConfig(
         input_dims=tuple(net["input_dims"]),
         hidden=tuple(net["hidden"]),
@@ -330,7 +344,7 @@ def load_checkpoint(in_dir):
         seed=int(net["seed"]),
     )
     params: ParamSet = {}
-    for entry in manifest["tensors"]:
+    for entry in tensors:
         value = tensorio.read_raw(src / f"{entry['name']}.f32")
         params[entry["name"]] = value.astype(np.float64).reshape(entry["shape"])
     return cfg, params

@@ -1,3 +1,4 @@
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -290,16 +291,23 @@ class TestFilterStudy:
         base = bench.get_dataset(cfg)
         assert base.images[0].dtype == (np.float32 if loaded else np.float64)
         before = [stack.copy() for stack in base.images]
-        monkeypatch.setattr(bench, "get_dataset", lambda cfg: base)
-        # The reference: every variant filtered on its own, all before any training.
+        # The reference: every variant filtered on its own, then trained as
+        # the raw control of a study of its own, all before any training.
         eager = {(kind, n): filter_dataset(base, kind, n) for kind in kinds for n in windows}
         eager["raw", 0] = base
-        with monkeypatch.context() as patch:
-            patch.setattr(bench, "_build_variant", lambda base, kind, n, later, held: eager[kind, n])
-            filter_study(cfg, windows, kinds, tmp_path / "eager")
+        expected = {name: [] for name in ("curves.csv", "summary.csv")}
+        for kind, n in [("raw", 0)] + [(kind, n) for kind in kinds for n in windows]:
+            with monkeypatch.context() as patch:
+                patch.setattr(bench, "get_dataset", lambda cfg: eager[kind, n])
+                filter_study(cfg, [], [], tmp_path / "eager")
+            for name, lines in expected.items():
+                header, *rows = (tmp_path / "eager" / name).read_text().splitlines()
+                assert all(row.startswith("raw,0,") for row in rows)
+                lines.extend(f"{kind},{n},{row[len('raw,0,'):]}" for row in rows)
+        monkeypatch.setattr(bench, "get_dataset", lambda cfg: base)
         filter_study(cfg, windows, kinds, tmp_path / "lazy")
-        for name in ("curves.csv", "summary.csv"):
-            assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "eager" / name).read_bytes()
+        for name, lines in expected.items():
+            assert (tmp_path / "lazy" / name).read_text().splitlines()[1:] == lines
         for stack, copy in zip(base.images, before):
             assert stack.tobytes() == copy.tobytes()
 
@@ -315,27 +323,32 @@ class TestFilterStudy:
         assert sorted(calls) == [("low_pass", 8)] * 3 + [("low_pass", 16)] * 3
 
     @pytest.mark.parametrize(
-        "kinds, windows, held",
+        "kinds, windows",
         [
-            (["low_pass", "high_pass"], [8, 16], [[], ["low8"], ["low16", "low8"], ["low16"], []]),
-            (["high_pass", "low_pass"], [8, 16], [[], ["low8"], ["low16", "low8"], ["low16"], []]),
-            (["low_pass", "high_pass"], [16, 16], [[], ["low16"], ["low16"], ["high16"], []]),
+            (["low_pass", "high_pass"], [8, 16]),
+            (["high_pass", "low_pass"], [8, 16]),
+            (["low_pass", "high_pass"], [16, 16]),
         ],
     )
-    def test_holds_only_what_a_later_variant_needs(self, kinds, windows, held, tmp_path, monkeypatch):
-        built, kept = [], []
-        original = bench._build_variant
+    def test_high_pass_reuses_its_low_pass_arrays(self, kinds, windows, tmp_path, monkeypatch):
+        # Per training after the raw control: the earlier variants whose
+        # arrays are still alive, and whether it trains on the arrays of the
+        # variant just before it.
+        trained, seen = [], []
+        original = bench._train_curves
 
-        def spy(base, kind, n, later, held):
-            built.append(original(base, kind, n, later, held))
-            kept.append(sorted(f"{k[: k.index('_')]}{w}" for k, w in held))
-            return built[-1]
+        def spy(cfg, ds):
+            alive = [j for j, refs in enumerate(trained[1:], start=1) if refs[0]() is not None]
+            same = bool(trained) and all(ref() is a for ref, a in zip(trained[-1], ds.images))
+            seen.append((alive, same))
+            trained.append([weakref.ref(a) for a in ds.images])
+            return original(cfg, ds)
 
-        monkeypatch.setattr(bench, "_build_variant", spy)
+        monkeypatch.setattr(bench, "_train_curves", spy)
         cfg = parse_config(self.STUDY.replace("epochs = 2", "epochs = 1"))
         filter_study(cfg, windows, kinds, tmp_path / "fs")
-        assert kept == held
-        if kinds[0] == "low_pass" and windows == [8, 16]:
-            # Each high pass is formed in its low pass's arrays.
-            for low, high in ((built[1], built[3]), (built[2], built[4])):
-                assert all(a is b for a, b in zip(low.images, high.images))
+        # Raw, then per distinct window its low pass and, in the same
+        # arrays, its high pass; no other filtered variant is held.
+        per_window = [([], False), ([], False), ([1], True)]
+        expected = per_window if windows == [16, 16] else per_window + [([], False), ([3], True)]
+        assert seen == expected

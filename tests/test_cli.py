@@ -24,10 +24,12 @@ def read(path):
 
 def damage(data, fault):
     """Break the 64 + 32 sample, 32x32 dataset saved in `data` in the named way."""
-    if fault in ("manifest_key", "no_samples"):
+    if fault in ("manifest_key", "no_samples", "specs_not_list"):
         meta = tensorio.read_manifest(data / "dataset.json")
         if fault == "manifest_key":
             del meta["height"]
+        elif fault == "specs_not_list":
+            meta["specs"] = 7
         else:
             meta["n_train"] = meta["n_test"] = 0
         tensorio.write_manifest(data / "dataset.json", meta)
@@ -106,8 +108,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numeric failure: ") and err.count("\n") == 1
-        assert "modality 1" in err and err.endswith(f"training sample {sample}\n")
+        assert err == f"numeric failure: {data / 'mod1.f32'}: non-finite value in row {sample}\n"
         assert not (out / "trace.csv").exists()
 
     @pytest.mark.parametrize(
@@ -133,9 +134,78 @@ class TestExitCodes:
         assert bad in err
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize(
+        "name, at, row",
+        [("labels.f32", (0, 40), 0), ("mod0.f32", (64 + 3, 5), 67)],
+        ids=["label", "test_pixel"],
+    )
+    def test_train_on_non_finite_file_value_is_numeric_error(self, name, at, row, cfg_file, tmp_path, capsys):
+        # Training never reads the test split, yet the run must not exit 0;
+        # a NaN label is a numeric failure, not a bad label.
+        data, out = tmp_path / "ds", tmp_path / "run"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        values = tensorio.read_raw(data / name)
+        values[at] = np.nan
+        tensorio.write_raw(data / name, values)
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text(TINY + f"data_dir = {data}\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numeric failure: {data / name}: non-finite value in row {row}\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_checkpoint_tensor_is_numeric_error(self, value, cfg_file, tmp_path, capsys):
+        run, out = tmp_path / "run", tmp_path / "eval"
+        main(["train", "--config", cfg_file, "--out", str(run)])
+        tensor = run / "checkpoint" / "enc1.w0.f32"
+        weights = tensorio.read_raw(tensor)
+        weights[9, 2] = value
+        tensorio.write_raw(tensor, weights)
+        capsys.readouterr()
+        argv = ["eval", "--config", cfg_file, "--checkpoint", str(run / "checkpoint"), "--out", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"numeric failure: {tensor}: non-finite value in row 9\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [(None, "net"), (None, "tensors"), ("net", "hidden"), ("net", "seed"), ("tensors", "name"),
+         ("tensors", "shape")],
+    )
+    def test_checkpoint_missing_key_is_config_error(self, where, key, cfg_file, tmp_path, capsys):
+        run, out = tmp_path / "run", tmp_path / "eval"
+        main(["train", "--config", cfg_file, "--out", str(run)])
+        manifest = run / "checkpoint" / "checkpoint.json"
+        meta = tensorio.read_manifest(manifest)
+        if where is None:
+            del meta[key]
+        elif where == "net":
+            del meta["net"][key]
+        else:
+            del meta["tensors"][2][key]
+        tensorio.write_manifest(manifest, meta)
+        capsys.readouterr()
+        argv = ["eval", "--config", cfg_file, "--checkpoint", str(manifest.parent), "--out", str(out)]
+        assert main(argv) == 2
+        scope = {None: "", "net": " net", "tensors": " tensors[2]"}[where]
+        assert capsys.readouterr().err == f"config error: {manifest}{scope}: missing key {key!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_spec_is_config_error(self, value, tmp_path, capsys):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(TINY + f"mod0.low_energy = {value}\n")
+        out = tmp_path / "ds"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: mod0: low_energy must be finite, got {value}\n"
+        assert not out.exists()
+
     def test_non_finite_test_pixel_is_numeric_error(self, cfg_file, tmp_path, capsys):
         # Training never reads the test split; the mask matrix must not score
-        # the NaN logits of a corrupt test sample.
+        # the NaN logits of a corrupt test sample, so the load rejects it.
         data, out = tmp_path / "ds", tmp_path / "eval"
         main(["gen", "--config", cfg_file, "--out", str(data)])
         stack = tensorio.read_raw(data / "mod1.f32")
@@ -144,7 +214,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["eval", "--config", cfg_file, "--data", str(data), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err == "numeric failure: non-finite input of modality 1 at test sample 6\n"
+        assert err == f"numeric failure: {data / 'mod1.f32'}: non-finite value in row 70\n"
         assert not (out / "matrix.csv").exists()
 
     @pytest.mark.parametrize("command", ["filter", "filter-study"])
@@ -163,20 +233,19 @@ class TestExitCodes:
         }[command]
         capsys.readouterr()
         assert main(argv) == 3
-        assert capsys.readouterr().err == "numeric failure: non-finite input of modality 2 at sample 70\n"
+        assert capsys.readouterr().err == f"numeric failure: {data / 'mod2.f32'}: non-finite value in row 70\n"
         assert not (out / "summary.csv").exists() and not (out / "mod0.f32").exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "extra, pixel, code, message",
         [
             (["--kinds", "low_pass,band_pass"], None, 2, "config error: unknown filter kind 'band_pass'\n"),
             (["--windows", "16,33"], None, 2, "config error: window side 33 out of range for 32x32 plane\n"),
             (["--windows", "0"], None, 2, "config error: window side 0 out of range for 32x32 plane\n"),
-            (["--windows", "16"], (0, 5), 3, "numeric failure: non-finite input of modality 0 at sample 5\n"),
-            (["--windows", "16"], (2, 90), 3, "numeric failure: non-finite input of modality 2 at sample 90\n"),
-            (["--windows", ""], (1, 80), 3, "numeric failure: non-finite input of modality 1 at sample 80\n"),
-            (["--kinds", ""], (1, 80), 3, "numeric failure: non-finite input of modality 1 at sample 80\n"),
+            (["--windows", "16"], (0, 5), 3, "numeric failure: {data}/mod0.f32: non-finite value in row 5\n"),
+            (["--windows", "16"], (2, 90), 3, "numeric failure: {data}/mod2.f32: non-finite value in row 90\n"),
+            (["--windows", ""], (1, 80), 3, "numeric failure: {data}/mod1.f32: non-finite value in row 80\n"),
+            (["--kinds", ""], (1, 80), 3, "numeric failure: {data}/mod1.f32: non-finite value in row 80\n"),
         ],
         ids=["kind", "window_too_wide", "window_zero", "train_pixel", "test_pixel", "no_window", "no_kind"],
     )
@@ -197,7 +266,7 @@ class TestExitCodes:
         monkeypatch.setattr(bench, "train", lambda *a, **k: calls.append(1) or original(*a, **k))
         capsys.readouterr()
         assert main(["filter-study", "--config", str(cfg), "--out", str(out), *extra]) == code
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == message.format(data=data)
         assert calls == []
         assert not out.exists()
 
@@ -322,7 +391,7 @@ class TestAnalyzeAndFilter:
             assert main(argv) == 3
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"numeric failure: {path}: plane contains non-finite values\n"
+            assert captured.err == f"numeric failure: {path}: non-finite value in row 3\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -364,8 +433,8 @@ class TestAnalyzeAndFilter:
 
     @pytest.mark.parametrize(
         "fault",
-        ["manifest_key", "no_samples", "truncated_modality", "header_shape", "missing_modality",
-         "bad_label", "truncated_after_nan"],
+        ["manifest_key", "no_samples", "specs_not_list", "truncated_modality", "header_shape",
+         "missing_modality", "bad_label", "truncated_after_nan"],
     )
     def test_analyze_dataset_rejects_what_load_dataset_rejects(self, fault, cfg_file, tmp_path, capsys):
         data, out = tmp_path / "ds", tmp_path / "scores.csv"

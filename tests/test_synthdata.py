@@ -187,6 +187,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             ModalitySpec(low_energy=0.0, high_energy=0.0)
 
+    @pytest.mark.parametrize("field", ["low_energy", "high_energy", "snr"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spec_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModalitySpec(**{field: value})
+
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from freqbal import tensorio
+from freqbal.errors import NumericError
 
 
 class TestRaw:
@@ -38,7 +39,7 @@ class TestRaw:
         ids=["rows", "wide", "int", "vector"],
     )
     def test_blocks_write_the_bytes_of_a_whole_conversion(self, mat, tmp_path, monkeypatch):
-        monkeypatch.setattr(tensorio, "_WRITE_BLOCK", 10)
+        monkeypatch.setattr(tensorio, "_BLOCK_VALUES", 10)
         path = tmp_path / "m.f32"
         tensorio.write_raw(path, mat)
         rows, cols = (1, mat.size) if mat.ndim == 1 else mat.shape
@@ -98,6 +99,25 @@ class TestRaw:
         with pytest.raises(ValueError, match="7x5"):
             tensorio.read_raw(path, out=out)
         assert not out.any()
+
+    @pytest.mark.parametrize("into", [False, True], ids=["new", "out"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_numeric_error(self, value, into, tmp_path, monkeypatch):
+        monkeypatch.setattr(tensorio, "_BLOCK_VALUES", 10)  # two rows per checked block
+        mat = np.random.default_rng(6).normal(size=(7, 5))
+        mat[5, 1], mat[6, 4] = value, np.nan
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, mat)
+        with pytest.raises(NumericError) as exc:
+            tensorio.read_raw(path, out=np.empty((7, 5), np.float32) if into else None)
+        assert str(exc.value) == f"{path}: non-finite value in row 5"
+
+    def test_malformed_file_fails_before_its_values_are_checked(self, tmp_path):
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, np.full((7, 5), np.nan))
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ValueError, match="expected 148 bytes for 7x5, got 144"):
+            tensorio.read_raw(path)
 
     @pytest.mark.parametrize("block_rows", [1, 3, 7, 10])
     def test_blocks_cover_the_matrix_in_one_buffer(self, block_rows, tmp_path):
@@ -224,3 +244,19 @@ def test_malformed_manifest_names_the_file(text, message, tmp_path):
     with pytest.raises(ValueError) as exc:
         tensorio.read_manifest(path)
     assert str(exc.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (7, "m.json specs: expected a list, got int"),
+        ([{"a": 1, "b": 2}, "x"], "m.json specs[1]: expected a JSON object, got str"),
+        ([{"a": 1, "b": 2}, {"b": 2}], "m.json specs[1]: missing key 'a'"),
+    ],
+    ids=["not_a_list", "not_an_object", "missing_key"],
+)
+def test_required_objects_name_the_entry(entries, message):
+    with pytest.raises(ValueError) as exc:
+        tensorio.require_objects(entries, ("a", "b"), "m.json specs")
+    assert str(exc.value) == message
+    tensorio.require_objects([{"a": 1, "b": 2, "c": 3}], ("a", "b"), "m.json specs")
