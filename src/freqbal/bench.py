@@ -101,20 +101,20 @@ def mask_label(mask) -> str:
 def run_matrix(net_cfg, params, inputs, labels, mode: str, seed: int, config: str):
     """Evaluate every non-empty presence mask against the full-mask reference.
 
-    Each modality's test inputs are widened to float64 once for all masks.
+    One evaluate call covers all masks of mask_order, so each branch's
+    test inputs are widened and encoded once. The full mask comes last and
+    its accuracy is the PCR reference of the others.
     """
-    inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
-    m = net_cfg.n_modalities
-    full_acc = evaluate(net_cfg, params, inputs, labels)
-    records = []
-    for mask in mask_order(m):
-        if all(mask):
-            acc, drop = full_acc, None
-        else:
-            acc = evaluate(net_cfg, params, inputs, labels, mask)
-            drop = pcr(full_acc, acc)
-        records.append(RunRecord(mask=mask, acc=acc, pcr=drop, mode=mode, seed=seed, config=config))
-    return records
+    masks = mask_order(net_cfg.n_modalities)
+    accs = evaluate(net_cfg, params, inputs, labels, masks)
+    full_acc = accs[-1]
+    return [
+        RunRecord(
+            mask=mask, acc=acc, pcr=None if all(mask) else pcr(full_acc, acc),
+            mode=mode, seed=seed, config=config,
+        )
+        for mask, acc in zip(masks, accs)
+    ]
 
 
 def matrix_average(records):
@@ -320,7 +320,8 @@ def _train_curves(cfg: RunConfig, ds: SynthDataset):
     accs = []
 
     def on_epoch_end(epoch, net_cfg, params):
-        accs.append(evaluate(net_cfg, params, test_inputs, test_labels))
+        [acc] = evaluate(net_cfg, params, test_inputs, test_labels)
+        accs.append(acc)
 
     _, _, trace = train(cfg.train, ds, on_epoch_end=on_epoch_end)
     return trace.column("total_loss"), accs

@@ -219,7 +219,7 @@ def suppression_experiment(
         grads, *_ = backward(net_cfg, prefit, xb, train_labels[idx], mask=solo_mask)
         prefit = sgd_step(net_cfg, prefit, grads, eta)
         if it % 25 == 24:
-            logits, _ = forward(net_cfg, prefit, train_images, mask=solo_mask)
+            [(logits, _)] = forward(net_cfg, prefit, train_images, [solo_mask])
             prefit_loss = cross_entropy(logits, train_labels)
             if prefit_loss < prefit_target:
                 break

@@ -160,18 +160,17 @@ def _first_bad_branch(net_cfg: NetConfig, params, xb, aux) -> str:
     """Name the first modality whose own branch gives non-finite logits.
 
     Runs only once the step's logits are known to be non-finite. The aux
-    logits already are per-branch outputs; without aux heads each branch is
-    encoded alone, with the other inputs left out.
+    logits already are per-branch outputs; without aux heads one forward
+    call encodes every branch once and gives the logits of each branch
+    alone, under its solo mask.
     """
     m = net_cfg.n_modalities
-    for i in range(m):
-        if aux is not None:
-            z = aux[i]
-        else:
-            solo = [x if j == i else None for j, x in enumerate(xb)]
-            # The failing step has already warned about the same overflow.
-            with np.errstate(over="ignore", invalid="ignore"):
-                z, _ = forward(net_cfg, params, solo, mask=[j == i for j in range(m)])
+    if aux is None:
+        solo_masks = [[j == i for j in range(m)] for i in range(m)]
+        # The failing step has already warned about the same overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            aux = [z for z, _ in forward(net_cfg, params, xb, solo_masks)]
+    for i, z in enumerate(aux):
         if not np.all(np.isfinite(z)):
             return f"first non-finite branch: modality {i}"
     return "no single branch is non-finite"

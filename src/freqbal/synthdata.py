@@ -22,6 +22,7 @@ consumes the same random stream as a Gaussian noise band would.
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +43,8 @@ class ModalitySpec:
     with no mean.
     snr: template-to-noise blend inside the signal band; 0 means the
     signal band is pure Gaussian noise.
-    All three numbers must be finite, so generated pixels are finite.
+    All three numbers must be finite real numbers (an int is one, a bool
+    is not), so generated pixels are finite.
     """
 
     low_energy: float = 1.0
@@ -52,8 +54,11 @@ class ModalitySpec:
 
     def __post_init__(self):
         for name in ("low_energy", "high_energy", "snr"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.low_energy < 0 or self.high_energy < 0:
             raise ValueError("band energies must be >= 0")
         if self.low_energy + self.high_energy <= 0:
@@ -292,7 +297,13 @@ def _check_saved(src: Path) -> _SavedDataset:
     if n < 1:
         raise ValueError(f"{manifest}: n_train + n_test is {n}; a dataset needs at least one sample")
     n_classes = int(meta["n_classes"])
-    specs = tuple(ModalitySpec(**{key: s[key] for key in _SPEC_KEYS}) for s in meta["specs"])
+    specs = []
+    for i, spec in enumerate(meta["specs"]):
+        try:
+            specs.append(ModalitySpec(**{key: spec[key] for key in _SPEC_KEYS}))
+        except ValueError as exc:
+            raise ValueError(f"{manifest} specs[{i}]: {exc}") from exc
+    specs = tuple(specs)
     paths = tuple(src / f"mod{i}.f32" for i in range(len(specs)))
     for path in paths:
         tensorio.check_raw(path, (n, h * w))

@@ -14,7 +14,10 @@ through which the modality branches interact. forward serves inference
 Absent modalities (presence mask False) contribute an all-zero feature
 vector: their inputs are never read (they may be None), their encoders are
 not evaluated, and they have no gradient entries, so sgd_step leaves them
-untouched.
+untouched. forward and evaluate take a list of presence masks (by default
+the full mask alone) and encode each branch that any of them needs once,
+so a whole missing-modality matrix costs one encoder pass; each mask's
+logits are bitwise those of a call with that mask alone.
 """
 
 from dataclasses import dataclass
@@ -55,6 +58,23 @@ class NetConfig:
         return self.hidden[-1]
 
 
+def param_layout(cfg: NetConfig) -> dict:
+    """Name -> shape of every parameter tensor, in the parameter order."""
+    layout = {}
+    for i, d_in in enumerate(cfg.input_dims):
+        widths = (d_in, *cfg.hidden)
+        for l in range(len(cfg.hidden)):
+            layout[f"enc{i}.w{l}"] = (widths[l], widths[l + 1])
+            layout[f"enc{i}.b{l}"] = (widths[l + 1],)
+    layout["clf.w"] = (cfg.feat_dim * cfg.n_modalities, cfg.n_classes)
+    layout["clf.b"] = (cfg.n_classes,)
+    if cfg.aux_heads:
+        for i in range(cfg.n_modalities):
+            layout[f"aux{i}.w"] = (cfg.feat_dim, cfg.n_classes)
+            layout[f"aux{i}.b"] = (cfg.n_classes,)
+    return layout
+
+
 def init_network(cfg: NetConfig) -> ParamSet:
     """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases.
 
@@ -62,20 +82,10 @@ def init_network(cfg: NetConfig) -> ParamSet:
     parameter layout.
     """
     rng = np.random.default_rng(cfg.seed)
-    params: ParamSet = {}
-    for i, d_in in enumerate(cfg.input_dims):
-        widths = (d_in, *cfg.hidden)
-        for l in range(len(cfg.hidden)):
-            params[f"enc{i}.w{l}"] = _glorot(rng, widths[l], widths[l + 1])
-            params[f"enc{i}.b{l}"] = np.zeros(widths[l + 1])
-    total = cfg.feat_dim * cfg.n_modalities
-    params["clf.w"] = _glorot(rng, total, cfg.n_classes)
-    params["clf.b"] = np.zeros(cfg.n_classes)
-    if cfg.aux_heads:
-        for i in range(cfg.n_modalities):
-            params[f"aux{i}.w"] = _glorot(rng, cfg.feat_dim, cfg.n_classes)
-            params[f"aux{i}.b"] = np.zeros(cfg.n_classes)
-    return params
+    return {
+        name: _glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in param_layout(cfg).items()
+    }
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -94,12 +104,23 @@ def _as_flat(x, d: int, name: str) -> np.ndarray:
 def _check_mask(cfg: NetConfig, mask):
     if mask is None:
         return [True] * cfg.n_modalities
+    if np.ndim(mask) != 1:
+        raise ValueError(f"a presence mask is a sequence of one bool per modality, got {mask!r}")
     mask = list(mask)
     if len(mask) != cfg.n_modalities:
         raise ValueError(f"mask length {len(mask)} for {cfg.n_modalities} modalities")
     if not any(mask):
         raise ValueError("at least one modality must be present")
     return mask
+
+
+def _check_masks(cfg: NetConfig, masks):
+    if masks is None:
+        return [_check_mask(cfg, None)]
+    masks = [_check_mask(cfg, mask) for mask in masks]
+    if not masks:
+        raise ValueError("need at least one presence mask")
+    return masks
 
 
 def _encode(cfg: NetConfig, params: ParamSet, inputs, mask):
@@ -143,11 +164,24 @@ def _heads(cfg: NetConfig, params: ParamSet, feats):
     return fused, logits, aux
 
 
-def forward(cfg: NetConfig, params: ParamSet, inputs, mask=None):
-    """Logits (N, K) and, when the net has aux heads, per-modality aux logits."""
-    feats, _ = _encode(cfg, params, inputs, _check_mask(cfg, mask))
-    _, logits, aux = _heads(cfg, params, feats)
-    return logits, aux
+def forward(cfg: NetConfig, params: ParamSet, inputs, masks=None):
+    """One (logits (N, K), aux logits) pair per presence mask.
+
+    masks defaults to the full mask alone. Every branch that some mask
+    needs is encoded once; each mask then fuses those features with the
+    all-zero block for its absent branches, so its pair is bitwise what a
+    call with that mask alone returns. The aux logits, one array per
+    modality, are None when the net has no aux heads.
+    """
+    masks = _check_masks(cfg, masks)
+    feats, _ = _encode(cfg, params, inputs, [any(column) for column in zip(*masks)])
+    zero = np.zeros_like(feats[0])
+    results = []
+    for mask in masks:
+        blocks = [f if present else zero for f, present in zip(feats, mask)]
+        _, logits, aux = _heads(cfg, params, blocks)
+        results.append((logits, aux))
+    return results
 
 
 def softmax(logits) -> np.ndarray:
@@ -270,13 +304,14 @@ def sgd_step(cfg: NetConfig, params: ParamSet, grads: ParamSet, eta: float, weig
     return out
 
 
-def evaluate(cfg: NetConfig, params: ParamSet, inputs, labels, mask=None) -> float:
-    """Top-1 accuracy under the given presence mask."""
+def evaluate(cfg: NetConfig, params: ParamSet, inputs, labels, masks=None) -> list:
+    """Top-1 accuracy under each presence mask (default: the full mask
+    alone), from one forward call."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("empty evaluation set")
-    logits, _ = forward(cfg, params, inputs, mask)
-    return float((logits.argmax(axis=1) == labels).mean())
+    results = forward(cfg, params, inputs, masks)
+    return [float((logits.argmax(axis=1) == labels).mean()) for logits, _ in results]
 
 
 def encoder_grad_norms(cfg: NetConfig, grads: ParamSet) -> np.ndarray:
@@ -326,8 +361,11 @@ _TENSOR_KEYS = ("name", "shape")
 def load_checkpoint(in_dir):
     """Inverse of save_checkpoint; returns (config, params), params widened to float64.
 
-    The manifest's keys are checked before any tensor is read; a missing
-    one is a ValueError naming the file and the key.
+    The manifest is checked before any tensor is read: its keys, and its
+    tensor list against param_layout of its net, name for name and shape
+    for shape. A missing key, a missing, extra or repeated tensor, or a
+    wrong shape is a ValueError naming the file and the key or tensor; so
+    is a tensor file whose matrix does not hold the tensor's shape.
     """
     src = Path(in_dir)
     path = src / "checkpoint.json"
@@ -343,8 +381,25 @@ def load_checkpoint(in_dir):
         aux_heads=bool(net["aux_heads"]),
         seed=int(net["seed"]),
     )
-    params: ParamSet = {}
+    layout = param_layout(cfg)
+    seen = set()
     for entry in tensors:
-        value = tensorio.read_raw(src / f"{entry['name']}.f32")
-        params[entry["name"]] = value.astype(np.float64).reshape(entry["shape"])
+        name, shape = entry["name"], entry["shape"]
+        if not isinstance(name, str) or name not in layout:
+            raise ValueError(f"{path}: tensor {name!r} is not a parameter of its net")
+        if name in seen:
+            raise ValueError(f"{path}: tensor {name!r} is listed twice")
+        needed = list(layout[name])
+        if shape != needed:
+            raise ValueError(f"{path}: tensor {name!r} has shape {shape}, its net needs {needed}")
+        seen.add(name)
+    missing = [name for name in layout if name not in seen]
+    if missing:
+        raise ValueError(f"{path}: missing tensor {missing[0]!r}")
+    params: ParamSet = {}
+    for name, shape in layout.items():
+        value = np.empty(shape, dtype=np.float32)
+        # A bias is stored as a one-row matrix.
+        tensorio.read_raw(src / f"{name}.f32", out=np.atleast_2d(value))
+        params[name] = value.astype(np.float64)
     return cfg, params

@@ -44,10 +44,7 @@ def paired_runs():
         for mode in ("none", "hybrid"):
             cfg = TrainConfig(mode=mode, seed=seed)
             net_cfg, params, trace = train(cfg, ds)
-            accs = {
-                m: evaluate(net_cfg, params, te_in, te_lab, list(m))
-                for m in mask_order(3)
-            }
+            accs = dict(zip(mask_order(3), evaluate(net_cfg, params, te_in, te_lab, mask_order(3))))
             out[mode].append(accs)
             if mode == "hybrid":
                 out["traces"].append(trace)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import freqbal.bench as bench
-from freqbal import tensorio
+from freqbal import tensorio, tinynet
 from freqbal.bench import (
     filter_dataset,
     filter_study,
@@ -24,6 +24,7 @@ from freqbal.bench import (
 from freqbal.config import override, parse_config
 from freqbal.errors import ConfigError
 from freqbal.synthdata import generate, imbalanced_specs, save_dataset
+from freqbal.tinynet import evaluate
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -100,6 +101,31 @@ class TestRunMatrix:
         assert lines[-1].startswith("average,")
         full_row = [l for l in lines if l.startswith("111,")][0]
         assert full_row.split(",")[2] == ""  # collapse undefined for the reference row
+
+    @pytest.mark.parametrize("aux", ["none", "hybrid"])
+    def test_one_encoder_pass_matches_per_mask_evaluation(self, aux, monkeypatch):
+        net_cfg, params, _, _ = train_and_eval(tiny_cfg(f"mode = {aux}\n"))
+        inputs, labels = generate(imbalanced_specs(), n_train=0, n_test=40, seed=3).test_split()
+        inputs = [x.astype(np.float32) for x in inputs]
+        encodes = []
+        encode = tinynet._encode
+
+        def counting_encode(*args):
+            encodes.append(list(args[3]))
+            return encode(*args)
+
+        monkeypatch.setattr(tinynet, "_encode", counting_encode)
+        records = run_matrix(net_cfg, params, inputs, labels, mode=aux, seed=0, config="c")
+        assert encodes == [[True, True, True]]
+        # The matrix as one evaluate call per mask, the full mask first.
+        [full] = evaluate(net_cfg, params, inputs, labels)
+        assert [r.mask for r in records] == mask_order(3)
+        for r in records:
+            sparse = [x if present else None for x, present in zip(inputs, r.mask)]
+            [acc] = evaluate(net_cfg, params, sparse, labels, [r.mask])
+            assert r.acc == acc
+            assert r.pcr == (None if all(r.mask) else pcr(full, acc))
+            assert (r.mode, r.seed, r.config) == (aux, 0, "c")
 
     def test_matrix_header_golden(self, tmp_path):
         net_cfg, params, _, records = train_and_eval(tiny_cfg())

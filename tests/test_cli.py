@@ -194,6 +194,73 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {manifest}{scope}: missing key {key!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault", ["missing", "extra", "not_a_name", "repeated", "shape", "file_shape"])
+    def test_checkpoint_tensor_mismatch_is_config_error(self, fault, cfg_file, tmp_path, capsys, monkeypatch):
+        run, out = tmp_path / "run", tmp_path / "eval"
+        main(["train", "--config", cfg_file, "--out", str(run)])
+        manifest = run / "checkpoint" / "checkpoint.json"
+        meta = tensorio.read_manifest(manifest)
+        tensors = meta["tensors"]
+        bias = next(entry for entry in tensors if entry["name"] == "clf.b")
+        if fault == "missing":
+            tensors.remove(bias)
+            message = f"{manifest}: missing tensor 'clf.b'"
+        elif fault == "extra":
+            tensors.append({"name": "aux0.w", "shape": [8, *bias["shape"]]})
+            message = f"{manifest}: tensor 'aux0.w' is not a parameter of its net"
+        elif fault == "not_a_name":
+            bias["name"] = ["clf.b"]
+            message = f"{manifest}: tensor ['clf.b'] is not a parameter of its net"
+        elif fault == "repeated":
+            tensors.append(dict(bias))
+            message = f"{manifest}: tensor 'clf.b' is listed twice"
+        elif fault == "shape":
+            message = f"{manifest}: tensor 'clf.b' has shape [7, 7], its net needs {bias['shape']}"
+            bias["shape"] = [7, 7]
+        else:
+            tensor = run / "checkpoint" / "clf.b.f32"
+            tensorio.write_raw(tensor, np.zeros((2, 2)))
+            message = f"{tensor}: holds a 2x2 matrix, destination is float32 (1, {bias['shape'][0]})"
+        tensorio.write_manifest(manifest, meta)
+        if fault != "file_shape":
+            # The tensor list is checked before any tensor file is read.
+            monkeypatch.setattr(tensorio, "read_raw", None)
+        capsys.readouterr()
+        argv = ["eval", "--config", cfg_file, "--checkpoint", str(manifest.parent), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("low_energy", "x"), ("low_energy", True), ("high_energy", None), ("snr", "1.0"),
+         ("snr", False), ("signal_band", 1), ("signal_band", None)],
+    )
+    def test_mistyped_dataset_spec_is_config_error(self, field, value, cfg_file, tmp_path, capsys):
+        data, out = tmp_path / "ds", tmp_path / "scores.csv"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        meta = tensorio.read_manifest(data / "dataset.json")
+        meta["specs"][1][field] = value
+        tensorio.write_manifest(data / "dataset.json", meta)
+        capsys.readouterr()
+        assert main(["analyze", "--data", str(data), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {data / 'dataset.json'} specs[1]: {field} must be ")
+        assert repr(value) in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_integer_dataset_spec_is_accepted(self, cfg_file, tmp_path):
+        data, out = tmp_path / "ds", tmp_path / "scores.csv"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        main(["analyze", "--data", str(data), "--out", str(tmp_path / "expected.csv")])
+        meta = tensorio.read_manifest(data / "dataset.json")
+        meta["specs"][0].update(low_energy=100, snr=1)
+        tensorio.write_manifest(data / "dataset.json", meta)
+        spec = load_dataset(data).specs[0]
+        assert (spec.low_energy, spec.snr) == (100, 1)
+        assert main(["analyze", "--data", str(data), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_spec_is_config_error(self, value, tmp_path, capsys):
         cfg = tmp_path / "spec.cfg"

@@ -47,7 +47,7 @@ def reference_suppression(dataset, dominant, weak, eta, seed, hidden=(64, 32), b
         grads, *_ = backward(cfg, prefit, [x[idx] for x in images], labels[idx], mask=solo)
         prefit = sgd_step(cfg, prefit, dense(prefit, grads), eta)
         if it % 25 == 24:
-            prefit_loss = cross_entropy(forward(cfg, prefit, images, mask=solo)[0], labels)
+            prefit_loss = cross_entropy(forward(cfg, prefit, images, [solo])[0][0], labels)
             if prefit_loss < prefit_target:
                 break
 

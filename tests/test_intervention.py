@@ -233,9 +233,30 @@ class TestLoop:
         params["clf.w"] = np.array([[1e308, 0.0], [1e308, 0.0]])
         xb = [np.ones((1, 1)), np.ones((1, 1))]
         with np.errstate(over="ignore"):
-            logits, _ = forward(net_cfg, params, xb)
+            [(logits, _)] = forward(net_cfg, params, xb)
         assert not np.all(np.isfinite(logits))
         assert _first_bad_branch(net_cfg, params, xb, None) == "no single branch is non-finite"
+
+    @pytest.mark.parametrize("bad, named", [((1, 2), 1), ((2,), 2), ((0, 1, 2), 0)])
+    def test_first_bad_branch_from_one_encoder_pass(self, bad, named, monkeypatch):
+        # A bad branch's features are about 1e200, which the 1e200
+        # classifier weights overflow; a good branch's stay finite.
+        net_cfg = NetConfig(input_dims=(2, 2, 2), hidden=(2,), n_classes=2)
+        params = init_network(net_cfg)
+        for i in bad:
+            params[f"enc{i}.w0"] = np.full((2, 2), 1e200)
+        params["clf.w"] = np.full((6, 2), 1e200)
+        xb = [np.ones((3, 2))] * 3
+        encodes = []
+        encode = tinynet._encode
+
+        def counting_encode(*args):
+            encodes.append(list(args[3]))
+            return encode(*args)
+
+        monkeypatch.setattr(tinynet, "_encode", counting_encode)
+        assert _first_bad_branch(net_cfg, params, xb, None) == f"first non-finite branch: modality {named}"
+        assert encodes == [[True, True, True]]
 
     def test_epoch_callback_sees_every_epoch(self):
         ds = small_dataset()
@@ -287,7 +308,7 @@ def unfused_train(cfg, dataset):
             smooth = [bank.update(r) for bank, r in zip(banks, raw)]
             t = relative_ratio(smooth, cfg.spectral.sigma)
             k = np.ones(m) if len(rows) < warmup else weight(t, cfg.allocation)
-            logits, aux = forward(net_cfg, params, xb)
+            [(logits, aux)] = forward(net_cfg, params, xb)
             loss = cross_entropy(logits, yb)
             aux_losses = [math.nan] * m
             if cfg.uses_aux:
@@ -394,5 +415,5 @@ class TestDirectional:
             cfg = TrainConfig(mode=mode, seed=0)
             net_cfg, params, _ = train(cfg, ds)
             te_in, te_lab = ds.test_split()
-            accs[mode] = evaluate(net_cfg, params, te_in, te_lab, [False, True, False])
+            [accs[mode]] = evaluate(net_cfg, params, te_in, te_lab, [[False, True, False]])
         assert accs["hybrid"] > accs["none"]

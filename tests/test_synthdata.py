@@ -261,12 +261,8 @@ class TestDominance:
             cfg = TrainConfig(mode="none", seed=seed)
             net_cfg, params, _ = train(cfg, ds)
             te_in, te_lab = ds.test_split()
-            uni.append(
-                [
-                    evaluate(net_cfg, params, te_in, te_lab, [j == i for j in range(3)])
-                    for i in range(3)
-                ]
-            )
+            solo_masks = [[j == i for j in range(3)] for i in range(3)]
+            uni.append(evaluate(net_cfg, params, te_in, te_lab, solo_masks))
         means = np.mean(uni, axis=0)
         scores = [
             sample_preference(img[:64], SpectralConfig()).mean()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freqbal.bench import mask_order
 from freqbal.intervention import weighted_loss
 from freqbal.tinynet import (
     NetConfig,
@@ -20,7 +21,7 @@ from freqbal.tinynet import (
 
 def finite_difference(cfg, params, inputs, labels, aux_weights=None, eps=1e-5):
     def loss_fn(p):
-        logits, aux = forward(cfg, p, inputs)
+        [(logits, aux)] = forward(cfg, p, inputs)
         if aux_weights is not None:
             return weighted_loss(logits, aux, labels, aux_weights)[0]
         return cross_entropy(logits, labels)
@@ -118,7 +119,7 @@ class TestForward:
         cfg = NetConfig(input_dims=(6,), hidden=(6,), n_classes=3, seed=0)
         params = identity_encoder_params(cfg, rng)
         x = rng.random((5, 6))  # nonnegative so ReLU is inactive
-        logits, aux = forward(cfg, params, [x])
+        [(logits, aux)] = forward(cfg, params, [x])
         assert aux is None
         assert np.array_equal(logits, x @ params["clf.w"] + params["clf.b"])
 
@@ -127,10 +128,10 @@ class TestForward:
         cfg = NetConfig(input_dims=(5, 4), hidden=(6, 3), n_classes=3, seed=1)
         params = init_network(cfg)
         inputs = [rng.normal(size=(4, 5)), rng.normal(size=(4, 4))]
-        masked, _ = forward(cfg, params, inputs, mask=[True, False])
+        [(masked, _)] = forward(cfg, params, inputs, [[True, False]])
         zeroed = {n: v.copy() for n, v in params.items()}
         zeroed["clf.w"][cfg.feat_dim :, :] = 0.0
-        unmasked, _ = forward(cfg, zeroed, inputs)
+        [(unmasked, _)] = forward(cfg, zeroed, inputs)
         assert np.allclose(masked, unmasked, atol=1e-12)
 
     def test_matches_naive_reimplementation(self):
@@ -138,7 +139,7 @@ class TestForward:
         cfg = NetConfig(input_dims=(7, 5), hidden=(6, 4), n_classes=4, aux_heads=True, seed=2)
         params = init_network(cfg)
         inputs = [rng.normal(size=(6, 7)), rng.normal(size=(6, 5))]
-        logits, aux = forward(cfg, params, inputs)
+        [(logits, aux)] = forward(cfg, params, inputs)
 
         feats = []
         for i, x in enumerate(inputs):
@@ -158,9 +159,9 @@ class TestForward:
         params = init_network(cfg)
         inputs = [rng.normal(size=(4, 5)), rng.normal(size=(4, 4))]
         for mask in ([True, False], [False, True]):
-            ref, ref_aux = forward(cfg, params, inputs, mask=mask)
+            [(ref, ref_aux)] = forward(cfg, params, inputs, [mask])
             sparse = [x if present else None for x, present in zip(inputs, mask)]
-            logits, aux = forward(cfg, params, sparse, mask=mask)
+            [(logits, aux)] = forward(cfg, params, sparse, [mask])
             assert logits.tobytes() == ref.tobytes()
             for a, r in zip(aux, ref_aux):
                 assert a.tobytes() == r.tobytes()
@@ -168,9 +169,9 @@ class TestForward:
     def test_present_input_none_rejected(self):
         cfg = NetConfig(input_dims=(5, 4), hidden=(3,), n_classes=2)
         params = init_network(cfg)
-        for mask in (None, [False, True]):
+        for masks in (None, [[False, True]], [[True, False], [False, True]]):
             with pytest.raises(ValueError, match="modality 1 is present"):
-                forward(cfg, params, [np.zeros((2, 5)), None], mask=mask)
+                forward(cfg, params, [np.zeros((2, 5)), None], masks)
         with pytest.raises(ValueError, match="modality 1 is present"):
             backward(cfg, params, [np.zeros((2, 5)), None], np.array([0, 1]))
 
@@ -178,16 +179,73 @@ class TestForward:
         cfg = NetConfig(input_dims=(4,), hidden=(3,), n_classes=2)
         params = init_network(cfg)
         with pytest.raises(ValueError):
-            forward(cfg, params, [np.zeros((2, 4))], mask=[False])
+            forward(cfg, params, [np.zeros((2, 4))], [[False]])
 
     def test_flattens_image_planes(self):
         rng = np.random.default_rng(3)
         cfg = NetConfig(input_dims=(16,), hidden=(4,), n_classes=2, seed=3)
         params = init_network(cfg)
         imgs = rng.random((3, 4, 4))
-        a, _ = forward(cfg, params, [imgs])
-        b, _ = forward(cfg, params, [imgs.reshape(3, 16)])
+        [(a, _)] = forward(cfg, params, [imgs])
+        [(b, _)] = forward(cfg, params, [imgs.reshape(3, 16)])
         assert np.array_equal(a, b)
+
+
+class TestMaskList:
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("aux_heads", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_single_mask_calls_bitwise(self, m, aux_heads, dtype):
+        rng = np.random.default_rng(30 + m)
+        cfg = NetConfig(input_dims=(12, 9, 16)[:m], hidden=(8, 5), n_classes=4, aux_heads=aux_heads, seed=m)
+        params = init_network(cfg)
+        inputs = [rng.normal(size=(50, d)).astype(dtype) for d in cfg.input_dims]
+        labels = rng.integers(0, 4, size=50)
+        masks = mask_order(m)
+        results = forward(cfg, params, inputs, masks)
+        accs = evaluate(cfg, params, inputs, labels, masks)
+        assert len(results) == len(accs) == len(masks)
+        for mask, (logits, aux), acc in zip(masks, results, accs):
+            # The reference never sees an absent modality's input.
+            sparse = [x if present else None for x, present in zip(inputs, mask)]
+            [(ref, ref_aux)] = forward(cfg, params, sparse, [mask])
+            assert logits.dtype == np.float64
+            assert np.array_equal(logits, ref) and logits.tobytes() == ref.tobytes()
+            if aux_heads:
+                assert len(aux) == m
+                for a, r in zip(aux, ref_aux):
+                    assert a.tobytes() == r.tobytes()
+            else:
+                assert aux is None and ref_aux is None
+            assert acc == evaluate(cfg, params, sparse, labels, [mask])[0]
+        [(full, _)] = forward(cfg, params, inputs)
+        assert full.tobytes() == results[-1][0].tobytes()
+        assert evaluate(cfg, params, inputs, labels) == accs[-1:]
+
+    def test_encodes_each_needed_branch_once(self, monkeypatch):
+        from freqbal import tinynet
+
+        seen = []
+        encode = tinynet._encode
+
+        def recording_encode(cfg, params, inputs, mask):
+            seen.append(list(mask))
+            return encode(cfg, params, inputs, mask)
+
+        monkeypatch.setattr(tinynet, "_encode", recording_encode)
+        cfg = NetConfig(input_dims=(4, 3, 5), hidden=(3,), n_classes=2)
+        params = init_network(cfg)
+        inputs = [np.ones((2, 4)), None, np.ones((2, 5))]
+        forward(cfg, params, inputs, [[True, False, False], [False, False, True], [True, False, True]])
+        evaluate(cfg, params, inputs, np.array([0, 1]), [[False, False, True]])
+        assert seen == [[True, False, True], [False, False, True]]
+
+    @pytest.mark.parametrize("masks", [[], [True, False], [[True, True], [True]], [[False, False]]])
+    def test_bad_mask_list_rejected(self, masks):
+        cfg = NetConfig(input_dims=(4, 3), hidden=(3,), n_classes=2)
+        params = init_network(cfg)
+        with pytest.raises(ValueError):
+            forward(cfg, params, [np.zeros((2, 4)), np.zeros((2, 3))], masks)
 
 
 class TestCrossEntropy:
@@ -320,7 +378,7 @@ class TestBackward:
         grads, error, logits, aux_logits = backward(
             cfg, params, inputs, labels, mask=mask, aux_weights=aux_w
         )
-        ref_logits, ref_aux = forward(cfg, params, inputs, mask)
+        [(ref_logits, ref_aux)] = forward(cfg, params, inputs, [mask])
         assert logits.tobytes() == ref_logits.tobytes()
         assert list(grads) == keys
         if aux_heads:
@@ -422,7 +480,7 @@ class TestEvaluate:
         for _ in range(200):
             grads, *_ = backward(cfg, params, [x], y)
             params = sgd_step(cfg, params, grads, 0.5)
-        assert evaluate(cfg, params, [x], y) == 1.0
+        assert evaluate(cfg, params, [x], y) == [1.0]
 
     def test_constant_prediction_on_balanced_binary(self):
         cfg = NetConfig(input_dims=(3,), hidden=(2,), n_classes=2, seed=11)
@@ -431,7 +489,7 @@ class TestEvaluate:
         params["clf.b"][:] = np.array([5.0, 0.0])  # always predicts class 0
         x = np.random.default_rng(11).normal(size=(10, 3))
         y = np.array([0, 1] * 5)
-        assert evaluate(cfg, params, [x], y) == 0.5
+        assert evaluate(cfg, params, [x], y) == [0.5]
 
     def test_hand_counted_oracle(self):
         rng = np.random.default_rng(12)
@@ -439,9 +497,9 @@ class TestEvaluate:
         params = init_network(cfg)
         x = rng.normal(size=(10, 4))
         y = rng.integers(0, 3, size=10)
-        logits, _ = forward(cfg, params, [x])
+        [(logits, _)] = forward(cfg, params, [x])
         expected = sum(1 for j in range(10) if logits[j].argmax() == y[j]) / 10
-        assert evaluate(cfg, params, [x], y) == expected
+        assert evaluate(cfg, params, [x], y) == [expected]
 
     def test_empty_rejected(self):
         cfg = NetConfig(input_dims=(4,), hidden=(3,), n_classes=2)
