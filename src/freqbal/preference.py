@@ -26,8 +26,8 @@ def sample_preference(
     has shape (N,). Each plane is scored on its own, so a sample's score
     does not depend on the stack that holds it, and the score of a
     mini-batch, the mean of its samples' scores, is the mean of their
-    entries in a table built once over the whole split. A float32 stack
-    is widened block by block inside compute_maps_batch.
+    entries in a table built once over the whole split. A dataset's float32
+    stack is widened block by block inside compute_maps_batch.
     """
     stack = np.asarray(stack)
     if stack.ndim == 2:

@@ -19,9 +19,9 @@ too, A = ifft diag(d) fft, applied to whole stacks of planes.
 
 Stacks are processed in fixed blocks of planes, each written into a
 preallocated float64 result. A block is widened to float64 just before
-its products, so a float32 stack (a loaded dataset) gives bitwise the
-results of its float64 copy while only one block is ever held widened;
-for a float64 stack the widening is a view.
+its products, so a float32 stack (a dataset's) gives bitwise the results
+of its float64 copy while only one block is ever held widened; for a
+float64 stack (a filtered variant) the widening is a view.
 
 All functions are pure; arrays are never modified in place. None checks
 that its input is finite: planes and stacks come from files, which

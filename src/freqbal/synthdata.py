@@ -76,11 +76,11 @@ class SynthDataset:
     The first n_train samples are the training split; the rest are test.
     Pixels are finite: generated ones by construction from finite specs,
     loaded ones because tensorio.read_raw checks every value it reads.
-    Generated stacks are float64. Loaded stacks are float32, the exact
-    values in their files, as views of one contiguous block. Consumers
-    widen to float64 before any arithmetic (per block of planes, or once
-    for a split), which is exact, so results do not depend on the stacks'
-    dtype.
+    Stacks are float32 (n, h, w) arrays, generated or loaded: a generated
+    stack holds the values save_dataset writes, so a dataset and its saved
+    copy hold the same pixels and train alike. Loaded stacks are views of
+    one contiguous block. Consumers widen to float64 before any arithmetic
+    (per block of planes, per batch, or once for a split), which is exact.
     """
 
     images: list
@@ -130,9 +130,11 @@ def generate(
     class-balanced and shared across modalities.
 
     Each modality's pixels, low_h.T @ low @ low_w + high_h.T @ high @ high_w
-    for its band maps, are computed in blocks of planes straight into one
-    preallocated float64 stack, so the only whole-stack array made per
-    modality is the result; each plane is bitwise the one-shot formula's.
+    for its band maps, are computed in float64 a block of planes at a time
+    and rounded once to float32 as each block is stored in one
+    preallocated float32 stack. So the only whole-stack array made per
+    modality is the result, and each plane is bitwise the one-shot
+    formula's value rounded to float32, the rounding save_dataset applies.
     """
     specs = tuple(specs)
     if not specs:
@@ -164,11 +166,12 @@ def generate(
             high = _rescale_band(signal, spec.high_energy)
         low = low.swapaxes(2, 3).reshape(n, gh * q, gw * q)
         high = high.swapaxes(2, 3).reshape(n, gh * q, gw * q)
-        stack = np.empty((n, h, w))
+        stack = np.empty((n, h, w), dtype=np.float32)
         for start in range(0, n, _BLOCK):
             block = slice(start, start + _BLOCK)
-            np.matmul(low_h.T @ low[block], low_w, out=stack[block])
-            stack[block] += high_h.T @ high[block] @ high_w
+            pixels = low_h.T @ low[block] @ low_w
+            pixels += high_h.T @ high[block] @ high_w
+            stack[block] = pixels
         images.append(stack)
 
     return SynthDataset(
@@ -217,8 +220,10 @@ def lowband_specs():
     )
 
 
-# Manifest keys of dataset.json and of each of its modality specs.
-_MANIFEST_KEYS = ("n_train", "n_test", "n_classes", "height", "width", "seed", "specs")
+# Manifest keys of dataset.json, its integer fields, and the keys of each
+# of its modality specs.
+_MANIFEST_INTS = dict.fromkeys(("n_train", "n_test", "n_classes", "height", "width", "seed"), "int")
+_MANIFEST_KEYS = (*_MANIFEST_INTS, "specs")
 _SPEC_KEYS = ("low_energy", "high_energy", "signal_band", "snr")
 
 
@@ -282,8 +287,10 @@ class _SavedDataset:
 def _check_saved(src: Path) -> _SavedDataset:
     """Check a saved dataset without reading a pixel, in a fixed order.
 
-    First the manifest (its keys, its specs and the sample count), then each
-    modality file's header, size and (n, h*w) shape, then the labels: n
+    First the manifest (its keys; its six integer fields, which must be
+    JSON integers and are never coerced; its specs; the split sizes, which
+    must not be negative, and their sum; the plane dims), then
+    each modality file's header, size and (n, h*w) shape, then the labels: n
     integral values in [0, n_classes), a bad one reported with the first bad
     sample. So a malformed file is always reported, as a ValueError, before
     any pixel is read, and so before read_raw can find a non-finite one.
@@ -291,12 +298,16 @@ def _check_saved(src: Path) -> _SavedDataset:
     manifest = src / "dataset.json"
     meta = tensorio.read_manifest(manifest)
     tensorio.require_keys(meta, _MANIFEST_KEYS, manifest)
+    tensorio.require_fields(meta, _MANIFEST_INTS, manifest)
     tensorio.require_objects(meta["specs"], _SPEC_KEYS, f"{manifest} specs")
-    h, w = int(meta["height"]), int(meta["width"])
-    n = int(meta["n_train"]) + int(meta["n_test"])
+    for key, least in (("n_train", 0), ("n_test", 0), ("height", 1), ("width", 1)):
+        if meta[key] < least:
+            raise ValueError(f"{manifest}: {key} is {meta[key]}; it must be at least {least}")
+    h, w = meta["height"], meta["width"]
+    n = meta["n_train"] + meta["n_test"]
     if n < 1:
         raise ValueError(f"{manifest}: n_train + n_test is {n}; a dataset needs at least one sample")
-    n_classes = int(meta["n_classes"])
+    n_classes = meta["n_classes"]
     specs = []
     for i, spec in enumerate(meta["specs"]):
         try:
@@ -313,10 +324,10 @@ def _check_saved(src: Path) -> _SavedDataset:
         paths=paths,
         dims=(h, w),
         labels=labels,
-        n_train=int(meta["n_train"]),
+        n_train=meta["n_train"],
         n_classes=n_classes,
         specs=specs,
-        seed=int(meta["seed"]),
+        seed=meta["seed"],
     )
 
 

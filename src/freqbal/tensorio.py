@@ -230,6 +230,33 @@ def require_keys(entries, keys, where) -> None:
             raise ValueError(f"{where}: missing key {key!r}")
 
 
+def _is_int(value) -> bool:
+    # A JSON integer: Python's bool is an int subclass, but true is not 1 here.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What require_fields accepts per field kind, and how its error names it.
+_FIELD_KINDS = {
+    "int": (_is_int, "an integer"),
+    "int list": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+}
+
+
+def require_fields(entries, kinds, where) -> None:
+    """Raise ValueError naming `where` and the key unless each value has its kind.
+
+    `kinds` maps keys that `entries` holds (check them with require_keys
+    first) to "int", "int list" or "bool". A bool is not an integer, and
+    neither is a float, even an integral one, nor a numeric string, so no
+    value is coerced.
+    """
+    for key, kind in kinds.items():
+        accepts, what = _FIELD_KINDS[kind]
+        if not accepts(entries[key]):
+            raise ValueError(f"{where}: {key} must be {what}, got {entries[key]!r}")
+
+
 def require_objects(entries, keys, where) -> None:
     """Raise ValueError naming `where` unless `entries` is a list of objects each holding every key."""
     if not isinstance(entries, list):

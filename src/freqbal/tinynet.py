@@ -352,18 +352,28 @@ def save_checkpoint(out_dir, cfg: NetConfig, params: ParamSet) -> None:
     )
 
 
-# Keys of checkpoint.json, of its "net" object and of each "tensors" entry.
+# Keys of checkpoint.json, the kind of each field of its "net" object, and
+# the keys of each "tensors" entry.
 _CHECKPOINT_KEYS = ("net", "tensors")
-_NET_KEYS = ("input_dims", "hidden", "n_classes", "aux_heads", "seed")
+_NET_FIELDS = {
+    "input_dims": "int list",
+    "hidden": "int list",
+    "n_classes": "int",
+    "aux_heads": "bool",
+    "seed": "int",
+}
 _TENSOR_KEYS = ("name", "shape")
 
 
 def load_checkpoint(in_dir):
     """Inverse of save_checkpoint; returns (config, params), params widened to float64.
 
-    The manifest is checked before any tensor is read: its keys, and its
-    tensor list against param_layout of its net, name for name and shape
-    for shape. A missing key, a missing, extra or repeated tensor, or a
+    The manifest is checked before any tensor is read: its keys, the kind
+    of each net field (input_dims and hidden lists of integers, n_classes
+    and seed integers, aux_heads a boolean; nothing is coerced), the net
+    itself, and its tensor list against param_layout of its net, name for
+    name and shape for shape. A missing key, a field of the wrong kind, a
+    net that NetConfig rejects, a missing, extra or repeated tensor, or a
     wrong shape is a ValueError naming the file and the key or tensor; so
     is a tensor file whose matrix does not hold the tensor's shape.
     """
@@ -372,15 +382,19 @@ def load_checkpoint(in_dir):
     manifest = tensorio.read_manifest(path)
     tensorio.require_keys(manifest, _CHECKPOINT_KEYS, path)
     net, tensors = manifest["net"], manifest["tensors"]
-    tensorio.require_keys(net, _NET_KEYS, f"{path} net")
+    tensorio.require_keys(net, _NET_FIELDS, f"{path} net")
+    tensorio.require_fields(net, _NET_FIELDS, f"{path} net")
     tensorio.require_objects(tensors, _TENSOR_KEYS, f"{path} tensors")
-    cfg = NetConfig(
-        input_dims=tuple(net["input_dims"]),
-        hidden=tuple(net["hidden"]),
-        n_classes=int(net["n_classes"]),
-        aux_heads=bool(net["aux_heads"]),
-        seed=int(net["seed"]),
-    )
+    try:
+        cfg = NetConfig(
+            input_dims=tuple(net["input_dims"]),
+            hidden=tuple(net["hidden"]),
+            n_classes=net["n_classes"],
+            aux_heads=net["aux_heads"],
+            seed=net["seed"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path} net: {exc}") from exc
     layout = param_layout(cfg)
     seen = set()
     for entry in tensors:

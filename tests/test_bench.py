@@ -315,7 +315,7 @@ class TestFilterStudy:
             save_dataset(tmp_path / "dd", bench.generate_dataset(cfg))
             cfg = override(cfg, {"data_dir": tmp_path / "dd"})
         base = bench.get_dataset(cfg)
-        assert base.images[0].dtype == (np.float32 if loaded else np.float64)
+        assert base.images[0].dtype == np.float32
         before = [stack.copy() for stack in base.images]
         # The reference: every variant filtered on its own, then trained as
         # the raw control of a study of its own, all before any training.

@@ -194,6 +194,38 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {manifest}{scope}: missing key {key!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("hidden", "ab", "hidden must be a list of integers, got 'ab'"),
+            ("hidden", [16, 8.0], "hidden must be a list of integers, got [16, 8.0]"),
+            ("hidden", [], "encoders need at least one layer"),
+            ("input_dims", [1024, True, 1024], "input_dims must be a list of integers, got [1024, True, 1024]"),
+            ("aux_heads", "no", "aux_heads must be a boolean, got 'no'"),
+            ("aux_heads", 0, "aux_heads must be a boolean, got 0"),
+            ("n_classes", 4.7, "n_classes must be an integer, got 4.7"),
+            ("n_classes", 4.0, "n_classes must be an integer, got 4.0"),
+            ("n_classes", True, "n_classes must be an integer, got True"),
+            ("seed", "0", "seed must be an integer, got '0'"),
+        ],
+        ids=["hidden-str", "hidden-float", "hidden-empty", "input_dims-bool", "aux_heads-str",
+             "aux_heads-int", "n_classes-float", "n_classes-integral_float", "n_classes-bool", "seed-str"],
+    )
+    def test_mistyped_checkpoint_net_field_is_config_error(
+        self, field, value, message, cfg_file, tmp_path, capsys
+    ):
+        run, out = tmp_path / "run", tmp_path / "eval"
+        main(["train", "--config", cfg_file, "--out", str(run)])
+        manifest = run / "checkpoint" / "checkpoint.json"
+        meta = tensorio.read_manifest(manifest)
+        meta["net"][field] = value
+        tensorio.write_manifest(manifest, meta)
+        capsys.readouterr()
+        argv = ["eval", "--config", cfg_file, "--checkpoint", str(manifest.parent), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {manifest} net: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("fault", ["missing", "extra", "not_a_name", "repeated", "shape", "file_shape"])
     def test_checkpoint_tensor_mismatch_is_config_error(self, fault, cfg_file, tmp_path, capsys, monkeypatch):
         run, out = tmp_path / "run", tmp_path / "eval"
@@ -389,6 +421,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(data / "dataset.json") in err and "'n_classes'" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [({"height": 32.7}, "height must be an integer, got 32.7"),
+         ({"width": 32.0}, "width must be an integer, got 32.0"),
+         ({"n_train": "64"}, "n_train must be an integer, got '64'"),
+         ({"n_test": "ab"}, "n_test must be an integer, got 'ab'"),
+         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+         ({"n_classes": True}, "n_classes must be an integer, got True"),
+         ({"n_train": None}, "n_train must be an integer, got None"),
+         # The sample count and the plane size stay those of the files, so
+         # only the range check can catch these.
+         ({"n_train": -32, "n_test": 128}, "n_train is -32; it must be at least 0"),
+         ({"n_train": 100, "n_test": -4}, "n_test is -4; it must be at least 0"),
+         ({"height": -32, "width": -32}, "height is -32; it must be at least 1")],
+        ids=["height-float", "width-integral_float", "n_train-str", "n_test-str", "seed-float",
+             "n_classes-bool", "n_train-null", "n_train-negative", "n_test-negative", "dims-negative"],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "eval"])
+    def test_bad_manifest_integer_is_config_error(self, command, edit, message, cfg_file, tmp_path, capsys):
+        data, out = tmp_path / "ds", tmp_path / "o"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        meta = tensorio.read_manifest(data / "dataset.json")
+        meta.update(edit)
+        tensorio.write_manifest(data / "dataset.json", meta)
+        capsys.readouterr()
+        if command == "analyze":
+            argv = ["analyze", "--data", str(data), "--out", str(out)]
+        else:
+            argv = ["eval", "--config", cfg_file, "--data", str(data), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {data / 'dataset.json'}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -642,6 +707,25 @@ class TestDeterminism:
     @staticmethod
     def files(root):
         return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    def test_train_on_saved_data_matches_train_on_its_config(self, tmp_path):
+        # A generated dataset holds the float32 values that gen saves, so
+        # training on the saved copy is training on the same pixels.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY + "mode = hybrid\n")
+        data = tmp_path / "ds"
+        on_disk = tmp_path / "data.cfg"
+        on_disk.write_text(TINY + f"mode = hybrid\ndata_dir = {data}\n")
+        assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(["train", "--config", str(on_disk), "--out", str(tmp_path / "b")]) == 0
+        # run.json and config.txt record data_dir, so only they may differ.
+        compared = ["trace.csv", "scores.csv"] + sorted(
+            str(p.relative_to(tmp_path / "a")) for p in (tmp_path / "a" / "checkpoint").iterdir()
+        )
+        assert "checkpoint/clf.w.f32" in compared
+        for name in compared:
+            assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name
 
     def test_reruns_are_byte_identical(self, cfg_file, tmp_path):
         cell = ["config.txt", "trace.csv", "matrix.csv", "cell.json"]

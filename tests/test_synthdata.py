@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,50 @@ from freqbal.synthdata import (
     save_dataset,
 )
 from freqbal.tinynet import evaluate
+
+# Default dims (32, 32), patch side p = 8 and block side q = 2: a 4 x 4 grid
+# of patches.
+P, Q, GRID = 8, 2, 4
+
+
+def replay_draws(specs, n, n_classes, seed):
+    """generate's random stream: the labels, then per modality its signal
+    band draw (class templates blended with noise at its snr) and the
+    Gaussian draw whose signs its noise band keeps, as (n, 4, 4, 2, 2)
+    blocks."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(n) % n_classes)
+    draws = []
+    for spec in specs:
+        templates = rng.normal(size=(n_classes, GRID, GRID, Q, Q))
+        signal = spec.snr * templates[labels] + rng.normal(size=(n, GRID, GRID, Q, Q))
+        draws.append((signal, rng.normal(size=(n, GRID, GRID, Q, Q))))
+    return labels, draws
+
+
+def rescale(blocks, target):
+    if target == 0:
+        return np.zeros_like(blocks)
+    return blocks * (target / np.abs(blocks).sum(axis=(1, 2, 3, 4), keepdims=True))
+
+
+def as_map(blocks):
+    return blocks.swapaxes(2, 3).reshape(len(blocks), GRID * Q, GRID * Q)
+
+
+def construction(specs, n, n_classes, seed):
+    """Each modality's float64 pixels from generate's draws, by the one-shot
+    formula low_p.T @ low @ low_p + high_p.T @ high @ high_p of its rescaled
+    band maps."""
+    low_p, high_p = band_projections(32, P, Q)
+    _, draws = replay_draws(specs, n, n_classes, seed)
+    built = []
+    for spec, (signal, gauss) in zip(specs, draws):
+        noise = np.copysign(1.0, gauss)
+        low, high = (signal, noise) if spec.signal_band == "low" else (noise, signal)
+        low, high = as_map(rescale(low, spec.low_energy)), as_map(rescale(high, spec.high_energy))
+        built.append(low_p.T @ low @ low_p + high_p.T @ high @ high_p)
+    return built
 
 
 class TestGenerate:
@@ -79,8 +124,10 @@ class TestGenerate:
         # known ratio score: cells * low_energy / high_energy.
         spec = ModalitySpec(low_energy=40.0, high_energy=7.0, signal_band="low", snr=1.0)
         ds = generate((spec,), n_train=16, n_test=0, seed=12)
+        [pixels] = construction((spec,), n=16, n_classes=4, seed=12)
+        assert ds.images[0].tobytes() == pixels.astype(np.float32).tobytes()
         cfg = SpectralConfig()
-        low, high = compute_maps_batch(ds.images[0], cfg)
+        low, high = compute_maps_batch(pixels, cfg)
         cells = high[0].size
         assert np.allclose(np.abs(high), spec.high_energy / cells, rtol=1e-9, atol=0.0)
         expected = cells * spec.low_energy / spec.high_energy
@@ -96,88 +143,68 @@ class TestGenerate:
         n_train, n_test, n_classes, seed = 12, 4, 4, 13
         ds = generate(specs, n_train=n_train, n_test=n_test, n_classes=n_classes, seed=seed)
         n = n_train + n_test
-        gh = gw = 32 // 8  # default dims (32, 32) and patch side p = 8
-        q = 2
-        rng = np.random.default_rng(seed)
-        labels = rng.permutation(np.arange(n) % n_classes)
+        labels, draws = replay_draws(specs, n, n_classes, seed)
         assert np.array_equal(ds.labels, labels)
-
-        def as_map(blocks):
-            return blocks.swapaxes(2, 3).reshape(n, gh * q, gw * q)
-
-        for i, spec in enumerate(specs):
-            templates = rng.normal(size=(n_classes, gh, gw, q, q))
-            signal = spec.snr * templates[labels] + rng.normal(size=(n, gh, gw, q, q))
-            noise = rng.normal(size=(n, gh, gw, q, q))
+        built = construction(specs, n, n_classes, seed)
+        for i, (spec, (signal, noise), pixels) in enumerate(zip(specs, draws, built)):
+            assert ds.images[i].tobytes() == pixels.astype(np.float32).tobytes()
             target = spec.low_energy if spec.signal_band == "low" else spec.high_energy
-            signal *= target / np.abs(signal).sum(axis=(1, 2, 3, 4), keepdims=True)
+            signal = as_map(rescale(signal, target))
+            low, high = compute_maps_batch(pixels, SpectralConfig())
+            got_signal = low if spec.signal_band == "low" else high
+            assert np.abs(got_signal - signal).max() <= 1e-12
             low, high = compute_maps_batch(ds.images[i], SpectralConfig())
-            got_signal, got_noise = (low, high) if spec.signal_band == "low" else (high, low)
-            assert np.abs(got_signal - as_map(signal)).max() <= 1e-12
+            got_noise = high if spec.signal_band == "low" else low
             assert np.array_equal(np.sign(got_noise), np.sign(as_map(noise)))
 
     @pytest.mark.parametrize("specs", [imbalanced_specs(), lowband_specs()])
     def test_synthesis_is_transpose_of_analysis(self, specs):
-        # Images equal the inverse patch DCT of zero-filled coefficient
-        # blocks built from the same draws, and the analysis recovers the
-        # rescaled band blocks from them.
+        # The generator's pixels equal the inverse patch DCT of zero-filled
+        # coefficient blocks built from the same draws, and the analysis
+        # recovers the rescaled band blocks from them.
         n_train, n_test, n_classes, seed = 12, 4, 4, 14
         ds = generate(specs, n_train=n_train, n_test=n_test, n_classes=n_classes, seed=seed)
-        n, p, q = n_train + n_test, 8, 2
-        gh = gw = 32 // p  # default dims (32, 32)
-        b, _ = band_projections(p, p, p)
-        rng = np.random.default_rng(seed)
-        labels = rng.permutation(np.arange(n) % n_classes)
-
-        def rescale(blocks, target):
-            if target == 0:
-                return np.zeros_like(blocks)
-            return blocks * (target / np.abs(blocks).sum(axis=(1, 2, 3, 4), keepdims=True))
-
-        def as_map(blocks):
-            return blocks.swapaxes(2, 3).reshape(n, gh * q, gw * q)
-
-        for i, spec in enumerate(specs):
-            templates = rng.normal(size=(n_classes, gh, gw, q, q))
-            signal = spec.snr * templates[labels] + rng.normal(size=(n, gh, gw, q, q))
-            noise = np.copysign(1.0, rng.normal(size=(n, gh, gw, q, q)))
+        n = n_train + n_test
+        b, _ = band_projections(P, P, P)
+        _, draws = replay_draws(specs, n, n_classes, seed)
+        built = construction(specs, n, n_classes, seed)
+        for i, (spec, (signal, noise), pixels) in enumerate(zip(specs, draws, built)):
+            assert ds.images[i].tobytes() == pixels.astype(np.float32).tobytes()
+            noise = np.copysign(1.0, noise)
             low, high = (signal, noise) if spec.signal_band == "low" else (noise, signal)
             low = rescale(low, spec.low_energy)
             high = rescale(high, spec.high_energy)
-            coeffs = np.zeros((n, gh, gw, p, p))
-            coeffs[..., :q, :q] = low
-            coeffs[..., p - q :, p - q :] = high
+            coeffs = np.zeros((n, GRID, GRID, P, P))
+            coeffs[..., :Q, :Q] = low
+            coeffs[..., P - Q :, P - Q :] = high
             expected = (b.T @ coeffs @ b).swapaxes(2, 3).reshape(n, 32, 32)
-            img = ds.images[i]
-            assert np.abs(img - expected).max() <= 1e-12 * np.abs(expected).max()
-            got_low, got_high = compute_maps_batch(img, SpectralConfig(p=p, q=q))
+            assert np.abs(pixels - expected).max() <= 1e-12 * np.abs(expected).max()
+            got_low, got_high = compute_maps_batch(pixels, SpectralConfig(p=P, q=Q))
             assert np.abs(got_low - as_map(low)).max() <= 1e-12 * np.abs(low).max()
             assert np.abs(got_high - as_map(high)).max() <= 1e-12 * np.abs(high).max()
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
     def test_blockwise_synthesis_matches_one_shot_formula(self, n):
         # The reference builds each modality's whole stack in one expression
-        # from the same draws; the generator works in blocks of planes.
-        specs, n_classes, seed, p, q = imbalanced_specs(), 4, 40 + n, 8, 2
+        # from the same draws; the generator works in blocks of planes and
+        # rounds each block once, as it stores it.
+        specs, n_classes, seed = imbalanced_specs(), 4, 40 + n
         ds = generate(specs, n_train=n, n_test=0, n_classes=n_classes, seed=seed)
-        gh = gw = 32 // p  # default dims (32, 32)
-        low_p, high_p = band_projections(32, p, q)
-        rng = np.random.default_rng(seed)
-        labels = rng.permutation(np.arange(n) % n_classes)
+        for image, pixels in zip(ds.images, construction(specs, n, n_classes, seed)):
+            assert image.dtype == np.float32 and image.shape == (n, 32, 32)
+            assert image.tobytes() == pixels.astype(np.float32).tobytes()
 
-        def as_map(blocks, target):
-            blocks = blocks * (target / np.abs(blocks).sum(axis=(1, 2, 3, 4), keepdims=True))
-            return blocks.swapaxes(2, 3).reshape(n, gh * q, gw * q)
-
-        for i, spec in enumerate(specs):
-            templates = rng.normal(size=(n_classes, gh, gw, q, q))
-            signal = spec.snr * templates[labels] + rng.normal(size=(n, gh, gw, q, q))
-            noise = np.copysign(1.0, rng.normal(size=(n, gh, gw, q, q)))
-            low, high = (signal, noise) if spec.signal_band == "low" else (noise, signal)
-            low, high = as_map(low, spec.low_energy), as_map(high, spec.high_energy)
-            expected = low_p.T @ low @ low_p + high_p.T @ high @ high_p
-            assert ds.images[i].dtype == np.float64
-            assert ds.images[i].tobytes() == expected.tobytes()
+    def test_peak_memory_stays_near_the_float32_result(self):
+        # Only the float32 result is whole-stack: each block is computed in
+        # float64 and rounded as it is stored, so no float64 stack is held.
+        tracemalloc.start()
+        try:
+            ds = generate(imbalanced_specs(), 2000, 500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        float32_bytes = sum(np.dtype(np.float32).itemsize * stack.size for stack in ds.images)
+        assert peak < 1.5 * float32_bytes
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
