@@ -41,6 +41,8 @@ class DataConfig:
     def __post_init__(self):
         if self.n_train < 1 or self.n_test < 0:
             raise ValueError("need n_train >= 1 and n_test >= 0")
+        if self.n_classes < 2:
+            raise ValueError(f"classes must be at least 2, got {self.n_classes}")
         if not self.specs:
             raise ValueError("need at least one modality spec")
 

@@ -18,6 +18,12 @@ batch cannot estimate it. At a constant high-band cell magnitude the score
 of a low-signal modality is exactly cells * low_energy / high_energy (up to
 the stabilizer). The signs come from a Gaussian draw, so the generator
 consumes the same random stream as a Gaussian noise band would.
+
+Generated and loaded datasets share one layout: their stacks are float32
+views of one contiguous block that holds every modality. generate bounds
+its temporaries: one draw and two band maps the size of one modality's
+band coefficients, and the float64 buffers of one block of planes, all
+allocated once per call and reused by every modality.
 """
 
 import hashlib
@@ -78,9 +84,11 @@ class SynthDataset:
     loaded ones because tensorio.read_raw checks every value it reads.
     Stacks are float32 (n, h, w) arrays, generated or loaded: a generated
     stack holds the values save_dataset writes, so a dataset and its saved
-    copy hold the same pixels and train alike. Loaded stacks are views of
-    one contiguous block. Consumers widen to float64 before any arithmetic
-    (per block of planes, per batch, or once for a split), which is exact.
+    copy hold the same pixels and train alike. Generated and loaded stacks
+    are both views of one C-contiguous block that holds every modality, so
+    a view of any stack keeps the whole block alive. Consumers widen to
+    float64 before any arithmetic (per block of planes, per batch, or once
+    for a split), which is exact.
     """
 
     images: list
@@ -129,11 +137,15 @@ def generate(
     q x q corners of a patch must not overlap. Labels are exactly
     class-balanced and shared across modalities.
 
-    Each modality's pixels, low_h.T @ low @ low_w + high_h.T @ high @ high_w
-    for its band maps, are computed in float64 a block of planes at a time
-    and rounded once to float32 as each block is stored in one
-    preallocated float32 stack. So the only whole-stack array made per
-    modality is the result, and each plane is bitwise the one-shot
+    All modalities are written into one preallocated (m, n, h, w) float32
+    block, and `images` holds its (n, h, w) views, as load_dataset gives.
+    Each modality's draws are formed in place, in the order and with the
+    operations of the one-shot formula, and its rescaled bands are written
+    straight into their band maps. Its pixels, low_h.T @ low @ low_w +
+    high_h.T @ high @ high_w for those maps, are computed in float64 a
+    block of planes at a time into buffers allocated once per call, and
+    rounded once to float32 as each block is stored. So the block is the
+    only whole-stack array, and each plane is bitwise the one-shot
     formula's value rounded to float32, the rounding save_dataset applies.
     """
     specs = tuple(specs)
@@ -144,6 +156,8 @@ def generate(
         raise ValueError(f"dims {dims} not divisible by patch side {p}")
     if not 1 <= q <= p // 2:
         raise ValueError(f"block side q={q} must lie in [1, {p // 2}] for patch side {p}")
+    if n_classes < 2:
+        raise ValueError(f"n_classes must be at least 2, got {n_classes}")
     n = n_train + n_test
     if n < 1:
         raise ValueError("need at least one sample")
@@ -153,29 +167,41 @@ def generate(
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.arange(n) % n_classes)
 
-    images = []
-    for spec in specs:
+    block = np.empty((len(specs), n, h, w), dtype=np.float32)
+    draw = np.empty((n, gh, gw, q, q))
+    low = np.empty((n, gh * q, gw * q))
+    high = np.empty_like(low)
+    rows = min(n, _BLOCK)
+    inner = np.empty((rows, h, gw * q))
+    low_pixels = np.empty((rows, h, w))
+    high_pixels = np.empty_like(low_pixels)
+    for spec, stack in zip(specs, block):
         templates = rng.normal(size=(n_classes, gh, gw, q, q))
-        signal = spec.snr * templates[labels] + rng.normal(size=(n, gh, gw, q, q))
-        noise = np.copysign(1.0, rng.normal(size=(n, gh, gw, q, q)))
-        if spec.signal_band == "low":
-            low = _rescale_band(signal, spec.low_energy)
-            high = _rescale_band(noise, spec.high_energy)
-        else:
-            low = _rescale_band(noise, spec.low_energy)
-            high = _rescale_band(signal, spec.high_energy)
-        low = low.swapaxes(2, 3).reshape(n, gh * q, gw * q)
-        high = high.swapaxes(2, 3).reshape(n, gh * q, gw * q)
-        stack = np.empty((n, h, w), dtype=np.float32)
+        bands = ((low, spec.low_energy), (high, spec.high_energy))
+        if spec.signal_band == "high":
+            bands = bands[::-1]
+        (signal, signal_energy), (noise, noise_energy) = bands
+        # The signal band: spec.snr * templates[labels] + rng.normal(...),
+        # its Gaussian draw held in the noise band's map until that is written.
+        # Unlike the default mode, "clip" writes into draw without a buffer.
+        np.take(templates, labels, axis=0, out=draw, mode="clip")
+        draw *= spec.snr
+        gauss = noise.reshape(draw.shape)
+        _normal(rng, gauss)
+        draw += gauss
+        _rescale_band(draw, signal_energy, signal)
+        _normal(rng, draw)
+        np.copysign(1.0, draw, out=draw)
+        _rescale_band(draw, noise_energy, noise)
         for start in range(0, n, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            pixels = low_h.T @ low[block] @ low_w
-            pixels += high_h.T @ high[block] @ high_w
-            stack[block] = pixels
-        images.append(stack)
+            planes = slice(start, start + _BLOCK)
+            r = min(_BLOCK, n - start)
+            np.matmul(np.matmul(low_h.T, low[planes], out=inner[:r]), low_w, out=low_pixels[:r])
+            np.matmul(np.matmul(high_h.T, high[planes], out=inner[:r]), high_w, out=high_pixels[:r])
+            np.add(low_pixels[:r], high_pixels[:r], out=stack[planes])
 
     return SynthDataset(
-        images=images,
+        images=list(block),
         labels=labels,
         n_train=n_train,
         n_classes=n_classes,
@@ -184,13 +210,30 @@ def generate(
     )
 
 
-def _rescale_band(blocks, target: float) -> np.ndarray:
+def _normal(rng, out) -> None:
+    """Fill out with rng.normal(size=out.shape), bitwise.
+
+    normal() returns 0.0 + 1.0 * x for a standard draw x, which is x except
+    that a -0.0 becomes +0.0; the addition below does the same.
+    """
+    rng.standard_normal(out=out)
+    out += 0.0
+
+
+def _rescale_band(blocks, target: float, out) -> None:
+    """Write blocks * (target / mass), mass each sample's L1 mass, into out.
+
+    blocks is (n, gh, gw, q, q); out is its (n, gh*q, gw*q) band map, whose
+    memory holds |blocks| while the mass is summed.
+    """
     if target == 0:
-        return np.zeros_like(blocks)
-    mass = np.abs(blocks).sum(axis=(1, 2, 3, 4), keepdims=True)
+        out.fill(0.0)
+        return
+    n, gh, gw, q, _ = blocks.shape
+    mass = np.abs(blocks, out=out.reshape(blocks.shape)).sum(axis=(1, 2, 3, 4), keepdims=True)
     if np.any(mass == 0):
         raise ValueError("degenerate band draw; cannot hit a positive energy target")
-    return blocks * (target / mass)
+    np.multiply(blocks, target / mass, out=out.reshape(n, gh, q, gw, q).swapaxes(2, 3))
 
 
 def imbalanced_specs():
@@ -337,7 +380,7 @@ def load_dataset(in_dir) -> SynthDataset:
     The files are checked as modality_blocks checks them, so both reject
     the same datasets with the same errors. All modalities are then read
     into one contiguous (m, n, h*w) float32 block, and `images` holds
-    (n, h, w) views of it.
+    (n, h, w) views of it: the one-block layout generate gives.
     """
     saved = _check_saved(Path(in_dir))
     n, (h, w) = len(saved.labels), saved.dims

@@ -9,7 +9,10 @@ backward is the one encoder pass of a training step: besides the
 gradients it returns the main and aux logits it computed on the way, and
 the shared error signal softmax(logits) - onehot(labels), the only term
 through which the modality branches interact. forward serves inference
-(evaluation and probes) and gives bitwise the same logits.
+(evaluation and probes) and gives bitwise the same logits. Inference keeps
+no activations: only backward holds each branch's widened float64 input
+and activations, and forward encodes one branch at a time, so at most one
+branch's widened input is live.
 
 Absent modalities (presence mask False) contribute an all-zero feature
 vector: their inputs are never read (they may be None), their encoders are
@@ -123,11 +126,15 @@ def _check_masks(cfg: NetConfig, masks):
     return masks
 
 
-def _encode(cfg: NetConfig, params: ParamSet, inputs, mask):
-    """Run present encoders; returns per-modality features and relu caches.
+def _encode(cfg: NetConfig, params: ParamSet, inputs, mask, keep=False):
+    """Run present encoders; returns per-modality features and caches.
 
-    The sample count comes from the first present input; an absent
-    modality's input is never read and may be None.
+    With keep, a present branch's cache is its widened float64 input and
+    every activation, which backward needs; otherwise every cache is None
+    and each branch drops its widened input and activations as it goes,
+    so at most one branch's widened input is live at a time. The sample
+    count comes from the first present input; an absent modality's input
+    is never read and may be None.
     """
     if len(inputs) != cfg.n_modalities:
         raise ValueError(f"{len(inputs)} inputs for {cfg.n_modalities} modalities")
@@ -144,11 +151,12 @@ def _encode(cfg: NetConfig, params: ParamSet, inputs, mask):
         h = _as_flat(inputs[i], cfg.input_dims[i], f"modality {i}")
         if h.shape[0] != n:
             raise ValueError("modalities disagree on sample count")
-        acts = [h]
+        acts = [h] if keep else None
         for l in range(len(cfg.hidden)):
             z = h @ params[f"enc{i}.w{l}"] + params[f"enc{i}.b{l}"]
             h = np.maximum(z, 0.0)
-            acts.append(h)
+            if keep:
+                acts.append(h)
         feats.append(h)
         caches.append(acts)
     return feats, caches
@@ -171,7 +179,10 @@ def forward(cfg: NetConfig, params: ParamSet, inputs, masks=None):
     needs is encoded once; each mask then fuses those features with the
     all-zero block for its absent branches, so its pair is bitwise what a
     call with that mask alone returns. The aux logits, one array per
-    modality, are None when the net has no aux heads.
+    modality, are None when the net has no aux heads. No activations are
+    kept: a branch's widened input is dropped once its first layer is
+    formed, so at most one is live and the features are the only
+    per-branch arrays held across branches.
     """
     masks = _check_masks(cfg, masks)
     feats, _ = _encode(cfg, params, inputs, [any(column) for column in zip(*masks)])
@@ -238,7 +249,7 @@ def backward(cfg: NetConfig, params: ParamSet, inputs, labels, mask=None,
         if len(aux_weights) != cfg.n_modalities:
             raise ValueError(f"{len(aux_weights)} aux weights for {cfg.n_modalities} modalities")
     labels = np.asarray(labels)
-    feats, caches = _encode(cfg, params, inputs, mask)
+    feats, caches = _encode(cfg, params, inputs, mask, True)
     fused, logits, aux_logits = _heads(cfg, params, feats)
     n = logits.shape[0]
     y = onehot(labels, cfg.n_classes)

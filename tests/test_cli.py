@@ -302,6 +302,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: mod0: low_energy must be finite, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("classes", [0, 1, -2])
+    def test_fewer_than_two_classes_is_config_error(self, classes, tmp_path, capsys):
+        cfg = tmp_path / "classes.cfg"
+        cfg.write_text(TINY + f"classes = {classes}\n")
+        out = tmp_path / "ds"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: classes must be at least 2, got {classes}\n"
+        assert not out.exists()
+
     def test_non_finite_test_pixel_is_numeric_error(self, cfg_file, tmp_path, capsys):
         # Training never reads the test split; the mask matrix must not score
         # the NaN logits of a corrupt test sample, so the load rejects it.

@@ -195,8 +195,10 @@ class TestGenerate:
             assert image.tobytes() == pixels.astype(np.float32).tobytes()
 
     def test_peak_memory_stays_near_the_float32_result(self):
-        # Only the float32 result is whole-stack: each block is computed in
-        # float64 and rounded as it is stored, so no float64 stack is held.
+        # Only the float32 block is whole-stack: the draws are formed in
+        # place, the bands go straight into their band maps, and each block
+        # of planes is computed into buffers allocated once per call and
+        # rounded as it is stored, so no float64 stack is held.
         tracemalloc.start()
         try:
             ds = generate(imbalanced_specs(), 2000, 500)
@@ -204,7 +206,22 @@ class TestGenerate:
         finally:
             tracemalloc.stop()
         float32_bytes = sum(np.dtype(np.float32).itemsize * stack.size for stack in ds.images)
-        assert peak < 1.5 * float32_bytes
+        assert peak < 1.3 * float32_bytes
+
+    def test_images_are_float32_views_of_one_block(self):
+        # The layout load_dataset gives a loaded dataset.
+        ds = generate(imbalanced_specs(), n_train=10, n_test=6, dims=(16, 16), seed=12)
+        block = ds.images[0].base
+        assert block.shape == (3, 16, 16, 16) and block.dtype == np.float32
+        assert block.flags.c_contiguous
+        for i, stack in enumerate(ds.images):
+            assert stack.base is block and np.shares_memory(stack, block[i])
+            assert stack.shape == (16, 16, 16) and stack.flags.c_contiguous
+
+    @pytest.mark.parametrize("n_classes", [1, 0, -2])
+    def test_fewer_than_two_classes_rejected(self, n_classes):
+        with pytest.raises(ValueError, match=f"n_classes must be at least 2, got {n_classes}"):
+            generate(imbalanced_specs(), n_train=8, n_test=0, n_classes=n_classes, seed=0)
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,24 @@ class TestMaskList:
         forward(cfg, params, inputs, [[True, False, False], [False, False, True], [True, False, True]])
         evaluate(cfg, params, inputs, np.array([0, 1]), [[False, False, True]])
         assert seen == [[True, False, True], [False, False, True]]
+
+    def test_peak_memory_holds_one_widened_branch(self):
+        # Inference keeps no activations: each branch drops its float64
+        # copy of the input once its first layer is formed.
+        cfg = NetConfig(input_dims=(32 * 32,) * 3, aux_heads=True, seed=7)
+        params = init_network(cfg)
+        rng = np.random.default_rng(7)
+        inputs = [rng.normal(size=(500, 32, 32)).astype(np.float32) for _ in range(3)]
+        masks = mask_order(3)
+        assert len(masks) == 7
+        tracemalloc.start()
+        try:
+            forward(cfg, params, inputs, masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        widened_branch = np.dtype(np.float64).itemsize * inputs[0].size
+        assert peak < 1.5 * widened_branch
 
     @pytest.mark.parametrize("masks", [[], [True, False], [[True, True], [True]], [[False, False]]])
     def test_bad_mask_list_rejected(self, masks):
