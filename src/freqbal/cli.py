@@ -17,10 +17,10 @@ from . import bench, tensorio
 from .config import config_hash, dump_config, load_config, override
 from .dynamics import decay_check
 from .errors import ConfigError, NumericError
-from .intervention import train as train_loop
+from .intervention import TrainConfig, train as train_loop
 from .preference import METRIC_KINDS, sample_preference
 from .seeds import stream_rng
-from .spectral import SpectralConfig, center_crop, fft_filter
+from .spectral import center_crop, fft_filter
 from .synthdata import load_dataset, modality_blocks, save_dataset
 from .tinynet import load_checkpoint, save_checkpoint
 
@@ -53,9 +53,11 @@ def cmd_analyze(args) -> int:
     the mean over the whole stack, and the dataset is never held whole.
     Every file is checked before the first block is scored, so a malformed
     file exits 2 even when a pixel of an earlier modality is not finite.
+    The spectral parameters and omega_band come from --config, or are the
+    defaults without one.
     """
-    cfg = load_config(args.config) if args.config else None
-    spectral = cfg.train.spectral if cfg else SpectralConfig()
+    train_cfg = load_config(args.config).train if args.config else TrainConfig()
+    spectral, omega_band = train_cfg.spectral, train_cfg.omega_band
     metric = args.metric
     rows = []
     if args.data:
@@ -63,7 +65,7 @@ def cmd_analyze(args) -> int:
             # The score is checked instead of the pixels, which would cost a
             # full pass; numpy's warnings on bad pixels would only repeat it.
             with np.errstate(invalid="ignore", over="ignore"):
-                scores = [sample_preference(b, spectral, metric, args.omega_band) for b in blocks]
+                scores = [sample_preference(b, spectral, metric, omega_band) for b in blocks]
                 score = float(np.concatenate(scores).mean())
             if not np.isfinite(score):
                 raise NumericError(
@@ -75,7 +77,7 @@ def cmd_analyze(args) -> int:
         img = _read_plane(path)
         if args.center_crop:
             img = center_crop(img, spectral.p)
-        score = float(sample_preference(img, spectral, metric, args.omega_band).mean())
+        score = float(sample_preference(img, spectral, metric, omega_band).mean())
         rows.append([Path(path).name, metric, score])
     if not rows:
         raise ConfigError("analyze needs image paths or --data")
@@ -147,16 +149,16 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"mask {args.mask!r} must be {dataset.n_modalities} characters of 0/1 with at least one 1"
         )
-    bench.require_test_split(cfg, dataset)
     if args.checkpoint:
+        bench.require_test_split(cfg, dataset)
         net_cfg, params = load_checkpoint(args.checkpoint)
+        test_inputs, test_labels = dataset.test_split()
+        records = bench.run_matrix(
+            net_cfg, params, test_inputs, test_labels,
+            mode=cfg.train.mode, seed=cfg.seed, config=config_hash(cfg),
+        )
     else:
-        net_cfg, params, _ = train_loop(cfg.train, dataset)
-    test_inputs, test_labels = dataset.test_split()
-    records = bench.run_matrix(
-        net_cfg, params, test_inputs, test_labels,
-        mode=cfg.train.mode, seed=cfg.seed, config=config_hash(cfg),
-    )
+        *_, records = bench.train_and_eval(cfg, dataset)
     if args.mask:
         records = [r for r in records if bench.mask_label(r.mask) == args.mask]
         rows = [[bench.mask_label(r.mask), r.acc, r.pcr, r.mode, r.seed, r.config] for r in records]
@@ -169,11 +171,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_window(args) -> int:
-    cfg = load_config(args.config)
-    if args.allow_overlap:
-        cfg = override(cfg, {"allow_overlap": True})
-    q_values = _int_list(args.q)
-    bench.sweep_window(cfg, q_values, args.out)
+    bench.sweep_window(load_config(args.config), _int_list(args.q), args.out)
     _print_summary(args.out)
     return 0
 
@@ -245,9 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="preference score of images or a dataset")
     p.add_argument("images", nargs="*", help="PGM or raw .f32 planes")
     p.add_argument("--data", help="dataset directory (scores per modality)")
-    p.add_argument("--config", help="config file for spectral parameters")
+    p.add_argument("--config", help="config file for spectral parameters and omega_band")
     p.add_argument("--metric", default="frm", choices=METRIC_KINDS)
-    p.add_argument("--omega-band", type=float, default=0.9)
     p.add_argument("--center-crop", action="store_true", help="crop to a patch multiple first")
     p.add_argument("--out", help="write scores CSV here")
     p.set_defaults(func=cmd_analyze)
@@ -283,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--q", default="1,2,4", help="comma-separated block sides")
-    p.add_argument("--allow-overlap", action="store_true",
-                   help="permit q > p/2 (overlapping corner blocks)")
     p.set_defaults(func=cmd_sweep_window)
 
     p = sub.add_parser("sweep-params", help="sweep weight-allocation scaling factors")

@@ -6,10 +6,11 @@ and blank lines are ignored. Modality specs use indexed keys (mod0.low_energy,
 
 _KEYS is the one schema of the scalar keys: each row names the key, the
 section dataclass that holds it (train, spectral, allocation or data), the
-field, and the parser of its text. The unknown-key check, parse_config,
-dump_config and override all read it. Defaults live only on the dataclasses,
-so the empty file is a valid config. override changes a config by the keys
-a user writes and validates the result exactly as a config file is.
+field, and the parser of its text; a float key must be finite. The
+unknown-key check, parse_config, dump_config and override all read it.
+Defaults live only on the dataclasses, so the empty file is a valid config.
+override changes a config by the keys a user writes and validates the
+result exactly as a config file is.
 
 The canonical dump (every key, fixed order, full-precision floats) is the
 identity of a run: its sha256 prefix is the config hash recorded in run
@@ -17,6 +18,7 @@ outputs and used to resume sweeps.
 """
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -168,7 +170,10 @@ def _build(pairs: dict) -> RunConfig:
             mods.setdefault(int(match.group(1)), {})[match.group(2)] = value
         elif key in parsers:
             section, name, parse = parsers[key]
-            sections[section][name] = parse(value)
+            parsed = parse(value)
+            if parse is _float and not math.isfinite(parsed):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            sections[section][name] = parsed
         else:
             unknown.append(key)
     if unknown:

@@ -28,6 +28,16 @@ from .tinynet import (
     sgd_step,
 )
 
+# The coupling probe's error-signal scale factors: powers of two, so a
+# scaled gradient norm is bitwise r times the base norm.
+COUPLING_SCALES = (0.5, 0.25)
+
+# The suppression experiment's mini-batch size, and the full training loss
+# the pre-fit must reach within PREFIT_MAX_ITERS steps.
+BATCH_SIZE = 64
+PREFIT_TARGET = 0.05
+PREFIT_MAX_ITERS = 2000
+
 
 @dataclass
 class SpectrumReport:
@@ -91,6 +101,10 @@ def decay_check(x, y, eta: float = None, steps: int = 50) -> SpectrumReport:
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError(f"features {x.shape} do not match {y.shape[0]} targets")
+    if x.size == 0:
+        raise ValueError(f"x holds no samples or no features: shape {x.shape}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     report = eigendecompose(gram_matrix(x))
     lam, u = report.eigenvalues, report.eigenvectors
     lam_max = float(lam[0])
@@ -139,12 +153,12 @@ class CouplingReport:
     scaling_max_rel_err: float
 
 
-def coupling_probe(net_cfg: NetConfig, params, inputs, labels, scales=(0.5, 0.25)) -> CouplingReport:
+def coupling_probe(net_cfg: NetConfig, params, inputs, labels) -> CouplingReport:
     """Measure how every branch's gradient tracks the shared error signal.
 
     Holding the batch (hence all features) fixed, the main-path error
     signal softmax - onehot is replaced by r * itself for each r in
-    scales; each encoder's gradient norm must shrink by exactly r.
+    COUPLING_SCALES; each encoder's gradient norm must shrink by exactly r.
     """
     grads, error, *_ = backward(net_cfg, params, inputs, labels)
     base_norms = encoder_grad_norms(net_cfg, grads)
@@ -152,7 +166,7 @@ def coupling_probe(net_cfg: NetConfig, params, inputs, labels, scales=(0.5, 0.25
         np.sqrt(np.sum(grads["clf.w"] ** 2) + np.sum(grads["clf.b"] ** 2))
     )
     worst = 0.0
-    for r in scales:
+    for r in COUPLING_SCALES:
         scaled_grads, *_ = backward(net_cfg, params, inputs, labels, error_override=r * error)
         scaled_norms = encoder_grad_norms(net_cfg, scaled_grads)
         expected = r * base_norms
@@ -174,9 +188,6 @@ def suppression_experiment(
     weak: int = 2,
     hidden=(64, 32),
     eta: float = 0.3,
-    batch_size: int = 64,
-    prefit_target: float = 0.05,
-    prefit_max_iters: int = 2000,
     measure_iters: int = 20,
     seed: int = 0,
 ):
@@ -184,7 +195,7 @@ def suppression_experiment(
 
     The treatment arm first trains the dominant branch alone (mask limited
     to it, plain SGD) until the full training loss drops below
-    prefit_target, then both arms run measure_iters joint steps over the
+    PREFIT_TARGET, then both arms run measure_iters joint steps over the
     identical batch sequence; the control arm starts from the same joint
     initialization without any pre-fit. Returns a dict with the mean weak-
     encoder gradient norm of each arm and their ratio (treatment/control).
@@ -213,27 +224,27 @@ def suppression_experiment(
     prefit = params0
     rng = stream_rng(seed, "prefit")
     prefit_loss = None
-    for it in range(prefit_max_iters):
-        idx = rng.integers(0, n, size=batch_size)
+    for it in range(PREFIT_MAX_ITERS):
+        idx = rng.integers(0, n, size=BATCH_SIZE)
         xb = [img[idx] if present else None for img, present in zip(train_images, solo_mask)]
         grads, *_ = backward(net_cfg, prefit, xb, train_labels[idx], mask=solo_mask)
         prefit = sgd_step(net_cfg, prefit, grads, eta)
         if it % 25 == 24:
             [(logits, _)] = forward(net_cfg, prefit, train_images, [solo_mask])
             prefit_loss = cross_entropy(logits, train_labels)
-            if prefit_loss < prefit_target:
+            if prefit_loss < PREFIT_TARGET:
                 break
     else:
         raise ValueError(
-            f"dominant branch failed to reach loss {prefit_target} "
-            f"within {prefit_max_iters} iterations (last {prefit_loss})"
+            f"dominant branch failed to reach loss {PREFIT_TARGET} "
+            f"within {PREFIT_MAX_ITERS} iterations (last {prefit_loss})"
         )
 
     arms = [prefit, params0]  # treatment, control
     norms = [[], []]
     batch_rng = stream_rng(seed, "measure")
     for _ in range(measure_iters):
-        idx = batch_rng.integers(0, n, size=batch_size)
+        idx = batch_rng.integers(0, n, size=BATCH_SIZE)
         xb = [img[idx] for img in train_images]
         yb = train_labels[idx]
         for a, params in enumerate(arms):

@@ -80,6 +80,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError(f"warmup_frac must lie in [0,1), got {self.warmup_frac}")
+        if not 0.0 <= self.omega_band <= 1.0:
+            raise ValueError(f"omega_band must lie in [0,1], got {self.omega_band}")
 
     @property
     def uses_aux(self) -> bool:
@@ -186,7 +188,9 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
     any step runs. Non-finite logits or a non-finite loss abort with a
     NumericError that names the iteration, K and the last finite total
     loss, and carries the partial trace; for non-finite logits it also
-    names the first modality whose branch alone is non-finite.
+    names the first modality whose branch alone is non-finite. Final
+    parameters that are not all finite in float32 raise a NumericError
+    naming the first such tensor, also carrying the trace.
 
     on_epoch_end(epoch, net_cfg, params), when given, is called after each
     epoch; it must not mutate params.
@@ -263,4 +267,15 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
         if on_epoch_end is not None:
             on_epoch_end(epoch, net_cfg, params)
 
+    # Each step's logits check catches a bad update before the next step;
+    # the last update has no next step. A checkpoint stores float32, so a
+    # value beyond its range is checked as the inf it would be stored as.
+    with np.errstate(over="ignore"):
+        for name, value in params.items():
+            if not np.all(np.isfinite(value.astype(np.float32))):
+                raise NumericError(
+                    f"non-finite parameter {name} in float32 after the last step, "
+                    f"iteration {iteration - 1}",
+                    trace=trace,
+                )
     return net_cfg, params, trace

@@ -37,6 +37,12 @@ import numpy as np
 from . import tensorio
 from .spectral import _BLOCK, band_projections
 
+# The patch side and band block side datasets are generated with. They are
+# independent of the config's patch and block, which only set how the
+# pipeline scores a dataset.
+GEN_PATCH = 8
+GEN_BLOCK = 2
+
 
 @dataclass(frozen=True)
 class ModalitySpec:
@@ -128,14 +134,12 @@ def generate(
     n_classes: int = 4,
     dims=(32, 32),
     seed: int = 0,
-    p: int = 8,
-    q: int = 2,
 ) -> SynthDataset:
     """Build a dataset; deterministic for a given seed.
 
-    dims must be divisible by the generation patch side p, and the two
-    q x q corners of a patch must not overlap. Labels are exactly
-    class-balanced and shared across modalities.
+    dims must be divisible by the generation patch side GEN_PATCH; each
+    band is one GEN_BLOCK x GEN_BLOCK corner of every patch. Labels are
+    exactly class-balanced and shared across modalities.
 
     All modalities are written into one preallocated (m, n, h, w) float32
     block, and `images` holds its (n, h, w) views, as load_dataset gives.
@@ -152,15 +156,14 @@ def generate(
     if not specs:
         raise ValueError("need at least one modality spec")
     h, w = dims
-    if h % p or w % p:
-        raise ValueError(f"dims {dims} not divisible by patch side {p}")
-    if not 1 <= q <= p // 2:
-        raise ValueError(f"block side q={q} must lie in [1, {p // 2}] for patch side {p}")
+    if h % GEN_PATCH or w % GEN_PATCH:
+        raise ValueError(f"dims {dims} not divisible by the generator's patch side {GEN_PATCH}")
     if n_classes < 2:
         raise ValueError(f"n_classes must be at least 2, got {n_classes}")
     n = n_train + n_test
     if n < 1:
         raise ValueError("need at least one sample")
+    p, q = GEN_PATCH, GEN_BLOCK
     gh, gw = h // p, w // p
     low_h, high_h = band_projections(h, p, q)
     low_w, high_w = band_projections(w, p, q)

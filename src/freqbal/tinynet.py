@@ -300,7 +300,7 @@ def sgd_step(cfg: NetConfig, params: ParamSet, grads: ParamSet, eta: float, weig
     if weights is None:
         k = np.ones(cfg.n_modalities)
     else:
-        k = np.asarray(getattr(weights, "k", weights), dtype=np.float64)
+        k = np.asarray(weights, dtype=np.float64)
         if k.shape != (cfg.n_modalities,):
             raise ValueError(f"need {cfg.n_modalities} weights, got shape {k.shape}")
     out = dict(params)

@@ -85,6 +85,32 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, mode",
+        [("alpha", "nan", "hybrid"), ("alpha", "nan", "none"), ("beta", "inf", "gradient"),
+         ("lambda", "inf", "hybrid"), ("omega_band", "1.5", "none"), ("omega_band", "nan", "none"),
+         ("omega_band", "-0.1", "none")],
+    )
+    def test_non_finite_or_out_of_range_float_is_config_error(self, key, value, mode, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY + f"mode = {mode}\nmetric = frm\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_final_parameters_are_numeric_error(self, tmp_path, capsys):
+        # One step: no later step's logits check can catch its update.
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY.replace("batch_size = 32", "batch_size = 64") + "eta = 1e300\n")
+        out = tmp_path / "boom"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite parameter enc0.w0 ")
+        assert len((out / "trace.csv").read_text().splitlines()) == 2
+        assert not (out / "checkpoint").exists()
+
     def test_numeric_failure_flushes_trace(self, tmp_path):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(TINY.replace("epochs = 1", "epochs = 3") + "eta = 1e12\n")
@@ -300,6 +326,15 @@ class TestExitCodes:
         out = tmp_path / "ds"
         assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: mod0: low_energy must be finite, got {value}\n"
+        assert not out.exists()
+
+    def test_dims_not_divisible_by_generator_patch_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "patch4.cfg"
+        cfg.write_text(TINY + "patch = 4\nheight = 12\nwidth = 12\n")
+        out = tmp_path / "ds"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: dims (12, 12) not divisible by the generator's patch side 8\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("classes", [0, 1, -2])
@@ -572,6 +607,20 @@ class TestAnalyzeAndFilter:
             assert main(["analyze", "--data", str(data), "--metric", kind, "--out", str(out)]) == 0
             assert out.read_bytes() == (tmp_path / f"expected_{kind}.csv").read_bytes(), kind
 
+    def test_analyze_dataset_reads_omega_band_from_config(self, tmp_path, capsys):
+        data, cfg = tmp_path / "ds", tmp_path / "omega.cfg"
+        save_dataset(data, generate(imbalanced_specs(), n_train=20, n_test=0, dims=(16, 16), seed=7))
+        cfg.write_text("omega_band = 0.5\n")
+        capsys.readouterr()
+        assert main(["analyze", "--data", str(data), "--config", str(cfg), "--metric", "mp_weighted"]) == 0
+        scores = [
+            float(sample_preference(stack, SpectralConfig(), "mp_weighted", 0.5).mean())
+            for stack in load_dataset(data).images
+        ]
+        assert capsys.readouterr().out == "".join(
+            f"mod{i}\tmp_weighted\t{score!r}\n" for i, score in enumerate(scores)
+        )
+
     @pytest.mark.parametrize(
         "fault",
         ["manifest_key", "no_samples", "specs_not_list", "truncated_modality", "header_shape",
@@ -675,8 +724,9 @@ class TestSweepCommands:
     def test_sweep_window_overlap_flag(self, cfg_file, tmp_path):
         out = tmp_path / "sw6"
         assert main(["sweep-window", "--config", cfg_file, "--q", "6", "--out", str(out)]) == 2
-        assert main(["sweep-window", "--config", cfg_file, "--q", "6", "--out", str(out),
-                     "--allow-overlap"]) == 0
+        overlap = tmp_path / "overlap.cfg"
+        overlap.write_text(TINY + "allow_overlap = true\n")
+        assert main(["sweep-window", "--config", str(overlap), "--q", "6", "--out", str(out)]) == 0
 
     def test_sweep_params_single_tuple(self, cfg_file, tmp_path):
         out = tmp_path / "sp"
@@ -710,6 +760,16 @@ class TestNtkCheck:
 
     def test_explicit_unstable_eta(self, tmp_path):
         assert main(["ntk-check", "--n", "8", "--d", "16", "--eta", "1e9"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--steps", "-1"], "steps must be >= 0, got -1"),
+         (["--n", "0"], "x holds no samples or no features: shape (0, 64)")],
+        ids=["steps", "n"],
+    )
+    def test_negative_steps_or_no_samples_is_config_error(self, argv, message, capsys):
+        assert main(["ntk-check", *argv]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestDeterminism:
