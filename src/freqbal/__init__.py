@@ -13,12 +13,11 @@ orchestrate sweeps through a CSV-emitting CLI.
 __version__ = "0.1.0"
 
 from .allocation import AllocationParams, ModalWeights, allocate, relative_ratio, weight
-from .preference import FrmBank, sample_preference
+from .preference import sample_preference
 from .spectral import SpectralConfig, fft_filter
 
 __all__ = [
     "AllocationParams",
-    "FrmBank",
     "ModalWeights",
     "SpectralConfig",
     "allocate",

@@ -10,9 +10,11 @@ score is the SpectralConfig's, the same one the ratio score adds to its
 denominator.
 
 allocate runs one step of that pipeline from the mini-batch's raw scores,
-one per modality. It computes no score itself: the training loop looks
-the scores up in a per-sample table, and a score that depends on the
-network could be passed in the same way.
+one per modality, and the last step's smoothed scores, which it blends
+with them into an exponential moving average. It holds no state and
+changes nothing it is given. It computes no score itself: the training
+loop looks the scores up in a per-sample table, and a score that depends
+on the network could be passed in the same way.
 """
 
 from dataclasses import dataclass
@@ -26,22 +28,32 @@ _EXP_CLAMP = 60.0
 
 @dataclass(frozen=True)
 class AllocationParams:
-    """Scaling factors of the weight curve: K = alpha - beta / (1 + e^{-lam (T - gamma)})."""
+    """Weight curve K = alpha - beta / (1 + e^{-lam (T - gamma)}), which lies
+    between alpha - beta and alpha, and omega_bank, the history weight of
+    the smoothed scores. A K below 0 would make its branch ascend."""
 
     alpha: float = 1.5
     beta: float = 1.0
     lam: float = 6.0
     gamma: float = 0.7
+    omega_bank: float = 0.5
 
     def __post_init__(self):
         if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if min(self.alpha, self.alpha - self.beta) < 0:
+            raise ValueError(
+                f"weights can go below 0: need alpha >= 0 and alpha >= beta, "
+                f"got alpha={self.alpha}, beta={self.beta}"
+            )
+        if not 0.0 <= self.omega_bank <= 1.0:
+            raise ValueError(f"omega_bank must lie in [0,1], got {self.omega_bank}")
 
 
 @dataclass
 class ModalWeights:
     """One mini-batch step's per-modality weights K, ratios T, raw scores
-    and bank-smoothed scores."""
+    and smoothed scores."""
 
     k: np.ndarray
     t: np.ndarray
@@ -70,21 +82,31 @@ def weight(t, params: AllocationParams = AllocationParams()):
     return float(k) if k.ndim == 0 else k
 
 
-def allocate(raw, banks, sigma: float, params: AllocationParams) -> ModalWeights:
-    """Fold each modality's raw batch score into its bank and weight the result.
+def allocate(raw, previous, sigma: float, params: AllocationParams) -> ModalWeights:
+    """Smooth each modality's raw batch score and weight the result.
 
-    The caller owns the banks and must hold them exclusively for the
-    duration of the step; banks are mutated in place. A non-finite score
-    raises NumericError naming the modality, before any bank is updated.
+    previous is the last step's ModalWeights.smooth, or None at the first
+    step, which takes the raw scores as they are; later steps smooth to
+    omega_bank * previous + (1 - omega_bank) * raw, so a smoothed score
+    stays inside the range of the raw scores seen. A non-finite raw score
+    raises NumericError and a negative one ValueError, each naming the
+    modality; a previous of another shape than raw raises ValueError.
     """
     raw = np.array(raw, dtype=np.float64)
-    if len(raw) != len(banks):
-        raise ValueError(f"{len(raw)} scores for {len(banks)} banks")
-    if len(raw) == 0:
-        raise ValueError("need at least one modality")
-    for i, score in enumerate(raw):
-        if not np.isfinite(score):
-            raise NumericError(f"non-finite score of modality {i}")
-    smooth = [bank.update(r) for bank, r in zip(banks, raw)]
+    if raw.ndim != 1 or raw.size == 0:
+        raise ValueError(f"need one score per modality, got shape {raw.shape}")
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise NumericError(f"non-finite score of modality {bad[0]}")
+    negative = np.flatnonzero(raw < 0)
+    if negative.size:
+        raise ValueError(f"negative score {float(raw[negative[0]])!r} of modality {negative[0]}")
+    if previous is None:
+        smooth = raw.copy()
+    else:
+        previous = np.asarray(previous, dtype=np.float64)
+        if previous.shape != raw.shape:
+            raise ValueError(f"previous scores of shape {previous.shape} for {raw.shape} raw scores")
+        smooth = params.omega_bank * previous + (1.0 - params.omega_bank) * raw
     t = relative_ratio(smooth, sigma)
-    return ModalWeights(k=weight(t, params), t=t, raw=raw, smooth=np.array(smooth))
+    return ModalWeights(k=weight(t, params), t=t, raw=raw, smooth=smooth)

@@ -51,6 +51,11 @@ def write_csv(path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_trace_csv(path, trace) -> None:
+    """The trace's rows under its column layout, one row per iteration."""
+    write_csv(path, trace.columns(trace.n_modalities), trace.rows)
+
+
 def write_scores_csv(path, trace) -> None:
     """Long-format preference export: one row per (iteration, modality)."""
     m = trace.n_modalities
@@ -193,7 +198,7 @@ def _run_cell(cell_dir: Path, cfg: RunConfig, dataset, digest):
     cell_dir.mkdir(parents=True, exist_ok=True)
     marker.unlink(missing_ok=True)
     (cell_dir / "config.txt").write_text(dump_config(cfg))
-    trace.write_csv(cell_dir / "trace.csv")
+    write_trace_csv(cell_dir / "trace.csv", trace)
     write_run_matrix(cell_dir / "matrix.csv", records)
     avg_acc, avg_pcr = matrix_average(records)
     meta = {"config": config_hash(cfg), "seed": cfg.seed, "avg_acc": avg_acc, "avg_pcr": avg_pcr}

@@ -121,9 +121,9 @@ def cmd_train(args) -> int:
         net_cfg, params, trace = train_loop(cfg.train, dataset)
     except NumericError as exc:
         if exc.trace is not None and len(exc.trace):
-            exc.trace.write_csv(out / "trace.csv")
+            bench.write_trace_csv(out / "trace.csv", exc.trace)
         raise
-    trace.write_csv(out / "trace.csv")
+    bench.write_trace_csv(out / "trace.csv", trace)
     bench.write_scores_csv(out / "scores.csv", trace)
     save_checkpoint(out / "checkpoint", net_cfg, params)
     (out / "config.txt").write_text(dump_config(cfg))

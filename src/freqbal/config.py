@@ -110,7 +110,7 @@ _KEYS = (
     ("patch", "spectral", "p", _int),
     ("block", "spectral", "q", _int),
     ("sigma", "spectral", "sigma", _float),
-    ("omega_bank", "spectral", "omega_bank", _float),
+    ("omega_bank", "allocation", "omega_bank", _float),
     ("allow_overlap", "spectral", "allow_overlap", _bool),
     ("alpha", "allocation", "alpha", _float),
     ("beta", "allocation", "beta", _float),

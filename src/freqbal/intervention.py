@@ -1,9 +1,9 @@
 """The balanced training loop: score, smooth, weight, then intervene.
 
 Every iteration first looks up each modality's frequency preference of
-the raw mini-batch, folds it into the per-modality banks, and converts the
-smoothed scores into guidance weights K. The four modes then differ only
-in where K is applied:
+the raw mini-batch, smooths it with the last step's smoothed scores, and
+converts the result into guidance weights K. The four modes then differ
+only in where K is applied:
 
   none      plain cross-entropy, plain SGD (K computed but unused)
   loss      aux-head losses weighted by K, plain SGD
@@ -24,10 +24,13 @@ entry fails the run before any step, naming the training sample. A score
 computed on features would depend on the parameters and could not be
 tabled; allocation.allocate takes raw scores, so it could still feed K.
 
-A step makes one encoder pass: allocation.allocate gives K, then one
-tinynet.backward call yields the gradients together with the main and aux
-logits, from which the loss and the trace's aux losses are computed once,
-and sgd_step applies the update.
+A step makes one encoder pass: allocation.allocate gives K and the
+smoothed scores the next step starts from, then one tinynet.backward call
+yields the gradients together with the main and aux logits, from which
+the loss and the trace's aux losses are computed once, and sgd_step
+applies the update. A step's overflow warnings are silenced: the logits,
+loss and final-parameter checks turn a non-finite result into one
+NumericError.
 """
 
 import math
@@ -37,7 +40,7 @@ import numpy as np
 
 from .allocation import AllocationParams, allocate
 from .errors import NumericError
-from .preference import METRIC_KINDS, FrmBank, sample_preference
+from .preference import METRIC_KINDS, sample_preference
 from .seeds import stream_rng, stream_seed
 from .spectral import SpectralConfig
 from .tinynet import (
@@ -123,11 +126,6 @@ class TrainTrace:
         idx = self.columns(self.n_modalities).index(name)
         return np.array([row[idx] for row in self.rows])
 
-    def write_csv(self, path) -> None:
-        from .bench import write_csv  # local import; bench owns CSV formatting
-
-        write_csv(path, self.columns(self.n_modalities), self.rows)
-
     def __len__(self):
         return len(self.rows)
 
@@ -161,17 +159,15 @@ def _numeric_context(iteration: int, trace: TrainTrace, k) -> str:
 def _first_bad_branch(net_cfg: NetConfig, params, xb, aux) -> str:
     """Name the first modality whose own branch gives non-finite logits.
 
-    Runs only once the step's logits are known to be non-finite. The aux
-    logits already are per-branch outputs; without aux heads one forward
-    call encodes every branch once and gives the logits of each branch
-    alone, under its solo mask.
+    Runs only once the step's logits are known to be non-finite, inside
+    the step's errstate. The aux logits already are per-branch outputs;
+    without aux heads one forward call encodes every branch once and gives
+    the logits of each branch alone, under its solo mask.
     """
     m = net_cfg.n_modalities
     if aux is None:
         solo_masks = [[j == i for j in range(m)] for i in range(m)]
-        # The failing step has already warned about the same overflow.
-        with np.errstate(over="ignore", invalid="ignore"):
-            aux = [z for z, _ in forward(net_cfg, params, xb, solo_masks)]
+        aux = [z for z, _ in forward(net_cfg, params, xb, solo_masks)]
     for i, z in enumerate(aux):
         if not np.all(np.isfinite(z)):
             return f"first non-finite branch: modality {i}"
@@ -223,12 +219,11 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
                 f"non-finite {cfg.metric} score of modality {i} at training sample {bad[0]}"
             )
     params = init_network(net_cfg)
-    banks = [FrmBank(omega=cfg.spectral.omega_bank) for _ in range(m)]
     shuffle_rng = stream_rng(cfg.seed, "shuffle")
     trace = TrainTrace(m)
     warmup = warmup_iterations(cfg, n)
 
-    iteration = 0
+    iteration, smooth = 0, None
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -237,31 +232,33 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
             yb = train_labels[idx]
 
             raw = [float(scores[idx].mean()) for scores in table]
-            mw = allocate(raw, banks, cfg.spectral.sigma, cfg.allocation)
+            mw = allocate(raw, smooth, cfg.spectral.sigma, cfg.allocation)
+            smooth = mw.smooth
             k = np.ones(m) if iteration < warmup else mw.k
 
-            grads, _, logits, aux = backward(
-                net_cfg, params, xb, yb, aux_weights=(k if cfg.uses_aux else None)
-            )
-            if not all(np.all(np.isfinite(z)) for z in (logits, *(aux or ()))):
-                raise NumericError(
-                    f"non-finite logits {_numeric_context(iteration, trace, k)}; "
-                    f"{_first_bad_branch(net_cfg, params, xb, aux)}",
-                    trace=trace,
+            with np.errstate(over="ignore", invalid="ignore"):
+                grads, _, logits, aux = backward(
+                    net_cfg, params, xb, yb, aux_weights=(k if cfg.uses_aux else None)
                 )
-            if cfg.uses_aux:
-                loss, aux_losses = weighted_loss(logits, aux, yb, k)
-            else:
-                loss, aux_losses = cross_entropy(logits, yb), [math.nan] * m
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss {_numeric_context(iteration, trace, k)}", trace=trace
-                )
+                if not all(np.all(np.isfinite(z)) for z in (logits, *(aux or ()))):
+                    raise NumericError(
+                        f"non-finite logits {_numeric_context(iteration, trace, k)}; "
+                        f"{_first_bad_branch(net_cfg, params, xb, aux)}",
+                        trace=trace,
+                    )
+                if cfg.uses_aux:
+                    loss, aux_losses = weighted_loss(logits, aux, yb, k)
+                else:
+                    loss, aux_losses = cross_entropy(logits, yb), [math.nan] * m
+                if not np.isfinite(loss):
+                    raise NumericError(
+                        f"non-finite loss {_numeric_context(iteration, trace, k)}", trace=trace
+                    )
 
-            gnorms = encoder_grad_norms(net_cfg, grads)
-            params = sgd_step(
-                net_cfg, params, grads, cfg.eta, k if cfg.scales_gradients else None
-            )
+                gnorms = encoder_grad_norms(net_cfg, grads)
+                params = sgd_step(
+                    net_cfg, params, grads, cfg.eta, k if cfg.scales_gradients else None
+                )
             trace.append(iteration, loss, aux_losses, mw.raw, mw.smooth, mw.t, k, gnorms)
             iteration += 1
         if on_epoch_end is not None:

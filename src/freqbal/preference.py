@@ -1,4 +1,4 @@
-"""Modality-preference scores over band maps, and their smoothed history.
+"""Modality-preference scores over band maps.
 
 The main score is the frequency ratio metric: the L1 norm of the low band
 divided cellwise by the flipped high band (plus a stabilizer). Ablation
@@ -6,11 +6,9 @@ variants keep only the low band, the plain sum of both bands, or a fixed
 convex blend of the two. Every score is per plane. score_bands scores
 band maps that are already computed; sample_preference scores a whole
 stack of planes in one pass through it, and a mini-batch's score is the
-mean of its samples' scores. A per-modality bank smooths that batch score
-across mini-batches with an exponential moving average.
+mean of its samples' scores; allocation.allocate smooths that batch score
+across mini-batches.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,32 +76,3 @@ def score_bands(low, high, kind, sigma, omega_band):
     if kind not in _REDUCERS:
         raise ValueError(f"unknown metric kind {kind!r}; expected one of {METRIC_KINDS}")
     return _REDUCERS[kind](low, high, sigma, omega_band)
-
-
-@dataclass
-class FrmBank:
-    """Exponential moving average of one modality's score across batches.
-
-    The first observation is taken verbatim; afterwards the bank blends
-    omega parts history with (1-omega) parts current. The held value is
-    always a convex combination of everything observed, so it stays inside
-    the observed range. Updates must be serialized per modality.
-    """
-
-    omega: float = 0.5
-    value: float = 0.0
-    count: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError(f"omega must lie in [0,1], got {self.omega}")
-
-    def update(self, current: float) -> float:
-        if not np.isfinite(current) or current < 0:
-            raise ValueError(f"score must be finite and >= 0, got {current}")
-        if self.count == 0:
-            self.value = float(current)
-        else:
-            self.value = self.omega * self.value + (1.0 - self.omega) * float(current)
-        self.count += 1
-        return self.value

@@ -48,14 +48,13 @@ class SpectralConfig:
     """Patch geometry and score parameters shared across the pipeline.
 
     p: patch side in pixels; q: band block side in coefficients;
-    sigma: stabilizer added to the flipped high band in the ratio score;
-    omega_bank: history weight of the smoothed score bank.
+    sigma: stabilizer added to the flipped high band in the ratio score,
+    and to the mean score in allocation.relative_ratio.
     """
 
     p: int = 8
     q: int = 2
     sigma: float = 1e-8
-    omega_bank: float = 0.5
     allow_overlap: bool = False
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class SpectralConfig:
             raise ValueError(f"block side q={self.q} cannot exceed patch side p={self.p}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not 0.0 <= self.omega_bank <= 1.0:
-            raise ValueError(f"omega_bank must lie in [0,1], got {self.omega_bank}")
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ import pytest
 
 from freqbal.allocation import AllocationParams, allocate, relative_ratio, weight
 from freqbal.errors import NumericError
-from freqbal.preference import FrmBank, sample_preference
+from freqbal.preference import sample_preference
 from freqbal.spectral import SpectralConfig
 from freqbal.synthdata import ModalitySpec, generate
 
@@ -57,8 +57,16 @@ class TestWeight:
             assert np.isfinite(weight(t, DEFAULTS))
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^lambda must be positive"):
             AllocationParams(lam=0.0)
+        for alpha, beta in ((-0.1, -1.0), (0.4, 1.0), (1.0, 1.1)):
+            with pytest.raises(ValueError, match="alpha >= 0 and alpha >= beta"):
+                AllocationParams(alpha=alpha, beta=beta)
+        for alpha, beta in ((0.0, 0.0), (1.0, 1.0), (1.0, -0.5), (1.0, 0.0)):
+            k = weight(np.linspace(-5.0, 5.0, 101), AllocationParams(alpha=alpha, beta=beta))
+            assert np.all(k >= 0)
+        with pytest.raises(ValueError, match="omega_bank"):
+            AllocationParams(omega_bank=1.5)
 
 
 class TestScaleInvariance:
@@ -88,8 +96,7 @@ class TestAllocate:
         rng = np.random.default_rng(1)
         cfg = SpectralConfig()
         score = sample_preference(rng.random((4, 16, 16)), cfg).mean()
-        banks = [FrmBank(omega=0.5)]
-        mw = allocate([score], banks, cfg.sigma, DEFAULTS)
+        mw = allocate([score], None, cfg.sigma, DEFAULTS)
         assert mw.t[0] == pytest.approx(1.0, abs=1e-6)
         assert mw.k[0] == pytest.approx(weight(1.0, DEFAULTS), abs=1e-5)
 
@@ -98,8 +105,7 @@ class TestAllocate:
         batch = rng.random((4, 16, 16))
         cfg = SpectralConfig()
         scores = [sample_preference(b, cfg).mean() for b in (batch, batch.copy())]
-        banks = [FrmBank() for _ in range(2)]
-        mw = allocate(scores, banks, cfg.sigma, DEFAULTS)
+        mw = allocate(scores, None, cfg.sigma, DEFAULTS)
         assert mw.k[0] == mw.k[1]
         assert mw.t[0] == mw.t[1]
 
@@ -112,19 +118,25 @@ class TestAllocate:
         ds = generate(specs, n_train=32, n_test=0, seed=3)
         cfg = SpectralConfig()
         scores = [float(sample_preference(m, cfg).mean()) for m in ds.images]
-        banks = [FrmBank() for _ in range(3)]
-        mw = allocate(scores, banks, cfg.sigma, DEFAULTS)
+        mw = allocate(scores, None, cfg.sigma, DEFAULTS)
         assert np.argsort(scores).tolist() == np.argsort(-mw.k).tolist()
-        # A fresh bank's first smoothed value is the raw score itself.
+        # The first step's smoothed value is the raw score itself.
         assert mw.raw.tolist() == scores and mw.smooth.tolist() == scores
 
     def test_non_finite_score_is_numeric_error(self):
-        banks = [FrmBank(), FrmBank()]
+        previous = np.array([2.0, 3.0])
         for bad in (np.inf, np.nan):
             with pytest.raises(NumericError, match="modality 1"):
-                allocate([1.0, bad], banks, SpectralConfig().sigma, DEFAULTS)
-        assert [bank.count for bank in banks] == [0, 0]
+                allocate([1.0, bad], previous, SpectralConfig().sigma, DEFAULTS)
+        assert previous.tolist() == [2.0, 3.0]
 
-    def test_bank_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            allocate([1.0], [FrmBank(), FrmBank()], SpectralConfig().sigma, DEFAULTS)
+    def test_previous_of_another_shape_rejected(self):
+        for previous in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="previous scores of shape"):
+                allocate([1.0, 2.0], previous, SpectralConfig().sigma, DEFAULTS)
+
+    def test_changes_nothing_it_is_given(self):
+        raw, previous = np.array([2.0, 6.0]), np.array([4.0, 2.0])
+        mw = allocate(raw, previous, 1e-8, DEFAULTS)
+        assert raw.tolist() == [2.0, 6.0] and previous.tolist() == [4.0, 2.0]
+        assert mw.raw is not raw and mw.smooth is not previous

@@ -147,7 +147,7 @@ class TestCsv:
 
     def test_trace_header_golden(self, tmp_path):
         _, _, trace, _ = train_and_eval(tiny_cfg())
-        trace.write_csv(tmp_path / "trace.csv")
+        bench.write_trace_csv(tmp_path / "trace.csv", trace)
         header = (tmp_path / "trace.csv").read_text().splitlines()[0]
         assert header == (GOLDEN / "trace_header.csv").read_text().strip()
 

@@ -89,7 +89,8 @@ class TestExitCodes:
         "key, value, mode",
         [("alpha", "nan", "hybrid"), ("alpha", "nan", "none"), ("beta", "inf", "gradient"),
          ("lambda", "inf", "hybrid"), ("omega_band", "1.5", "none"), ("omega_band", "nan", "none"),
-         ("omega_band", "-0.1", "none")],
+         ("omega_band", "-0.1", "none"), ("lambda", "0", "hybrid"), ("omega_bank", "1.5", "none"),
+         ("omega_bank", "-0.5", "hybrid")],
     )
     def test_non_finite_or_out_of_range_float_is_config_error(self, key, value, mode, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -111,14 +112,44 @@ class TestExitCodes:
         assert len((out / "trace.csv").read_text().splitlines()) == 2
         assert not (out / "checkpoint").exists()
 
-    def test_numeric_failure_flushes_trace(self, tmp_path):
+    def test_numeric_failure_flushes_trace(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(TINY.replace("epochs = 1", "epochs = 3") + "eta = 1e12\n")
         out = tmp_path / "boom"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["train", "--config", str(cfg), "--out", str(out)])
-        assert code == 3
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
         assert (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("eta", ["1e300", "1e12"])
+    @pytest.mark.parametrize("mode", ["none", "loss", "gradient", "hybrid"])
+    def test_diverging_step_prints_one_line(self, mode, eta, tmp_path, capsys):
+        # pytest turns RuntimeWarning into an error, so an overflow warning
+        # from the step would end the run as an internal error.
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY.replace("epochs = 1", "epochs = 3") + f"mode = {mode}\neta = {eta}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "boom")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite ") and err.count("\n") == 1
+
+    def test_diverging_sweep_cell_prints_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY + "mode = hybrid\neta = 1e300\n")
+        argv = ["sweep-params", "--config", str(cfg), "--out", str(tmp_path / "sp"),
+                "--tuples", "1.5,1,6,0.7"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("alpha, beta", [("0.4", "1.0"), ("-0.5", "-1.0")])
+    def test_weights_below_zero_are_config_error(self, alpha, beta, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY + f"mode = gradient\nalpha = {alpha}\nbeta = {beta}\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"alpha={float(alpha)}, beta={float(beta)}" in err
+        assert not out.exists()
 
     def test_non_finite_training_pixel_is_numeric_error(self, cfg_file, tmp_path, capsys):
         data, out = tmp_path / "ds", tmp_path / "run"
@@ -734,6 +765,15 @@ class TestSweepCommands:
                      "--tuples", "1.5,1,6,0.7"]) == 0
         lines = (out / "summary.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_sweep_params_tuple_with_weights_below_zero_runs_no_cell(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "sp"
+        assert main(["sweep-params", "--config", cfg_file, "--out", str(out),
+                     "--tuples", "1.5,1,6,0.7;0.8,1,6,0.7"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: weights can go below 0: need alpha >= 0 and alpha >= beta, " \
+            "got alpha=0.8, beta=1.0\n"
+        assert not (out / "t0").exists()
 
     def test_sweep_frm(self, cfg_file, tmp_path):
         out = tmp_path / "sf"

@@ -10,18 +10,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_analyze_eval_run_is_correct(tmp_path):
+def traced_run(tmp_path, workload):
+    """The metrics of one traced unit of `workload`, checked as correct."""
     # The run writes its work files beside perfbench/, so it runs on a copy.
     for name in ("perfbench", "src"):
         shutil.copytree(
             ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info")
         )
-    argv = ["perfbench/run.py", "--workload", "analyze_eval", "--seed", "0", "--seconds", "1", "--trace", "1"]
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "1"]
     proc = subprocess.run(
         [sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
+    return result["metrics"]
+
+
+def test_traced_analyze_eval_run_is_correct(tmp_path):
+    metrics = traced_run(tmp_path, "analyze_eval")
     # One encoder pass per mask matrix: a single forward call per unit.
-    assert result["metrics"]["tinynet.forward.calls"]["value"] == 1
+    assert metrics["tinynet.forward.calls"]["value"] == 1
+
+
+def test_traced_filter_study_run_is_correct(tmp_path):
+    metrics = traced_run(tmp_path, "filter_study")
+    # Three variants of 128 steps each, one weight call per step.
+    assert metrics["intervention.train.calls"]["value"] == 3
+    assert metrics["allocation.weight.calls"]["value"] == 384

@@ -3,7 +3,10 @@ import pytest
 
 import freqbal
 from freqbal import preference, spectral
-from freqbal.preference import METRIC_KINDS, FrmBank, sample_preference, score_bands
+from freqbal.allocation import AllocationParams, allocate
+from freqbal.cli import main
+from freqbal.errors import NumericError
+from freqbal.preference import METRIC_KINDS, sample_preference, score_bands
 from freqbal.spectral import SpectralConfig, compute_maps_batch
 from freqbal.synthdata import generate, imbalanced_specs
 
@@ -160,48 +163,63 @@ class TestScoreTable:
 
 
 class TestBank:
+    """The moving average of each modality's batch score across steps,
+    which allocation.allocate runs with the history weight omega_bank."""
+
     def test_first_observation_taken_verbatim(self):
-        bank = FrmBank(omega=0.5)
-        assert bank.update(4.0) == 4.0
-        assert bank.count == 1
+        mw = allocate([4.0, 1.0], None, 1e-8, AllocationParams())
+        assert mw.smooth.tolist() == [4.0, 1.0]
 
     def test_blend_arithmetic(self):
-        bank = FrmBank(omega=0.5)
-        bank.update(4.0)
-        assert bank.update(2.0) == 3.0
+        mw = allocate([2.0, 6.0], np.array([4.0, 2.0]), 1e-8, AllocationParams(omega_bank=0.5))
+        assert mw.smooth.tolist() == [3.0, 4.0]
+        assert mw.raw.tolist() == [2.0, 6.0]
 
     def test_recursive_oracle_sequence(self):
+        # Each modality's smoothed score is bitwise the scalar recurrence
+        # in Python floats, for every history weight.
         rng = np.random.default_rng(10)
-        obs = rng.random(100) * 10
-        bank = FrmBank(omega=0.5)
-        expected = None
-        for x in obs:
-            got = bank.update(float(x))
-            expected = float(x) if expected is None else 0.5 * expected + 0.5 * float(x)
-            assert got == pytest.approx(expected, abs=1e-12)
+        obs = rng.random((100, 3)) * 10
+        for omega in (0.0, 0.3, 0.5, 0.9, 1.0):
+            params = AllocationParams(omega_bank=omega)
+            smooth, expected = None, None
+            for x in obs:
+                smooth = allocate(x, smooth, 1e-8, params).smooth
+                expected = (
+                    [float(v) for v in x] if expected is None
+                    else [omega * e + (1.0 - omega) * float(v) for e, v in zip(expected, x)]
+                )
+                assert smooth.tolist() == expected
 
     def test_convex_hull_property(self):
         rng = np.random.default_rng(11)
         for omega in (0.0, 0.3, 0.5, 0.9, 1.0):
-            bank = FrmBank(omega=omega)
-            obs = rng.random(50) * 5
+            params = AllocationParams(omega_bank=omega)
+            obs = rng.random((50, 2)) * 5
+            smooth = None
             for x in obs:
-                bank.update(float(x))
-                assert obs.min() - 1e-12 <= bank.value <= obs.max() + 1e-12
+                smooth = allocate(x, smooth, 1e-8, params).smooth
+                assert np.all(obs.min(axis=0) - 1e-12 <= smooth)
+                assert np.all(smooth <= obs.max(axis=0) + 1e-12)
 
     def test_negative_score_rejected(self):
-        bank = FrmBank()
-        with pytest.raises(ValueError):
-            bank.update(-1.0)
+        with pytest.raises(ValueError, match="^negative score -1.0 of modality 1$"):
+            allocate([1.0, -1.0], np.array([1.0, 1.0]), 1e-8, AllocationParams())
 
     def test_non_finite_score_rejected(self):
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError):
-                FrmBank().update(bad)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NumericError, match="^non-finite score of modality 0$"):
+                allocate([bad, 1.0], None, 1e-8, AllocationParams())
 
-    def test_bad_omega_rejected(self):
-        with pytest.raises(ValueError):
-            FrmBank(omega=1.5)
+    def test_bad_omega_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="omega_bank must lie in"):
+            AllocationParams(omega_bank=1.5)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("epochs = 1\nn_train = 64\nn_test = 32\nomega_bank = 1.5\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: omega_bank must lie in [0,1], got 1.5\n"
+        assert not out.exists()
 
 
 def test_every_exported_name_resolves():

@@ -336,5 +336,3 @@ class TestHelpers:
         SpectralConfig(p=8, q=5, allow_overlap=True)
         with pytest.raises(ValueError):
             SpectralConfig(sigma=0.0)
-        with pytest.raises(ValueError):
-            SpectralConfig(omega_bank=1.5)
