@@ -78,14 +78,11 @@ def pcr(full_metric: float, miss_metric: float) -> float:
 
 @dataclass
 class RunRecord:
-    """One evaluation row: presence mask, accuracy, collapse rate, provenance."""
+    """One mask of a matrix: presence mask, accuracy and collapse rate (None for the full mask)."""
 
     mask: tuple
     acc: float
     pcr: float
-    mode: str
-    seed: int
-    config: str
 
 
 def mask_order(m: int):
@@ -103,21 +100,20 @@ def mask_label(mask) -> str:
     return "".join("1" if present else "0" for present in mask)
 
 
-def run_matrix(net_cfg, params, inputs, labels, mode: str, seed: int, config: str):
+def run_matrix(net_cfg, params, inputs, labels):
     """Evaluate every non-empty presence mask against the full-mask reference.
 
     One evaluate call covers all masks of mask_order, so each branch's
     test inputs are widened and encoded once. The full mask comes last and
-    its accuracy is the PCR reference of the others.
+    its accuracy is the PCR reference of the others. The records hold
+    only what the evaluation gives; the run's mode, seed and config hash
+    are added when write_run_matrix writes them.
     """
     masks = mask_order(net_cfg.n_modalities)
     accs = evaluate(net_cfg, params, inputs, labels, masks)
     full_acc = accs[-1]
     return [
-        RunRecord(
-            mask=mask, acc=acc, pcr=None if all(mask) else pcr(full_acc, acc),
-            mode=mode, seed=seed, config=config,
-        )
+        RunRecord(mask=mask, acc=acc, pcr=None if all(mask) else pcr(full_acc, acc))
         for mask, acc in zip(masks, accs)
     ]
 
@@ -129,11 +125,15 @@ def matrix_average(records):
     return float(np.mean(accs)), (float(np.mean(pcrs)) if pcrs else None)
 
 
-def write_run_matrix(path, records) -> None:
-    avg_acc, avg_pcr = matrix_average(records)
-    rows = [[mask_label(r.mask), r.acc, r.pcr, r.mode, r.seed, r.config] for r in records]
-    rows.append([AVERAGE_LABEL, avg_acc, avg_pcr, records[0].mode, records[0].seed, records[0].config])
-    write_csv(path, MATRIX_COLUMNS, rows)
+def write_run_matrix(path, records, cfg: RunConfig, average: bool = True) -> None:
+    """Write matrix.csv: a row per record, then with `average` the row of
+    matrix_average. This is the one builder of matrix rows: it stamps each
+    with cfg's mode, seed and config hash."""
+    entries = [(mask_label(r.mask), r.acc, r.pcr) for r in records]
+    if average:
+        entries.append((AVERAGE_LABEL, *matrix_average(records)))
+    stamp = (cfg.train.mode, cfg.seed, config_hash(cfg))
+    write_csv(path, MATRIX_COLUMNS, [[*entry, *stamp] for entry in entries])
 
 
 def get_dataset(cfg: RunConfig) -> SynthDataset:
@@ -175,10 +175,7 @@ def train_and_eval(cfg: RunConfig, dataset: SynthDataset = None):
     require_test_split(cfg, dataset)
     net_cfg, params, trace = train(cfg.train, dataset)
     test_inputs, test_labels = dataset.test_split()
-    records = run_matrix(
-        net_cfg, params, test_inputs, test_labels,
-        mode=cfg.train.mode, seed=cfg.seed, config=config_hash(cfg),
-    )
+    records = run_matrix(net_cfg, params, test_inputs, test_labels)
     return net_cfg, params, trace, records
 
 
@@ -199,7 +196,7 @@ def _run_cell(cell_dir: Path, cfg: RunConfig, dataset, digest):
     marker.unlink(missing_ok=True)
     (cell_dir / "config.txt").write_text(dump_config(cfg))
     write_trace_csv(cell_dir / "trace.csv", trace)
-    write_run_matrix(cell_dir / "matrix.csv", records)
+    write_run_matrix(cell_dir / "matrix.csv", records, cfg)
     avg_acc, avg_pcr = matrix_average(records)
     meta = {"config": config_hash(cfg), "seed": cfg.seed, "avg_acc": avg_acc, "avg_pcr": avg_pcr}
     if digest is not None:

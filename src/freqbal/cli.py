@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, tensorio
-from .config import config_hash, dump_config, load_config, override
+from .config import config_hash, dump_config, int_tuple, load_config, override
 from .dynamics import decay_check
 from .errors import ConfigError, NumericError
 from .intervention import TrainConfig, train as train_loop
@@ -152,26 +152,37 @@ def cmd_eval(args) -> int:
     if args.checkpoint:
         bench.require_test_split(cfg, dataset)
         net_cfg, params = load_checkpoint(args.checkpoint)
+        _require_fit(args.checkpoint, net_cfg, dataset)
         test_inputs, test_labels = dataset.test_split()
-        records = bench.run_matrix(
-            net_cfg, params, test_inputs, test_labels,
-            mode=cfg.train.mode, seed=cfg.seed, config=config_hash(cfg),
-        )
+        records = bench.run_matrix(net_cfg, params, test_inputs, test_labels)
     else:
         *_, records = bench.train_and_eval(cfg, dataset)
     if args.mask:
         records = [r for r in records if bench.mask_label(r.mask) == args.mask]
-        rows = [[bench.mask_label(r.mask), r.acc, r.pcr, r.mode, r.seed, r.config] for r in records]
-        bench.write_csv(Path(args.out) / "matrix.csv", bench.MATRIX_COLUMNS, rows)
-    else:
-        bench.write_run_matrix(Path(args.out) / "matrix.csv", records)
+    bench.write_run_matrix(Path(args.out) / "matrix.csv", records, cfg, average=not args.mask)
     for r in records:
         print(f"{bench.mask_label(r.mask)}\tacc={r.acc:.4f}\tpcr={'' if r.pcr is None else round(r.pcr, 4)}")
     return 0
 
 
+def _require_fit(checkpoint, net_cfg, dataset) -> None:
+    """Raise ConfigError unless the checkpoint's net takes the dataset's
+    modalities and planes and predicts its classes."""
+    h, w = dataset.dims
+    for what, net_value, data_value in (
+        ("classes", net_cfg.n_classes, dataset.n_classes),
+        ("modalities", net_cfg.n_modalities, dataset.n_modalities),
+        ("input widths", net_cfg.input_dims, (h * w,) * dataset.n_modalities),
+    ):
+        if net_value != data_value:
+            raise ConfigError(
+                f"checkpoint {checkpoint} does not fit the dataset: "
+                f"{net_value} {what} in the net, {data_value} in the dataset"
+            )
+
+
 def cmd_sweep_window(args) -> int:
-    bench.sweep_window(load_config(args.config), _int_list(args.q), args.out)
+    bench.sweep_window(load_config(args.config), int_tuple(args.q), args.out)
     _print_summary(args.out)
     return 0
 
@@ -199,7 +210,7 @@ def cmd_sweep_frm(args) -> int:
 
 def cmd_filter_study(args) -> int:
     cfg = load_config(args.config)
-    windows = _int_list(args.windows)
+    windows = int_tuple(args.windows)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     bench.filter_study(cfg, windows, kinds, args.out)
     _print_summary(args.out)
@@ -222,13 +233,6 @@ def cmd_ntk_check(args) -> int:
     print(f"eta={report.eta!r} steps={report.steps}")
     print(f"max relative deviation over {int(live.sum())} live directions: {worst!r}")
     return 0
-
-
-def _int_list(text: str):
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _print_summary(out_dir) -> None:

@@ -81,7 +81,8 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected true/false, got {text!r}")
 
 
-def _int_tuple(text: str) -> tuple:
+def int_tuple(text: str) -> tuple:
+    """Comma-separated integers, blanks skipped; the parser of config int lists and CLI options."""
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
@@ -106,7 +107,7 @@ _KEYS = (
     ("warmup_frac", "train", "warmup_frac", _float),
     ("metric", "train", "metric", str),
     ("omega_band", "train", "omega_band", _float),
-    ("hidden", "train", "hidden", _int_tuple),
+    ("hidden", "train", "hidden", int_tuple),
     ("patch", "spectral", "p", _int),
     ("block", "spectral", "q", _int),
     ("sigma", "spectral", "sigma", _float),

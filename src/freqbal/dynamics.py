@@ -185,9 +185,9 @@ def coupling_probe(net_cfg: NetConfig, params, inputs, labels) -> CouplingReport
 def suppression_experiment(
     dataset,
     dominant: int = 0,
-    weak: int = 2,
+    weak: int = 1,
     hidden=(64, 32),
-    eta: float = 0.3,
+    eta: float = 0.15,
     measure_iters: int = 20,
     seed: int = 0,
 ):

@@ -81,6 +81,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(f"hidden must list one or more layer widths >= 1, got {self.hidden}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError(f"warmup_frac must lie in [0,1), got {self.warmup_frac}")
         if not 0.0 <= self.omega_band <= 1.0:

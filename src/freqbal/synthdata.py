@@ -317,20 +317,7 @@ def dataset_digest(in_dir) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class _SavedDataset:
-    """What a saved dataset's manifest and labels say, and where its pixels are."""
-
-    paths: tuple  # one raw (n, h*w) matrix per modality
-    dims: tuple  # (h, w)
-    labels: np.ndarray
-    n_train: int
-    n_classes: int
-    specs: tuple
-    seed: int
-
-
-def _check_saved(src: Path) -> _SavedDataset:
+def _check_saved(src: Path):
     """Check a saved dataset without reading a pixel, in a fixed order.
 
     First the manifest (its keys; its six integer fields, which must be
@@ -340,6 +327,10 @@ def _check_saved(src: Path) -> _SavedDataset:
     integral values in [0, n_classes), a bad one reported with the first bad
     sample. So a malformed file is always reported, as a ValueError, before
     any pixel is read, and so before read_raw can find a non-finite one.
+
+    Returns the modality files' paths, the (n, h, w) shape of each stack,
+    and the SynthDataset fields other than images, so load_dataset builds
+    the whole dataset at once and nothing half-built leaves the module.
     """
     manifest = src / "dataset.json"
     meta = tensorio.read_manifest(manifest)
@@ -366,58 +357,50 @@ def _check_saved(src: Path) -> _SavedDataset:
         tensorio.check_raw(path, (n, h * w))
     labels_path = src / "labels.f32"
     labels = _check_labels(tensorio.read_raw(labels_path).reshape(-1), n, n_classes, labels_path)
-    return _SavedDataset(
-        paths=paths,
-        dims=(h, w),
-        labels=labels,
-        n_train=meta["n_train"],
-        n_classes=n_classes,
-        specs=specs,
-        seed=meta["seed"],
-    )
+    fields = {
+        "labels": labels,
+        "n_train": meta["n_train"],
+        "n_classes": n_classes,
+        "specs": specs,
+        "seed": meta["seed"],
+    }
+    return paths, (n, h, w), fields
 
 
 def load_dataset(in_dir) -> SynthDataset:
     """Inverse of save_dataset, keeping the stacks in their on-disk float32.
 
-    The files are checked as modality_blocks checks them, so both reject
-    the same datasets with the same errors. All modalities are then read
-    into one contiguous (m, n, h*w) float32 block, and `images` holds
-    (n, h, w) views of it: the one-block layout generate gives.
+    _check_saved checks every file and gives every field but the pixels,
+    as it does for modality_blocks, so both reject the same datasets with
+    the same errors. All modalities are then read into one contiguous
+    (m, n, h*w) float32 block, and `images` holds (n, h, w) views of it:
+    the one-block layout generate gives.
     """
-    saved = _check_saved(Path(in_dir))
-    n, (h, w) = len(saved.labels), saved.dims
-    block = np.empty((len(saved.paths), n, h * w), dtype=np.float32)
-    for path, stack in zip(saved.paths, block):
+    paths, (n, h, w), fields = _check_saved(Path(in_dir))
+    block = np.empty((len(paths), n, h * w), dtype=np.float32)
+    for path, stack in zip(paths, block):
         tensorio.read_raw(path, out=stack)
-    return SynthDataset(
-        images=[stack.reshape(n, h, w) for stack in block],
-        labels=saved.labels,
-        n_train=saved.n_train,
-        n_classes=saved.n_classes,
-        specs=saved.specs,
-        seed=saved.seed,
-    )
+    return SynthDataset(images=[stack.reshape(n, h, w) for stack in block], **fields)
 
 
 def modality_blocks(in_dir):
     """Stream a saved dataset's pixels a modality and a block of planes at a time.
 
-    Every file is checked, as load_dataset checks it, before this returns,
-    so a malformed file fails before any pixel is read. Returns, per
+    _check_saved checks every file, as for load_dataset, before this
+    returns, so a malformed file fails before any pixel is read; of what
+    it gives, only the paths and the stack shape are used. Returns, per
     modality in order, the path of its file and an iterator over its
     consecutive (rows, h, w) float32 blocks of _BLOCK planes, the last one
     possibly fewer. A modality's blocks share one buffer, so each block is
     valid only until the next is read; the dataset is never held whole.
     """
-    saved = _check_saved(Path(in_dir))
-    n, (h, w) = len(saved.labels), saved.dims
+    paths, (n, h, w), _ = _check_saved(Path(in_dir))
 
     def blocks(path):
         for block in tensorio.read_raw_blocks(path, (n, h * w), _BLOCK):
             yield block.reshape(-1, h, w)
 
-    return [(path, blocks(path)) for path in saved.paths]
+    return [(path, blocks(path)) for path in paths]
 
 
 def _check_labels(values, n: int, n_classes: int, path) -> np.ndarray:

@@ -21,6 +21,11 @@ untouched. forward and evaluate take a list of presence masks (by default
 the full mask alone) and encode each branch that any of them needs once,
 so a whole missing-modality matrix costs one encoder pass; each mask's
 logits are bitwise those of a call with that mask alone.
+
+A checkpoint is one raw float32 file per tensor, named after it, plus
+checkpoint.json, which holds only the net's fields. The net fixes the
+name and shape of every tensor (param_layout), so the manifest does not
+restate them.
 """
 
 from dataclasses import dataclass
@@ -340,32 +345,8 @@ def encoder_grad_norms(cfg: NetConfig, grads: ParamSet) -> np.ndarray:
     return norms
 
 
-def save_checkpoint(out_dir, cfg: NetConfig, params: ParamSet) -> None:
-    """Write every tensor in the raw float32 format plus a manifest."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tensors = []
-    for name, value in params.items():
-        tensorio.write_raw(out / f"{name}.f32", value)
-        tensors.append({"name": name, "shape": list(value.shape)})
-    tensorio.write_manifest(
-        out / "checkpoint.json",
-        {
-            "net": {
-                "input_dims": list(cfg.input_dims),
-                "hidden": list(cfg.hidden),
-                "n_classes": cfg.n_classes,
-                "aux_heads": cfg.aux_heads,
-                "seed": cfg.seed,
-            },
-            "tensors": tensors,
-        },
-    )
-
-
-# Keys of checkpoint.json, the kind of each field of its "net" object, and
-# the keys of each "tensors" entry.
-_CHECKPOINT_KEYS = ("net", "tensors")
+# The fields of checkpoint.json's "net" object, each with its kind, in
+# NetConfig's order.
 _NET_FIELDS = {
     "input_dims": "int list",
     "hidden": "int list",
@@ -373,56 +354,49 @@ _NET_FIELDS = {
     "aux_heads": "bool",
     "seed": "int",
 }
-_TENSOR_KEYS = ("name", "shape")
+
+
+def save_checkpoint(out_dir, cfg: NetConfig, params: ParamSet) -> None:
+    """Write every tensor in the raw float32 format plus checkpoint.json,
+    whose one key, "net", holds the net's fields."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, value in params.items():
+        tensorio.write_raw(out / f"{name}.f32", value)
+    net = {key: getattr(cfg, key) for key in _NET_FIELDS}
+    tensorio.write_manifest(out / "checkpoint.json", {"net": net})
 
 
 def load_checkpoint(in_dir):
     """Inverse of save_checkpoint; returns (config, params), params widened to float64.
 
-    The manifest is checked before any tensor is read: its keys, the kind
-    of each net field (input_dims and hidden lists of integers, n_classes
-    and seed integers, aux_heads a boolean; nothing is coerced), the net
-    itself, and its tensor list against param_layout of its net, name for
-    name and shape for shape. A missing key, a field of the wrong kind, a
-    net that NetConfig rejects, a missing, extra or repeated tensor, or a
-    wrong shape is a ValueError naming the file and the key or tensor; so
-    is a tensor file whose matrix does not hold the tensor's shape.
+    checkpoint.json is checked before any tensor is read: its "net" key,
+    the kind of each net field (input_dims and hidden lists of integers,
+    n_classes and seed integers, aux_heads a boolean; nothing is coerced),
+    and the net itself. A missing key, a field of the wrong kind or a net
+    that NetConfig rejects is a ValueError naming the file and the key.
+    Any other key is ignored, such as the "tensors" list that older
+    checkpoints carry. The name and shape of every tensor come from
+    param_layout of the net, and read_raw checks each file against that
+    shape as it reads it: a file that holds another shape is a ValueError
+    naming it, and a missing file an OSError naming it.
     """
     src = Path(in_dir)
     path = src / "checkpoint.json"
     manifest = tensorio.read_manifest(path)
-    tensorio.require_keys(manifest, _CHECKPOINT_KEYS, path)
-    net, tensors = manifest["net"], manifest["tensors"]
+    tensorio.require_keys(manifest, ("net",), path)
+    net = manifest["net"]
     tensorio.require_keys(net, _NET_FIELDS, f"{path} net")
     tensorio.require_fields(net, _NET_FIELDS, f"{path} net")
-    tensorio.require_objects(tensors, _TENSOR_KEYS, f"{path} tensors")
     try:
-        cfg = NetConfig(
-            input_dims=tuple(net["input_dims"]),
-            hidden=tuple(net["hidden"]),
-            n_classes=net["n_classes"],
-            aux_heads=net["aux_heads"],
-            seed=net["seed"],
-        )
+        cfg = NetConfig(**{
+            key: tuple(net[key]) if kind == "int list" else net[key]
+            for key, kind in _NET_FIELDS.items()
+        })
     except ValueError as exc:
         raise ValueError(f"{path} net: {exc}") from exc
-    layout = param_layout(cfg)
-    seen = set()
-    for entry in tensors:
-        name, shape = entry["name"], entry["shape"]
-        if not isinstance(name, str) or name not in layout:
-            raise ValueError(f"{path}: tensor {name!r} is not a parameter of its net")
-        if name in seen:
-            raise ValueError(f"{path}: tensor {name!r} is listed twice")
-        needed = list(layout[name])
-        if shape != needed:
-            raise ValueError(f"{path}: tensor {name!r} has shape {shape}, its net needs {needed}")
-        seen.add(name)
-    missing = [name for name in layout if name not in seen]
-    if missing:
-        raise ValueError(f"{path}: missing tensor {missing[0]!r}")
     params: ParamSet = {}
-    for name, shape in layout.items():
+    for name, shape in param_layout(cfg).items():
         value = np.empty(shape, dtype=np.float32)
         # A bias is stored as a one-row matrix.
         tensorio.read_raw(src / f"{name}.f32", out=np.atleast_2d(value))

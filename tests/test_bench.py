@@ -21,7 +21,7 @@ from freqbal.bench import (
     write_csv,
     write_run_matrix,
 )
-from freqbal.config import override, parse_config
+from freqbal.config import config_hash, override, parse_config
 from freqbal.errors import ConfigError
 from freqbal.synthdata import generate, imbalanced_specs, save_dataset
 from freqbal.tinynet import evaluate
@@ -88,19 +88,32 @@ class TestMasks:
 
 class TestRunMatrix:
     def test_rows_and_average(self, tmp_path):
-        net_cfg, params, _, records = train_and_eval(tiny_cfg())
+        cfg = tiny_cfg()
+        net_cfg, params, _, records = train_and_eval(cfg)
         assert len(records) == 7
         avg_acc, avg_pcr = matrix_average(records)
         assert avg_acc == pytest.approx(float(np.mean([r.acc for r in records])), abs=1e-9)
         defined = [r.pcr for r in records if r.pcr is not None]
         assert len(defined) == 6
         assert avg_pcr == pytest.approx(float(np.mean(defined)), abs=1e-9)
-        write_run_matrix(tmp_path / "matrix.csv", records)
+        write_run_matrix(tmp_path / "matrix.csv", records, cfg)
         lines = (tmp_path / "matrix.csv").read_text().splitlines()
         assert len(lines) == 1 + 7 + 1
         assert lines[-1].startswith("average,")
         full_row = [l for l in lines if l.startswith("111,")][0]
         assert full_row.split(",")[2] == ""  # collapse undefined for the reference row
+        # Every row, the average too, carries the run's mode, seed and config hash.
+        for line in lines[1:]:
+            assert line.split(",")[3:] == ["none", "0", config_hash(cfg)]
+
+    def test_rows_without_average(self, tmp_path):
+        cfg = tiny_cfg("mode = hybrid\n")
+        *_, records = train_and_eval(cfg)
+        write_run_matrix(tmp_path / "matrix.csv", records[2:4], cfg, average=False)
+        lines = (tmp_path / "matrix.csv").read_text().splitlines()
+        assert lines[1:] == [
+            f"{mask_label(r.mask)},{r.acc!r},{r.pcr!r},hybrid,0,{config_hash(cfg)}" for r in records[2:4]
+        ]
 
     @pytest.mark.parametrize("aux", ["none", "hybrid"])
     def test_one_encoder_pass_matches_per_mask_evaluation(self, aux, monkeypatch):
@@ -115,7 +128,7 @@ class TestRunMatrix:
             return encode(*args)
 
         monkeypatch.setattr(tinynet, "_encode", counting_encode)
-        records = run_matrix(net_cfg, params, inputs, labels, mode=aux, seed=0, config="c")
+        records = run_matrix(net_cfg, params, inputs, labels)
         assert encodes == [[True, True, True]]
         # The matrix as one evaluate call per mask, the full mask first.
         [full] = evaluate(net_cfg, params, inputs, labels)
@@ -125,11 +138,11 @@ class TestRunMatrix:
             [acc] = evaluate(net_cfg, params, sparse, labels, [r.mask])
             assert r.acc == acc
             assert r.pcr == (None if all(r.mask) else pcr(full, acc))
-            assert (r.mode, r.seed, r.config) == (aux, 0, "c")
 
     def test_matrix_header_golden(self, tmp_path):
-        net_cfg, params, _, records = train_and_eval(tiny_cfg())
-        write_run_matrix(tmp_path / "matrix.csv", records)
+        cfg = tiny_cfg()
+        net_cfg, params, _, records = train_and_eval(cfg)
+        write_run_matrix(tmp_path / "matrix.csv", records, cfg)
         header = (tmp_path / "matrix.csv").read_text().splitlines()[0]
         assert header == (GOLDEN / "matrix_header.csv").read_text().strip()
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from freqbal import tensorio
 from freqbal.bench import mask_order
 from freqbal.intervention import weighted_loss
 from freqbal.tinynet import (
@@ -15,6 +16,7 @@ from freqbal.tinynet import (
     init_network,
     load_checkpoint,
     onehot,
+    param_layout,
     save_checkpoint,
     sgd_step,
     softmax,
@@ -539,6 +541,34 @@ class TestCheckpoint:
             assert params2[name].shape == params[name].shape
             assert params2[name].dtype == np.float64
             assert np.abs(params2[name] - params[name]).max() < 1e-6
+
+    def test_manifest_holds_only_the_net(self, tmp_path):
+        cfg = NetConfig(input_dims=(6, 5), hidden=(4, 3), n_classes=3, aux_heads=True, seed=13)
+        save_checkpoint(tmp_path / "ckpt", cfg, init_network(cfg))
+        assert tensorio.read_manifest(tmp_path / "ckpt" / "checkpoint.json") == {
+            "net": {"input_dims": [6, 5], "hidden": [4, 3], "n_classes": 3, "aux_heads": True, "seed": 13}
+        }
+        assert sorted(p.name for p in (tmp_path / "ckpt").glob("*.f32")) == sorted(
+            f"{name}.f32" for name in param_layout(cfg)
+        )
+
+    def test_checkpoint_with_tensor_list_loads_the_same(self, tmp_path):
+        # Older checkpoints also list every tensor's name and shape; the list is ignored.
+        cfg = NetConfig(input_dims=(6, 5), hidden=(4, 3), n_classes=3, aux_heads=True, seed=13)
+        params = init_network(cfg)
+        save_checkpoint(tmp_path / "ckpt", cfg, params)
+        cfg_new, params_new = load_checkpoint(tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "checkpoint.json"
+        meta = tensorio.read_manifest(manifest)
+        meta["tensors"] = [{"name": name, "shape": list(value.shape)} for name, value in params.items()]
+        tensorio.write_manifest(manifest, meta)
+        cfg_old, params_old = load_checkpoint(tmp_path / "ckpt")
+        assert cfg_old == cfg_new == cfg
+        assert list(params_old) == list(params_new) == list(params)
+        for name, value in params_old.items():
+            assert value.dtype == np.float64
+            assert value.tobytes() == params_new[name].tobytes()
+            assert value.tobytes() == params[name].astype(np.float32).astype(np.float64).tobytes()
 
     def test_second_save_is_byte_identical(self, tmp_path):
         cfg = NetConfig(input_dims=(4,), hidden=(3,), n_classes=2, seed=14)
