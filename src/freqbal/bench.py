@@ -7,10 +7,9 @@ cell.json marker holds its config hash is skipped, so sweeps resume; on a
 data_dir dataset the marker also holds the dataset's digest, so new data in
 the same directory reruns the cell. A cell that runs deletes its marker first
 and writes it last, atomically. Cells vary only the training config, so a
-sweep loads at most one dataset.
+sweep loads at most one dataset; run_sweep checks that before any cell runs.
 """
 
-import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -208,11 +207,16 @@ def _run_cell(cell_dir: Path, cfg: RunConfig, dataset, digest):
 def run_sweep(cells, key_header, out_dir):
     """Run (directory name, summary keys, RunConfig) cells, then write summary.csv.
 
-    Every config is built, and so validated, before the first cell runs.
-    One progress line per cell goes to stderr. Returns the summary rows.
+    Every config is built, and so validated, and must share the first
+    cell's data (and, on generated data, its seed) before the first cell
+    runs. One progress line per cell goes to stderr. Returns the summary rows.
     """
     out = Path(out_dir)
     cells = list(cells)
+    for name, _, cfg in cells[1:]:
+        first_name, _, first = cells[0]
+        if cfg.data != first.data or (not first.data.data_dir and cfg.seed != first.seed):
+            raise ConfigError(f"sweep cell {name} uses other data than cell {first_name}")
     dataset = cache(lambda: get_dataset(cells[0][2]))
     data_dir = cells[0][2].data.data_dir if cells else None
     digest = dataset_digest(data_dir) if data_dir else None
@@ -295,9 +299,9 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
         del ds  # so the next window's low pass is not built beside this one
 
     curve_rows, summary_rows = [], []
-    per_epoch = math.ceil(base.n_train / cfg.train.batch_size)
     for kind, n in [("raw", 0)] + [(kind, n) for kind in kinds for n in windows]:
         losses, accs = curves[kind, n]
+        per_epoch = len(losses) // cfg.train.epochs
         for epoch in range(cfg.train.epochs):
             epoch_loss = float(losses[epoch * per_epoch : (epoch + 1) * per_epoch].mean())
             curve_rows.append([kind, n, cfg.seed, epoch, epoch_loss, accs[epoch]])

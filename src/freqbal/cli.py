@@ -22,7 +22,7 @@ from .preference import METRIC_KINDS, sample_preference
 from .seeds import stream_rng
 from .spectral import center_crop, fft_filter
 from .synthdata import load_dataset, modality_blocks, save_dataset
-from .tinynet import load_checkpoint, save_checkpoint
+from .tinynet import load_checkpoint, net_for, save_checkpoint
 
 # A.9-style sensitivity grid (alpha, beta, lambda, gamma); includes the default tuple.
 DEFAULT_PARAM_TUPLES = (
@@ -114,9 +114,9 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    dataset = bench.get_dataset(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = bench.get_dataset(cfg)
     try:
         net_cfg, params, trace = train_loop(cfg.train, dataset)
     except NumericError as exc:
@@ -168,12 +168,10 @@ def cmd_eval(args) -> int:
 def _require_fit(checkpoint, net_cfg, dataset) -> None:
     """Raise ConfigError unless the checkpoint's net takes the dataset's
     modalities and planes and predicts its classes."""
-    h, w = dataset.dims
-    for what, net_value, data_value in (
-        ("classes", net_cfg.n_classes, dataset.n_classes),
-        ("modalities", net_cfg.n_modalities, dataset.n_modalities),
-        ("input widths", net_cfg.input_dims, (h * w,) * dataset.n_modalities),
-    ):
+    fit = net_for(dataset, net_cfg.hidden)
+    for what, field in (("classes", "n_classes"), ("modalities", "n_modalities"),
+                        ("input widths", "input_dims")):
+        net_value, data_value = getattr(net_cfg, field), getattr(fit, field)
         if net_value != data_value:
             raise ConfigError(
                 f"checkpoint {checkpoint} does not fit the dataset: "
@@ -181,8 +179,15 @@ def _require_fit(checkpoint, net_cfg, dataset) -> None:
             )
 
 
+def _grid(option, values):
+    """A sweep option's values; one that lists none is a ConfigError."""
+    if not values:
+        raise ConfigError(f"{option} lists no values to sweep")
+    return values
+
+
 def cmd_sweep_window(args) -> int:
-    bench.sweep_window(load_config(args.config), int_tuple(args.q), args.out)
+    bench.sweep_window(load_config(args.config), _grid("--q", int_tuple(args.q)), args.out)
     _print_summary(args.out)
     return 0
 
@@ -190,11 +195,12 @@ def cmd_sweep_window(args) -> int:
 def cmd_sweep_params(args) -> int:
     cfg = load_config(args.config)
     tuples = []
-    for chunk in args.tuples.split(";"):
-        parts = [float(x) for x in chunk.split(",")]
-        if len(parts) != 4:
-            raise ConfigError(f"expected alpha,beta,lambda,gamma, got {chunk!r}")
-        tuples.append(tuple(parts))
+    for chunk in _grid("--tuples", args.tuples.strip()).split(";"):
+        try:
+            alpha, beta, lam, gamma = map(float, chunk.split(","))
+        except ValueError:
+            raise ConfigError(f"expected alpha,beta,lambda,gamma, got {chunk!r}") from None
+        tuples.append((alpha, beta, lam, gamma))
     bench.sweep_params(cfg, tuples, args.out)
     _print_summary(args.out)
     return 0
@@ -203,7 +209,7 @@ def cmd_sweep_params(args) -> int:
 def cmd_sweep_frm(args) -> int:
     cfg = load_config(args.config)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    bench.sweep_frm_variants(cfg, args.out, kinds)
+    bench.sweep_frm_variants(cfg, args.out, _grid("--kinds", kinds))
     _print_summary(args.out)
     return 0
 

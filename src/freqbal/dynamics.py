@@ -9,8 +9,8 @@ each residual eigen-direction of the feature Gram matrix by exactly
 (1 - eta * lambda_i) per step, so large-eigenvalue (low-frequency)
 directions converge first; decay_check verifies the law numerically.
 
-The eigendecomposition is numpy's LAPACK-backed eigh, behind a square and
-symmetry check.
+decay_check forms the Gram matrix X X^T itself and decomposes it with
+numpy's LAPACK-backed eigh, which reads one triangle of it.
 """
 
 from dataclasses import dataclass
@@ -25,6 +25,7 @@ from .tinynet import (
     encoder_grad_norms,
     forward,
     init_network,
+    net_for,
     sgd_step,
 )
 
@@ -39,52 +40,24 @@ PREFIT_TARGET = 0.05
 PREFIT_MAX_ITERS = 2000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrumReport:
-    """Eigen-structure of a Gram matrix, plus decay-law fit results.
+    """Eigen-structure of the feature Gram matrix X X^T, plus the decay-law fit.
 
     eigenvalues are descending; eigenvectors are orthonormal columns.
-    After decay_check, factors holds (1 - eta*lambda_i), trajectories the
-    measured projections <q_t - y, u_i> for t = 0..steps (rows), and
-    max_rel_deviation the largest deviation from the predicted geometric
-    decay per direction, normalized by that direction's initial projection.
+    factors holds (1 - eta*lambda_i), trajectories the measured projections
+    <q_t - y, u_i> for t = 0..steps (rows), and max_rel_deviation the
+    largest deviation from the predicted geometric decay per direction,
+    normalized by that direction's initial projection.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    eta: float = None
-    steps: int = 0
-    factors: np.ndarray = None
-    trajectories: np.ndarray = None
-    max_rel_deviation: np.ndarray = None
-
-
-def gram_matrix(x) -> np.ndarray:
-    """H = X X^T: pairwise inner products of the sample feature rows."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected (N, d) features, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features contain non-finite values")
-    return x @ x.T
-
-
-def eigendecompose(h) -> SpectrumReport:
-    """Spectrum skeleton of a symmetric Gram matrix (no dynamics yet).
-
-    Eigenvalues come out descending, eigenvectors as orthonormal columns
-    with H = V diag(w) V^T. LAPACK's eigh reads only one triangle, so the
-    symmetry check is what keeps a non-symmetric matrix from passing
-    unnoticed.
-    """
-    a = np.asarray(h, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(float(np.abs(a).max()), 1.0)
-    if float(np.abs(a - a.T).max()) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
-    w, v = np.linalg.eigh(a)
-    return SpectrumReport(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
+    eta: float
+    steps: int
+    factors: np.ndarray
+    trajectories: np.ndarray
+    max_rel_deviation: np.ndarray
 
 
 def decay_check(x, y, eta: float = None, steps: int = 50) -> SpectrumReport:
@@ -105,8 +78,10 @@ def decay_check(x, y, eta: float = None, steps: int = 50) -> SpectrumReport:
         raise ValueError(f"x holds no samples or no features: shape {x.shape}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    report = eigendecompose(gram_matrix(x))
-    lam, u = report.eigenvalues, report.eigenvectors
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features contain non-finite values")
+    w, v = np.linalg.eigh(x @ x.T)
+    lam, u = w[::-1].copy(), v[:, ::-1].copy()
     lam_max = float(lam[0])
     if lam_max <= 0:
         raise ValueError("Gram matrix has no positive eigenvalues")
@@ -130,12 +105,15 @@ def decay_check(x, y, eta: float = None, steps: int = 50) -> SpectrumReport:
     denom = np.maximum(np.abs(projections[0]), 1e-30)
     deviation = np.abs(np.abs(projections) - np.abs(predicted)) / denom[None, :]
 
-    report.eta = float(eta)
-    report.steps = steps
-    report.factors = factors
-    report.trajectories = projections
-    report.max_rel_deviation = deviation.max(axis=0)
-    return report
+    return SpectrumReport(
+        eigenvalues=lam,
+        eigenvectors=u,
+        eta=float(eta),
+        steps=steps,
+        factors=factors,
+        trajectories=projections,
+        max_rel_deviation=deviation.max(axis=0),
+    )
 
 
 @dataclass
@@ -211,13 +189,7 @@ def suppression_experiment(
         raise ValueError(f"bad branch indices dominant={dominant}, weak={weak} for M={m}")
     train_images, train_labels = dataset.train_split()
     n = len(train_labels)
-    h, w = dataset.dims
-    net_cfg = NetConfig(
-        input_dims=(h * w,) * m,
-        hidden=tuple(hidden),
-        n_classes=dataset.n_classes,
-        seed=stream_seed(seed, "init"),
-    )
+    net_cfg = net_for(dataset, hidden, seed=stream_seed(seed, "init"))
     params0 = init_network(net_cfg)
     solo_mask = [i == dominant for i in range(m)]
 

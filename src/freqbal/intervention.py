@@ -50,6 +50,7 @@ from .tinynet import (
     encoder_grad_norms,
     forward,
     init_network,
+    net_for,
     sgd_step,
 )
 
@@ -199,14 +200,7 @@ def train(cfg: TrainConfig, dataset, on_epoch_end=None):
     if n < 1:
         raise ValueError("dataset has no training samples")
 
-    h, w = dataset.dims
-    net_cfg = NetConfig(
-        input_dims=(h * w,) * m,
-        hidden=cfg.hidden,
-        n_classes=dataset.n_classes,
-        aux_heads=cfg.uses_aux,
-        seed=stream_seed(cfg.seed, "init"),
-    )
+    net_cfg = net_for(dataset, cfg.hidden, cfg.uses_aux, stream_seed(cfg.seed, "init"))
     # The table is checked entry by entry below, so numpy's warnings on bad
     # pixels would only repeat it.
     with np.errstate(invalid="ignore", over="ignore"):

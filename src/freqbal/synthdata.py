@@ -322,7 +322,8 @@ def _check_saved(src: Path):
 
     First the manifest (its keys; its six integer fields, which must be
     JSON integers and are never coerced; its specs; the split sizes, which
-    must not be negative, and their sum; the plane dims), then
+    must not be negative, the class count, at least 2 as a net needs, the
+    plane dims, then the sample count), then
     each modality file's header, size and (n, h*w) shape, then the labels: n
     integral values in [0, n_classes), a bad one reported with the first bad
     sample. So a malformed file is always reported, as a ValueError, before
@@ -337,7 +338,7 @@ def _check_saved(src: Path):
     tensorio.require_keys(meta, _MANIFEST_KEYS, manifest)
     tensorio.require_fields(meta, _MANIFEST_INTS, manifest)
     tensorio.require_objects(meta["specs"], _SPEC_KEYS, f"{manifest} specs")
-    for key, least in (("n_train", 0), ("n_test", 0), ("height", 1), ("width", 1)):
+    for key, least in (("n_train", 0), ("n_test", 0), ("n_classes", 2), ("height", 1), ("width", 1)):
         if meta[key] < least:
             raise ValueError(f"{manifest}: {key} is {meta[key]}; it must be at least {least}")
     h, w = meta["height"], meta["width"]

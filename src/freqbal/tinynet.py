@@ -66,6 +66,19 @@ class NetConfig:
         return self.hidden[-1]
 
 
+def net_for(dataset, hidden, aux_heads: bool = False, seed: int = 0) -> NetConfig:
+    """The net that takes the dataset: each modality enters as one flattened
+    h*w plane, and the head predicts the dataset's classes."""
+    h, w = dataset.dims
+    return NetConfig(
+        input_dims=(h * w,) * dataset.n_modalities,
+        hidden=tuple(hidden),
+        n_classes=dataset.n_classes,
+        aux_heads=aux_heads,
+        seed=seed,
+    )
+
+
 def param_layout(cfg: NetConfig) -> dict:
     """Name -> shape of every parameter tensor, in the parameter order."""
     layout = {}

@@ -241,6 +241,28 @@ class TestSweeps:
         sweep_params(tiny_cfg(), tuples, tmp_path / "sp")
         assert len(calls) == 1  # a fully cached resume loads nothing
 
+    @pytest.mark.parametrize(
+        "change, data_dir",
+        [({"seed": 1}, False), ({"n_train": 96}, False), ({"n_train": 96}, True)],
+        ids=["seed", "n_train", "n_train_with_data_dir"],
+    )
+    def test_cells_on_other_data_fail_before_any_cell(self, change, data_dir, tmp_path):
+        cfg = tiny_cfg()
+        if data_dir:
+            save_dataset(tmp_path / "dd", bench.generate_dataset(cfg))
+            cfg = override(cfg, {"data_dir": tmp_path / "dd"})
+        cells = [("a", [0], cfg), ("b", [1], cfg), ("c", [2], override(cfg, change))]
+        with pytest.raises(ConfigError, match="sweep cell c uses other data than cell a"):
+            bench.run_sweep(cells, ["i"], tmp_path / "sw")
+        assert not (tmp_path / "sw").exists()
+
+    def test_seed_may_vary_on_a_data_dir(self, tmp_path):
+        save_dataset(tmp_path / "dd", bench.generate_dataset(tiny_cfg()))
+        cfg = override(tiny_cfg(), {"data_dir": tmp_path / "dd"})
+        cells = [("s0", [0], cfg), ("s1", [1], override(cfg, {"seed": 1}))]
+        rows = bench.run_sweep(cells, ["seed"], tmp_path / "sw")
+        assert [row[-2] for row in rows] == [0, 1]
+
     def test_new_data_dir_dataset_reruns_cells(self, tmp_path, capsys):
         data = tmp_path / "dd"
         save_dataset(data, bench.generate_dataset(tiny_cfg()))

@@ -78,6 +78,14 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_train_with_missing_data_dir_makes_no_out_dir(self, tmp_path, capsys):
+        cfg = tmp_path / "no_data.cfg"
+        cfg.write_text(TINY + f"data_dir = {tmp_path / 'no_dataset'}\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_bad_metric_fails_at_load(self, tmp_path):
         cfg = tmp_path / "bad_metric.cfg"
         cfg.write_text(TINY + "metric = mp_cubed\n")
@@ -209,7 +217,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"numeric failure: {data / name}: non-finite value in row {row}\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_checkpoint_tensor_is_numeric_error(self, value, cfg_file, tmp_path, capsys):
@@ -534,9 +542,11 @@ class TestExitCodes:
          # only the range check can catch these.
          ({"n_train": -32, "n_test": 128}, "n_train is -32; it must be at least 0"),
          ({"n_train": 100, "n_test": -4}, "n_test is -4; it must be at least 0"),
-         ({"height": -32, "width": -32}, "height is -32; it must be at least 1")],
+         ({"height": -32, "width": -32}, "height is -32; it must be at least 1"),
+         ({"n_classes": 1}, "n_classes is 1; it must be at least 2")],
         ids=["height-float", "width-integral_float", "n_train-str", "n_test-str", "seed-float",
-             "n_classes-bool", "n_train-null", "n_train-negative", "n_test-negative", "dims-negative"],
+             "n_classes-bool", "n_train-null", "n_train-negative", "n_test-negative", "dims-negative",
+             "n_classes-one"],
     )
     @pytest.mark.parametrize("command", ["analyze", "eval"])
     def test_bad_manifest_integer_is_config_error(self, command, edit, message, cfg_file, tmp_path, capsys):
@@ -798,6 +808,27 @@ class TestSweepCommands:
         assert err == "config error: weights can go below 0: need alpha >= 0 and alpha >= beta, " \
             "got alpha=0.8, beta=1.0\n"
         assert not (out / "t0").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep-window", "--q", ""], "--q lists no values to sweep"),
+            (["sweep-window", "--q", ","], "--q lists no values to sweep"),
+            (["sweep-frm", "--kinds", ","], "--kinds lists no values to sweep"),
+            (["sweep-frm", "--kinds", ""], "--kinds lists no values to sweep"),
+            (["sweep-params", "--tuples", ""], "--tuples lists no values to sweep"),
+            (["sweep-params", "--tuples", "1.5,1,6,0.7;"], "expected alpha,beta,lambda,gamma, got ''"),
+            (["sweep-params", "--tuples", "1.5,1,x,0.7"],
+             "expected alpha,beta,lambda,gamma, got '1.5,1,x,0.7'"),
+        ],
+        ids=["q_empty", "q_comma", "kinds_comma", "kinds_empty", "tuples_empty",
+             "tuples_trailing_semicolon", "tuples_not_a_number"],
+    )
+    def test_empty_or_unparsable_grid_is_config_error(self, argv, message, cfg_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main([*argv, "--config", cfg_file, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_sweep_frm(self, cfg_file, tmp_path):
         out = tmp_path / "sf"

@@ -38,3 +38,10 @@ def test_traced_filter_study_run_is_correct(tmp_path):
     # Three variants of 128 steps each, one weight call per step.
     assert metrics["intervention.train.calls"]["value"] == 3
     assert metrics["allocation.weight.calls"]["value"] == 384
+
+
+def test_traced_probes_run_is_correct(tmp_path):
+    metrics = traced_run(tmp_path, "probes")
+    # One ntk-check spectrum and criterion 7's five suppression seeds per unit.
+    assert metrics["dynamics.decay_check.calls"]["value"] == 1
+    assert metrics["dynamics.suppression_experiment.calls"]["value"] == 5
