@@ -135,10 +135,15 @@ def write_run_matrix(path, records, cfg: RunConfig, average: bool = True) -> Non
     write_csv(path, MATRIX_COLUMNS, [[*entry, *stamp] for entry in entries])
 
 
-def get_dataset(cfg: RunConfig) -> SynthDataset:
-    """Load the configured dataset directory or generate from the data seed stream."""
+def get_dataset(cfg: RunConfig, split=None) -> SynthDataset:
+    """Load the configured dataset directory or generate from the data seed stream.
+
+    A loaded dataset holds only `split` ("train" or "test", see
+    load_dataset), or every sample for None. A generated one is always
+    generated whole, because the generator draws the whole random stream.
+    """
     if cfg.data.data_dir:
-        ds = load_dataset(cfg.data.data_dir)
+        ds = load_dataset(cfg.data.data_dir, split)
         if ds.n_modalities != len(cfg.data.specs):
             raise ConfigError(
                 f"dataset at {cfg.data.data_dir} has {ds.n_modalities} modalities, "

@@ -113,8 +113,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    """Train per the config; write trace.csv, scores.csv, the checkpoint,
+    config.txt and run.json to --out.
+
+    A dataset directory is loaded with its training split only: training
+    never reads the test split, though every value of the files is still
+    checked, so a NaN or inf in a test pixel exits 3 all the same.
+    """
     cfg = load_config(args.config)
-    dataset = bench.get_dataset(cfg)
+    dataset = bench.get_dataset(cfg, "train")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -141,10 +148,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Write the mask matrix of --checkpoint on the test split to --out.
+
+    With --checkpoint a dataset directory is loaded with its test split
+    only, which is all the matrix uses; every value of the files is still
+    checked, so a NaN or inf in a training pixel exits 3 all the same.
+    Without one the whole dataset is loaded, trained on and then evaluated.
+    """
     cfg = load_config(args.config)
     if args.data:
         cfg = override(cfg, {"data_dir": args.data})
-    dataset = bench.get_dataset(cfg)
+    dataset = bench.get_dataset(cfg, "test" if args.checkpoint else None)
     if args.mask and args.mask not in map(bench.mask_label, bench.mask_order(dataset.n_modalities)):
         raise ConfigError(
             f"mask {args.mask!r} must be {dataset.n_modalities} characters of 0/1 with at least one 1"

@@ -86,6 +86,7 @@ class SynthDataset:
     """Per-modality image stacks with shared labels and a fixed split.
 
     The first n_train samples are the training split; the rest are test.
+    A dataset loaded with one split holds only that split's samples.
     Pixels are finite: generated ones by construction from finite specs,
     loaded ones because tensorio.read_raw checks every value it reads.
     Stacks are float32 (n, h, w) arrays, generated or loaded: a generated
@@ -368,20 +369,29 @@ def _check_saved(src: Path):
     return paths, (n, h, w), fields
 
 
-def load_dataset(in_dir) -> SynthDataset:
+def load_dataset(in_dir, split=None) -> SynthDataset:
     """Inverse of save_dataset, keeping the stacks in their on-disk float32.
 
     _check_saved checks every file and gives every field but the pixels,
     as it does for modality_blocks, so both reject the same datasets with
-    the same errors. All modalities are then read into one contiguous
-    (m, n, h*w) float32 block, and `images` holds (n, h, w) views of it:
-    the one-block layout generate gives.
+    the same errors, and a malformed file fails before any pixel is read.
+    split None loads every sample; "train" only the training samples,
+    giving a dataset with n_test = 0; "test" only the test samples, giving
+    one with n_train = 0. The split's rows of all modalities are read into
+    one contiguous (m, rows, h*w) float32 block, and `images` holds
+    (rows, h, w) views of it: the one-block layout generate gives. Every
+    value of every file is still read and checked once by read_raw, so a
+    NaN or inf in the samples left out is a NumericError all the same.
     """
     paths, (n, h, w), fields = _check_saved(Path(in_dir))
-    block = np.empty((len(paths), n, h * w), dtype=np.float32)
+    n_train = fields["n_train"]
+    lo, hi = {None: (0, n), "train": (0, n_train), "test": (n_train, n)}[split]
+    block = np.empty((len(paths), hi - lo, h * w), dtype=np.float32)
     for path, stack in zip(paths, block):
-        tensorio.read_raw(path, out=stack)
-    return SynthDataset(images=[stack.reshape(n, h, w) for stack in block], **fields)
+        tensorio.read_raw(path, out=stack, rows=(lo, hi))
+    fields["labels"] = fields["labels"][lo:hi]
+    fields["n_train"] = 0 if split == "test" else n_train
+    return SynthDataset(images=[stack.reshape(hi - lo, h, w) for stack in block], **fields)
 
 
 def modality_blocks(in_dir):

@@ -9,15 +9,19 @@ Raw matrices are read back as float32, the exact values in the file, and
 are never widened here: every float32 widens exactly to float64, so a
 caller that widens a block at a time right before its arithmetic gets the
 same results as from a float64 copy of the whole file, without holding
-one. A matrix is read whole (read_raw), or in consecutive blocks of rows
-that all land in one reused buffer (read_raw_blocks), so a caller that
-consumes one block at a time never holds the file. Both check the header
-and the file size before they read a value.
+one. A matrix is read whole or as one range of its rows (read_raw), or in
+consecutive blocks of rows that all land in one reused buffer
+(read_raw_blocks), so a caller that consumes one block at a time never
+holds the file. Both check the header and the file size before they read
+a value.
 
-read_raw also checks every value it reads: a NaN or inf raises NumericError
-naming the file and the first row that holds one. Every array the program
-reads whole from a file (dataset modalities and labels, checkpoint tensors,
-single planes) comes through it, so no consumer checks pixels again.
+read_raw reads every value of the file, held or not, and checks each one
+once, right after its block is read: a NaN or inf raises NumericError
+naming the file and the first row that holds one. So a caller that holds
+only one split of a dataset still learns of a non-finite value in the
+other. Every array the program reads from a file (dataset modalities and
+labels, checkpoint tensors, single planes) comes through it, so no
+consumer checks pixels again.
 read_raw_blocks does not check: its caller scores each block, and a
 finite stack can still give a non-finite score, so it checks the score,
 which also catches a non-finite pixel, without a second pass over the file.
@@ -34,7 +38,7 @@ from .errors import NumericError
 
 _RAW_HEADER = struct.Struct("<II")
 _RAW_DTYPE = np.dtype("<f4")
-# Values per block of write_raw and of read_raw's check: 1 MB of float32.
+# Values per block of write_raw and read_raw: 1 MB of float32.
 _BLOCK_VALUES = 1 << 18
 
 
@@ -62,32 +66,51 @@ def write_raw(path, matrix) -> None:
             fh.write(np.ascontiguousarray(matrix[start : start + step], dtype=_RAW_DTYPE))
 
 
-def read_raw(path, out=None) -> np.ndarray:
-    """Read a raw float32 matrix as a writable float32 array of shape (rows, cols).
+def read_raw(path, out=None, rows=None) -> np.ndarray:
+    """Read a raw float32 matrix, or the rows [lo, hi) of it, as a float32 array.
 
-    The header and the file size are checked before anything is allocated,
-    and the values are read straight into the result: no intermediate
-    bytes object, no dtype conversion. With `out`, a C-contiguous float32
-    array of shape (rows, cols), the values land in it and it is returned;
-    that lets a caller fill one slice of a larger block per file.
+    The header and the file size are checked before anything is allocated.
+    With rows=None the result holds every row; with rows=(lo, hi), a range
+    within the file's rows, it holds rows lo to hi - 1, shape (hi - lo, cols).
+    A range that is reversed, negative or past the end is a ValueError.
+    With `out`, a C-contiguous float32 array of the result's shape, the
+    values land in it and it is returned; that lets a caller fill one
+    slice of a larger block per file.
 
-    Once all are read, the values are checked a block of rows at a time: a
-    NaN or inf raises NumericError("<path>: non-finite value in row <r>")
-    for the first row that holds one. A malformed file is a ValueError,
-    raised before any value is read.
+    The file is read front to back in blocks of rows, straight into the
+    result (no intermediate bytes object, no dtype conversion); the rows
+    outside the range pass through one reused scratch block and are
+    dropped. Each block is checked right after it is read, while it is
+    still in cache: a NaN or inf raises NumericError("<path>: non-finite
+    value in row <r>"), r the first such file row. So every value is read
+    and checked once, held or not, and an empty range returns a (0, cols)
+    array only once the whole file has been checked. A malformed file is a
+    ValueError, raised before any value is read; a file that shrinks while
+    it is read is one too, unless a block before the lost rows held a NaN
+    or inf, which is reported first.
     """
     with open(path, "rb") as fh:
-        rows, cols = _read_header(fh, path)
+        n, cols = _read_header(fh, path)
+        lo, hi = (0, n) if rows is None else rows
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"{path}: rows {lo}:{hi} are not a range within its {n} rows")
         if out is None:
-            out = np.empty((rows, cols), dtype=_RAW_DTYPE)
-        elif out.shape != (rows, cols) or out.dtype != _RAW_DTYPE or not out.flags.c_contiguous:
-            raise _mismatch(path, rows, cols, out.dtype, out.shape)
-        _fill(fh, path, out)
-    step = _block_rows(cols)
-    for start in range(0, rows, step):
-        finite = np.isfinite(out[start : start + step]).all(axis=1)
-        if not finite.all():
-            raise NumericError(f"{path}: non-finite value in row {start + int(np.argmin(finite))}")
+            out = np.empty((hi - lo, cols), dtype=_RAW_DTYPE)
+        elif out.shape != (hi - lo, cols) or out.dtype != _RAW_DTYPE or not out.flags.c_contiguous:
+            where = "" if rows is None else f" of rows {lo}:{hi}"
+            raise _mismatch(path, n, cols, out.dtype, out.shape, where)
+        step = _block_rows(cols)
+        dropped = max(lo, n - hi)
+        scratch = np.empty((min(step, dropped), cols), dtype=_RAW_DTYPE)
+        for first, stop, held in ((0, lo, False), (lo, hi, True), (hi, n, False)):
+            for start in range(first, stop, step):
+                end = min(start + step, stop)
+                block = out[start - lo : end - lo] if held else scratch[: end - start]
+                _fill(fh, path, block)
+                finite = np.isfinite(block).all(axis=1)
+                if not finite.all():
+                    row = start + int(np.argmin(finite))
+                    raise NumericError(f"{path}: non-finite value in row {row}")
     return out
 
 
@@ -142,8 +165,8 @@ def _block_rows(cols: int) -> int:
     return max(1, _BLOCK_VALUES // max(1, cols))
 
 
-def _mismatch(path, rows, cols, dtype, shape) -> ValueError:
-    return ValueError(f"{path}: holds a {rows}x{cols} matrix, destination is {dtype} {shape}")
+def _mismatch(path, rows, cols, dtype, shape, where="") -> ValueError:
+    return ValueError(f"{path}: holds a {rows}x{cols} matrix, destination{where} is {dtype} {shape}")
 
 
 def _fill(fh, path, out) -> None:

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from freqbal import bench, cli, synthdata, tensorio
 from freqbal.cli import main
+from freqbal.config import load_config, override
+from freqbal.intervention import train as train_loop
 from freqbal.preference import METRIC_KINDS, sample_preference
 from freqbal.seeds import stream_rng
 from freqbal.spectral import SpectralConfig
 from freqbal.synthdata import generate, imbalanced_specs, load_dataset, save_dataset
+from freqbal.tinynet import init_network, load_checkpoint, net_for, save_checkpoint
 
 TINY = "seed = 0\nepochs = 1\nbatch_size = 32\nn_train = 64\nn_test = 32\nhidden = 16,8\n"
 
@@ -423,6 +428,23 @@ class TestExitCodes:
         assert err == f"numeric failure: {data / 'mod1.f32'}: non-finite value in row 70\n"
         assert not (out / "matrix.csv").exists()
 
+    def test_eval_checkpoint_on_non_finite_training_pixel_is_numeric_error(self, cfg_file, tmp_path, capsys):
+        # eval --checkpoint holds only the test split, yet the run must not
+        # exit 0 on a corrupt training sample, as train must not on a test one.
+        data, run, out = tmp_path / "ds", tmp_path / "run", tmp_path / "eval"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        main(["train", "--config", cfg_file, "--out", str(run)])
+        stack = tensorio.read_raw(data / "mod2.f32")
+        stack[41, 300] = np.nan
+        tensorio.write_raw(data / "mod2.f32", stack)
+        capsys.readouterr()
+        argv = ["eval", "--config", cfg_file, "--checkpoint", str(run / "checkpoint"),
+                "--data", str(data), "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"numeric failure: {data / 'mod2.f32'}: non-finite value in row 41\n"
+        assert not (out / "matrix.csv").exists()
+
     @pytest.mark.parametrize("command", ["filter", "filter-study"])
     def test_non_finite_pixel_in_filtered_data_is_numeric_error(self, command, cfg_file, tmp_path, capsys):
         data, out = tmp_path / "ds", tmp_path / "out"
@@ -772,12 +794,77 @@ class TestTrainEval:
         assert len(lines) == 2
         assert lines[1].startswith("101,")
 
+    @pytest.mark.parametrize("mask", [None, "101"])
+    def test_eval_checkpoint_on_data_is_the_matrix_of_its_test_split(self, mask, cfg_file, tmp_path):
+        data, run, out = tmp_path / "ds", tmp_path / "run", tmp_path / "eval"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        main(["train", "--config", cfg_file, "--out", str(run)])
+        argv = ["eval", "--config", cfg_file, "--checkpoint", str(run / "checkpoint"),
+                "--data", str(data), "--out", str(out)]
+        assert main(argv + (["--mask", mask] if mask else [])) == 0
+        cfg = override(load_config(cfg_file), {"data_dir": str(data)})
+        net_cfg, params = load_checkpoint(run / "checkpoint")
+        records = bench.run_matrix(net_cfg, params, *load_dataset(data).test_split())
+        if mask:
+            records = [r for r in records if bench.mask_label(r.mask) == mask]
+        expected = tmp_path / "expected.csv"
+        bench.write_run_matrix(expected, records, cfg, average=not mask)
+        assert read(out / "matrix.csv") == read(expected)
+
     @pytest.mark.parametrize("mask", ["1x1", "000", "10"])
     def test_malformed_mask_is_config_error(self, mask, cfg_file, tmp_path, capsys):
         out = tmp_path / "mask_eval"
         assert main(["eval", "--config", cfg_file, "--out", str(out), "--mask", mask]) == 2
         assert repr(mask) in capsys.readouterr().err
         assert not (out / "matrix.csv").exists()
+
+
+class TestSplitMemory:
+    """A command holds only the split of a dataset directory it uses."""
+
+    # The training split is 4x the test split, so holding it shows.
+    SIZES = "seed = 3\nepochs = 1\nbatch_size = 64\nn_train = 2000\nn_test = 500\nhidden = 16,8\n"
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        data = tmp_path / "ds"
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text(self.SIZES + f"data_dir = {data}\n")
+        save_dataset(data, bench.generate_dataset(load_config(cfg)))
+        return cfg, data
+
+    def test_eval_checkpoint_peak_is_the_test_split_and_one_widened_branch(self, saved, tmp_path):
+        cfg, data = saved
+        ds = load_dataset(data)
+        net_cfg = net_for(ds, (16, 8))
+        save_checkpoint(tmp_path / "checkpoint", net_cfg, init_network(net_cfg))
+        planes = ds.n_test * ds.dims[0] * ds.dims[1]
+        test_split = np.dtype(np.float32).itemsize * planes * ds.n_modalities
+        widened_branch = np.dtype(np.float64).itemsize * planes
+        del ds
+        # The training rows are read, checked and dropped through one 1 MB
+        # scratch block; forward widens one branch at a time.
+        argv = ["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "checkpoint"),
+                "--data", str(data), "--out", str(tmp_path / "eval")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * (test_split + widened_branch)
+
+    def test_train_on_a_data_dir_holds_no_test_row(self, saved, tmp_path, monkeypatch):
+        cfg, data = saved
+        seen = []
+
+        def train(train_cfg, dataset):
+            seen.append((dataset.n_train, dataset.n_test, len(dataset.images[0])))
+            return train_loop(train_cfg, dataset)
+
+        monkeypatch.setattr(cli, "train_loop", train)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert seen == [(2000, 0, 2000)]
 
 
 class TestSweepCommands:

@@ -31,6 +31,13 @@ def test_traced_analyze_eval_run_is_correct(tmp_path):
     metrics = traced_run(tmp_path, "analyze_eval")
     # One encoder pass per mask matrix: a single forward call per unit.
     assert metrics["tinynet.forward.calls"]["value"] == 1
+    # Per unit: the labels read by each of the four analyze commands and by
+    # eval (5 x 20,008 bytes), eval's three 1,000-row test splits (3 x
+    # 4,096,008) and the checkpoint (815,456). The counter measures the
+    # rows each call returns, not the bytes it reads: eval still reads and
+    # checks the 4,000 training rows of each modality file, then drops them.
+    assert metrics["tensorio.read_raw.calls"]["value"] == 28
+    assert metrics["tensorio.read_raw.bytes"]["value"] == 13_203_520
 
 
 def test_traced_filter_study_run_is_correct(tmp_path):

@@ -112,6 +112,68 @@ class TestRaw:
             tensorio.read_raw(path, out=np.empty((7, 5), np.float32) if into else None)
         assert str(exc.value) == f"{path}: non-finite value in row 5"
 
+    @pytest.mark.parametrize("lo, hi", [(0, 11), (3, 11), (0, 8), (3, 8), (4, 5)])
+    @pytest.mark.parametrize("into", [False, True], ids=["new", "out"])
+    def test_row_range_is_the_slice_of_a_whole_read(self, lo, hi, into, tmp_path, monkeypatch):
+        # Blocks of two rows: 3 and 11 are odd, so a block front to back
+        # straddles the ends of the range and others fall inside it.
+        monkeypatch.setattr(tensorio, "_BLOCK_VALUES", 10)
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, np.random.default_rng(7).normal(size=(11, 5)))
+        whole = tensorio.read_raw(path)
+        out = np.empty((hi - lo, 5), np.float32) if into else None
+        held = tensorio.read_raw(path, out=out, rows=(lo, hi))
+        assert held.shape == (hi - lo, 5) and held.dtype == np.float32
+        assert held.tobytes() == whole[lo:hi].tobytes()
+        if into:
+            assert held is out
+
+    @pytest.mark.parametrize("row", [1, 2, 5, 7, 8, 10], ids=lambda r: f"row{r}")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_any_row_of_a_range_is_numeric_error(self, row, value, tmp_path, monkeypatch):
+        # Rows 3-7 are held; the others are read, checked and dropped.
+        monkeypatch.setattr(tensorio, "_BLOCK_VALUES", 10)
+        mat = np.random.default_rng(8).normal(size=(11, 5))
+        mat[row, 3] = value
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, mat)
+        with pytest.raises(NumericError) as exc:
+            tensorio.read_raw(path, rows=(3, 8))
+        assert str(exc.value) == f"{path}: non-finite value in row {row}"
+
+    @pytest.mark.parametrize("at", [0, 4, 11])
+    def test_empty_range_returns_no_rows_once_the_file_is_checked(self, at, tmp_path, monkeypatch):
+        monkeypatch.setattr(tensorio, "_BLOCK_VALUES", 10)
+        mat = np.random.default_rng(9).normal(size=(11, 5))
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, mat)
+        held = tensorio.read_raw(path, rows=(at, at))
+        assert held.shape == (0, 5) and held.dtype == np.float32
+        mat[10, 0] = np.nan
+        tensorio.write_raw(path, mat)
+        with pytest.raises(NumericError, match="row 10$"):
+            tensorio.read_raw(path, rows=(at, at))
+
+    @pytest.mark.parametrize(
+        "rows, out",
+        [
+            ((5, 3), None),
+            ((-1, 4), None),
+            ((3, 12), None),
+            ((12, 12), None),
+            ((3, 8), np.zeros((11, 5), np.float32)),
+            ((3, 8), np.zeros((5, 5))),
+        ],
+        ids=["reversed", "negative", "past_end", "empty_past_end", "out_shape", "out_dtype"],
+    )
+    def test_bad_range_or_destination_rejected(self, rows, out, tmp_path):
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, np.ones((11, 5)))
+        with pytest.raises(ValueError) as exc:
+            tensorio.read_raw(path, out=out, rows=rows)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert out is None or not out.any()
+
     def test_malformed_file_fails_before_its_values_are_checked(self, tmp_path):
         path = tmp_path / "m.f32"
         tensorio.write_raw(path, np.full((7, 5), np.nan))
