@@ -25,7 +25,7 @@ from .intervention import train
 from .preference import METRIC_KINDS
 from .seeds import stream_seed
 from .spectral import check_window, fft_filter
-from .synthdata import SynthDataset, dataset_digest, generate, load_dataset
+from .synthdata import SynthDataset, dataset_digest, generate, load_dataset, save_generated
 from .tinynet import evaluate
 
 MATRIX_COLUMNS = ["mask", "acc", "pcr", "mode", "seed", "config"]
@@ -155,8 +155,17 @@ def get_dataset(cfg: RunConfig, split=None) -> SynthDataset:
 
 def generate_dataset(cfg: RunConfig) -> SynthDataset:
     """Generate the configured dataset from the data seed stream, ignoring data_dir."""
-    return generate(
-        cfg.data.specs,
+    return generate(**_generator_args(cfg))
+
+
+def save_generated_dataset(cfg: RunConfig, out_dir) -> None:
+    """Write the dataset generate_dataset(cfg) gives to out_dir, never holding it whole."""
+    save_generated(out_dir, **_generator_args(cfg))
+
+
+def _generator_args(cfg: RunConfig) -> dict:
+    return dict(
+        specs=cfg.data.specs,
         n_train=cfg.data.n_train,
         n_test=cfg.data.n_test,
         n_classes=cfg.data.n_classes,

@@ -19,11 +19,21 @@ of a low-signal modality is exactly cells * low_energy / high_energy (up to
 the stabilizer). The signs come from a Gaussian draw, so the generator
 consumes the same random stream as a Gaussian noise band would.
 
+One routine, _synthesize, makes every generated pixel, a modality and a
+block of planes at a time, into destinations its caller supplies:
+generate renders into slices of one float32 block that holds the whole
+dataset, and save_generated into one reused block buffer that it hands
+to the modality's file before the next block is rendered, so it never
+holds the dataset. Both give bitwise the same planes. The synthesis
+temporaries are bounded: one draw and two band maps the size of one
+modality's band coefficients, and the float64 buffers of one block of
+planes, all allocated once per call and reused by every modality.
+
 Generated and loaded datasets share one layout: their stacks are float32
-views of one contiguous block that holds every modality. generate bounds
-its temporaries: one draw and two band maps the size of one modality's
-band coefficients, and the float64 buffers of one block of planes, all
-allocated once per call and reused by every modality.
+views of one contiguous block that holds every modality. Every dataset
+directory is written by write_dataset, which removes the manifest before
+it writes the first file and writes it last, so a directory whose write
+stopped part way holds no manifest and does not load.
 """
 
 import hashlib
@@ -144,15 +154,62 @@ def generate(
 
     All modalities are written into one preallocated (m, n, h, w) float32
     block, and `images` holds its (n, h, w) views, as load_dataset gives.
-    Each modality's draws are formed in place, in the order and with the
-    operations of the one-shot formula, and its rescaled bands are written
-    straight into their band maps. Its pixels, low_h.T @ low @ low_w +
-    high_h.T @ high @ high_w for those maps, are computed in float64 a
-    block of planes at a time into buffers allocated once per call, and
-    rounded once to float32 as each block is stored. So the block is the
-    only whole-stack array, and each plane is bitwise the one-shot
-    formula's value rounded to float32, the rounding save_dataset applies.
+    _synthesize renders each block of planes straight into its slice of
+    that block, so the block is the only whole-stack array and no plane is
+    copied. Each plane is bitwise the one-shot formula low_h.T @ low @
+    low_w + high_h.T @ high @ high_w of its band maps, computed in float64
+    and rounded once to float32, the rounding save_dataset applies; a
+    save_generated directory holds the same bytes as save_dataset of it.
     """
+    specs, labels, rng = _prepare(specs, n_train, n_test, n_classes, dims, seed)
+    block = np.empty((len(specs), len(labels), *dims), dtype=np.float32)
+    for planes in _synthesize(specs, labels, n_classes, dims, rng, lambda i, lo, hi: block[i, lo:hi]):
+        for _ in planes:
+            pass
+    return SynthDataset(
+        images=list(block),
+        labels=labels,
+        n_train=n_train,
+        n_classes=n_classes,
+        specs=specs,
+        seed=seed,
+    )
+
+
+def save_generated(
+    out_dir,
+    specs,
+    n_train: int = 2000,
+    n_test: int = 500,
+    n_classes: int = 4,
+    dims=(32, 32),
+    seed: int = 0,
+) -> None:
+    """Write the dataset generate(...) builds to out_dir, a block of planes at a time.
+
+    Every argument is checked, as generate checks it, before out_dir is
+    made. Each block is rendered into one reused float32 buffer and written
+    to its modality's file before the next is rendered, so the dataset is
+    never held; the files are byte for byte those of save_dataset(out_dir,
+    generate(...)).
+    """
+    specs, labels, rng = _prepare(specs, n_train, n_test, n_classes, dims, seed)
+    buffer = np.empty((min(len(labels), _BLOCK), *dims), dtype=np.float32)
+    write_dataset(
+        out_dir,
+        _synthesize(specs, labels, n_classes, dims, rng, lambda i, lo, hi: buffer[: hi - lo]),
+        dims=dims,
+        labels=labels,
+        n_train=n_train,
+        n_classes=n_classes,
+        specs=specs,
+        seed=seed,
+    )
+
+
+def _prepare(specs, n_train, n_test, n_classes, dims, seed):
+    """Check generate's arguments; return the specs as a tuple, the labels and
+    the random stream that has drawn them, ready for the first modality."""
     specs = tuple(specs)
     if not specs:
         raise ValueError("need at least one modality spec")
@@ -164,14 +221,31 @@ def generate(
     n = n_train + n_test
     if n < 1:
         raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    return specs, rng.permutation(np.arange(n) % n_classes), rng
+
+
+def _synthesize(specs, labels, n_classes, dims, rng, dest):
+    """Yield, per spec in order, an iterator over its rendered blocks of planes.
+
+    dest(i, lo, hi) gives the float32 (hi - lo, h, w) array that planes lo
+    to hi - 1 of modality i are rendered into, and the modality's iterator
+    yields that array once it holds them. Blocks hold _BLOCK planes, the
+    last one possibly fewer. A modality's draws are made when its first
+    block is asked for, in the order and with the operations of the
+    one-shot formula, and its rescaled bands are written straight into
+    their band maps. All modalities draw from the one random stream and
+    share the buffers, so each modality's iterator must be exhausted
+    before the next one is taken. Each block's pixels are computed in
+    float64 into buffers allocated once per call and rounded once to
+    float32 as they are stored.
+    """
+    n = len(labels)
+    h, w = dims
     p, q = GEN_PATCH, GEN_BLOCK
     gh, gw = h // p, w // p
     low_h, high_h = band_projections(h, p, q)
     low_w, high_w = band_projections(w, p, q)
-    rng = np.random.default_rng(seed)
-    labels = rng.permutation(np.arange(n) % n_classes)
-
-    block = np.empty((len(specs), n, h, w), dtype=np.float32)
     draw = np.empty((n, gh, gw, q, q))
     low = np.empty((n, gh * q, gw * q))
     high = np.empty_like(low)
@@ -179,7 +253,8 @@ def generate(
     inner = np.empty((rows, h, gw * q))
     low_pixels = np.empty((rows, h, w))
     high_pixels = np.empty_like(low_pixels)
-    for spec, stack in zip(specs, block):
+
+    def render(i, spec):
         templates = rng.normal(size=(n_classes, gh, gw, q, q))
         bands = ((low, spec.low_energy), (high, spec.high_energy))
         if spec.signal_band == "high":
@@ -189,29 +264,25 @@ def generate(
         # its Gaussian draw held in the noise band's map until that is written.
         # Unlike the default mode, "clip" writes into draw without a buffer.
         np.take(templates, labels, axis=0, out=draw, mode="clip")
-        draw *= spec.snr
+        np.multiply(draw, spec.snr, out=draw)
         gauss = noise.reshape(draw.shape)
         _normal(rng, gauss)
-        draw += gauss
+        np.add(draw, gauss, out=draw)
         _rescale_band(draw, signal_energy, signal)
         _normal(rng, draw)
         np.copysign(1.0, draw, out=draw)
         _rescale_band(draw, noise_energy, noise)
         for start in range(0, n, _BLOCK):
-            planes = slice(start, start + _BLOCK)
-            r = min(_BLOCK, n - start)
-            np.matmul(np.matmul(low_h.T, low[planes], out=inner[:r]), low_w, out=low_pixels[:r])
-            np.matmul(np.matmul(high_h.T, high[planes], out=inner[:r]), high_w, out=high_pixels[:r])
-            np.add(low_pixels[:r], high_pixels[:r], out=stack[planes])
+            stop = min(start + _BLOCK, n)
+            r = stop - start
+            out = dest(i, start, stop)
+            np.matmul(np.matmul(low_h.T, low[start:stop], out=inner[:r]), low_w, out=low_pixels[:r])
+            np.matmul(np.matmul(high_h.T, high[start:stop], out=inner[:r]), high_w, out=high_pixels[:r])
+            np.add(low_pixels[:r], high_pixels[:r], out=out)
+            yield out
 
-    return SynthDataset(
-        images=list(block),
-        labels=labels,
-        n_train=n_train,
-        n_classes=n_classes,
-        specs=specs,
-        seed=seed,
-    )
+    for i, spec in enumerate(specs):
+        yield render(i, spec)
 
 
 def _normal(rng, out) -> None:
@@ -275,27 +346,55 @@ _SPEC_KEYS = ("low_energy", "high_energy", "signal_band", "snr")
 
 
 def save_dataset(out_dir, ds: SynthDataset) -> None:
-    """Persist per-modality stacks as raw float32 matrices plus a manifest.
+    """Persist a dataset through write_dataset, each stack as its one block."""
+    write_dataset(
+        out_dir,
+        ([stack] for stack in ds.images),
+        dims=ds.dims,
+        labels=ds.labels,
+        n_train=ds.n_train,
+        n_classes=ds.n_classes,
+        specs=ds.specs,
+        seed=ds.seed,
+    )
 
-    Each modality file holds one flattened image per row; the manifest
-    records the plane dims, split sizes, specs, and seed for replay.
+
+def write_dataset(out_dir, modalities, *, dims, labels, n_train, n_classes, specs, seed) -> None:
+    """Write a dataset directory: raw float32 matrices plus a manifest.
+
+    The one writer of dataset directories. `modalities` yields, per
+    modality in order, an iterable of its consecutive (rows, h, w) blocks
+    of planes, of any numeric dtype; each is taken only once the files
+    before it are written, so a producer can make one modality, or one
+    block, at a time. Each modality file holds one flattened image per
+    row; the manifest records the plane dims, split sizes, specs, and seed
+    for replay.
+
+    dataset.json is removed before the first file is written and written
+    last, atomically, so a write that stops part way (an error, a full
+    disk, a crash) leaves no manifest, and load_dataset refuses the
+    directory instead of loading new files beside old ones.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    h, w = ds.dims
-    for i, stack in enumerate(ds.images):
-        tensorio.write_raw(out / f"mod{i}.f32", stack.reshape(ds.n_samples, h * w))
-    tensorio.write_raw(out / "labels.f32", ds.labels.astype(np.float64)[None, :])
+    manifest = out / "dataset.json"
+    manifest.unlink(missing_ok=True)
+    h, w = dims
+    n = len(labels)
+    for i, blocks in enumerate(modalities):
+        rows = (block.reshape(len(block), h * w) for block in blocks)
+        tensorio.write_raw_blocks(out / f"mod{i}.f32", (n, h * w), rows)
+    tensorio.write_raw(out / "labels.f32", labels.astype(np.float64)[None, :])
     tensorio.write_manifest(
-        out / "dataset.json",
+        manifest,
         {
-            "n_train": ds.n_train,
-            "n_test": ds.n_test,
-            "n_classes": ds.n_classes,
+            "n_train": n_train,
+            "n_test": n - n_train,
+            "n_classes": n_classes,
             "height": h,
             "width": w,
-            "seed": ds.seed,
-            "specs": [{key: getattr(s, key) for key in _SPEC_KEYS} for s in ds.specs],
+            "seed": seed,
+            "specs": [{key: getattr(s, key) for key in _SPEC_KEYS} for s in specs],
         },
     )
 

@@ -5,6 +5,13 @@ little-endian) followed by rows*cols little-endian float32 values in
 row-major order. 1-D vectors are stored as a single row; the owning
 manifest records the logical shape.
 
+A matrix is written whole (write_raw) or from consecutive blocks of its
+rows (write_raw_blocks, the one raw-file writer, which write_raw calls),
+so a producer that renders one block at a time into a reused buffer
+never holds the matrix. Either way the values are converted to float32
+a bounded number of rows at a time, and the bytes are those of
+converting the whole matrix at once.
+
 Raw matrices are read back as float32, the exact values in the file, and
 are never widened here: every float32 widens exactly to float64, so a
 caller that widens a block at a time right before its arithmetic gets the
@@ -38,17 +45,16 @@ from .errors import NumericError
 
 _RAW_HEADER = struct.Struct("<II")
 _RAW_DTYPE = np.dtype("<f4")
-# Values per block of write_raw and read_raw: 1 MB of float32.
+# Values per block of write_raw_blocks and read_raw: 1 MB of float32.
 _BLOCK_VALUES = 1 << 18
 
 
 def write_raw(path, matrix) -> None:
     """Write a 2-D float array in the raw float32 format.
 
-    The values are converted to little-endian float32 a block of rows at a
-    time and each block is written straight to the file, so no float32 copy
-    of the whole matrix is made; the bytes are those of converting it
-    whole. A non-numeric or non-2-D input fails before the file is created.
+    A 1-D array is stored as one row. The matrix goes to write_raw_blocks
+    as its one block, so no float32 copy of it is made. A non-numeric or
+    non-2-D input fails before the file is created.
     """
     matrix = np.asarray(matrix)
     if matrix.dtype.kind not in "biuf":
@@ -58,12 +64,41 @@ def write_raw(path, matrix) -> None:
         matrix = matrix[None, :]
     if matrix.ndim != 2:
         raise ValueError(f"raw format stores 2-D matrices, got shape {matrix.shape}")
-    rows, cols = matrix.shape
+    write_raw_blocks(path, matrix.shape, [matrix])
+
+
+def write_raw_blocks(path, shape, blocks) -> None:
+    """Write a raw float32 matrix of `shape` from consecutive blocks of its rows.
+
+    The write twin of read_raw_blocks. `blocks` yields 2-D numeric arrays
+    of shape[1] columns whose rows, in order, are the matrix's. Each block
+    is written before the next is asked for, so a producer may render
+    every block into one reused buffer. A block is converted to
+    little-endian float32 and written _block_rows(cols) rows at a time, so
+    a wide-typed block is never copied whole; a float32 block is written
+    as it is.
+
+    A block that is not 2-D, has another width, or would run past the
+    matrix's rows, and blocks that end short of them, raise ValueError
+    naming the file. The header is already written then, and the file
+    holds fewer rows than it says, so no reader accepts it.
+    """
+    rows, cols = shape
     step = _block_rows(cols)
+    written = 0
     with open(path, "wb") as fh:
         fh.write(_RAW_HEADER.pack(rows, cols))
-        for start in range(0, rows, step):
-            fh.write(np.ascontiguousarray(matrix[start : start + step], dtype=_RAW_DTYPE))
+        for block in blocks:
+            if block.ndim != 2 or block.shape[1] != cols or written + len(block) > rows:
+                raise ValueError(
+                    f"{path}: a block of shape {block.shape} after row {written} "
+                    f"does not fit a {rows}x{cols} matrix"
+                )
+            for start in range(0, len(block), step):
+                fh.write(np.ascontiguousarray(block[start : start + step], dtype=_RAW_DTYPE))
+            written += len(block)
+    if written != rows:
+        raise ValueError(f"{path}: the blocks hold {written} rows of a {rows}x{cols} matrix")
 
 
 def read_raw(path, out=None, rows=None) -> np.ndarray:

@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from freqbal import bench, cli, synthdata, tensorio
 from freqbal.cli import main
@@ -846,12 +845,8 @@ class TestSplitMemory:
         # scratch block; forward widens one branch at a time.
         argv = ["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "checkpoint"),
                 "--data", str(data), "--out", str(tmp_path / "eval")]
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0
         assert peak < 1.3 * (test_split + widened_branch)
 
     def test_train_on_a_data_dir_holds_no_test_row(self, saved, tmp_path, monkeypatch):
@@ -865,6 +860,100 @@ class TestSplitMemory:
         monkeypatch.setattr(cli, "train_loop", train)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         assert seen == [(2000, 0, 2000)]
+
+
+class TestDatasetWriters:
+    """gen and filter --data stream their files through the one dataset writer."""
+
+    SIZES = "seed = 3\nn_train = 2000\nn_test = 500\n"
+
+    @pytest.fixture
+    def cfg(self, tmp_path):
+        path = tmp_path / "gen.cfg"
+        path.write_text(self.SIZES)
+        return path
+
+    def test_gen_peak_is_a_fraction_of_the_dataset(self, cfg, tmp_path):
+        # gen holds one modality's band draws and one block of planes, never
+        # the (m, n, h, w) float32 stack it writes.
+        argv = ["gen", "--config", str(cfg), "--out", str(tmp_path / "ds")]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0
+        dataset = np.dtype(np.float32).itemsize * 3 * 2500 * 32 * 32
+        assert sum(p.stat().st_size for p in (tmp_path / "ds").glob("mod*.f32")) == dataset + 3 * 8
+        assert peak < 0.5 * dataset
+
+    def test_gen_writes_the_files_of_save_dataset(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(TINY + "height = 16\nwidth = 24\nclasses = 3\n")
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
+        save_dataset(tmp_path / "ref", bench.generate_dataset(load_config(cfg)))
+        names = sorted(p.name for p in (tmp_path / "ref").iterdir())
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "ds" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+    def test_filter_peak_is_the_dataset_and_one_widened_modality(self, cfg, tmp_path):
+        data = tmp_path / "ds"
+        assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+        argv = ["filter", "--data", str(data), "--out", str(tmp_path / "lp"),
+                "--kind", "low_pass", "--window", "8"]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0
+        planes = 2500 * 32 * 32
+        dataset = np.dtype(np.float32).itemsize * 3 * planes
+        widened_modality = np.dtype(np.float64).itemsize * planes
+        assert peak < 1.3 * (dataset + widened_modality)
+
+    @pytest.mark.parametrize("kind", ["low_pass", "high_pass"])
+    def test_filter_writes_the_files_of_filter_dataset(self, kind, cfg_file, tmp_path):
+        data = tmp_path / "ds"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        assert main(["filter", "--data", str(data), "--out", str(tmp_path / "out"),
+                     "--kind", kind, "--window", "5"]) == 0
+        save_dataset(tmp_path / "ref", bench.filter_dataset(load_dataset(data), kind, 5))
+        names = sorted(p.name for p in (tmp_path / "ref").iterdir())
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+    def test_filter_window_is_checked_before_the_output_is_touched(self, cfg_file, tmp_path, capsys):
+        data, out = tmp_path / "ds", tmp_path / "out"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        capsys.readouterr()
+        argv = ["filter", "--data", str(data), "--out", str(out), "--kind", "low_pass", "--window", "33"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: window side 33 out of range for 32x32 plane\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "filter"])
+    def test_failed_rewrite_leaves_no_manifest(self, command, cfg_file, tmp_path, monkeypatch, capsys):
+        # The output already holds a dataset; the rewrite fails on its second
+        # modality file, so the old manifest must not stay beside the new mod0.
+        data, out = tmp_path / "ds", tmp_path / "out"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        main(["gen", "--config", cfg_file, "--out", str(out)])
+        opened = []
+
+        def failing_open(path, mode="r", *rest, **kwargs):
+            if "w" in mode:
+                opened.append(path)
+                if len(opened) == 2:
+                    raise OSError(f"{path}: simulated write failure")
+            return open(path, mode, *rest, **kwargs)
+
+        monkeypatch.setattr(tensorio, "open", failing_open, raising=False)
+        argv = {
+            "gen": ["gen", "--config", cfg_file, "--out", str(out)],
+            "filter": ["filter", "--data", str(data), "--out", str(out), "--kind", "low_pass", "--window", "4"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "simulated write failure" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert opened == [out / "mod0.f32", out / "mod1.f32"]
+        assert not (out / "dataset.json").exists()
+        assert main(["analyze", "--data", str(out)]) == 2
 
 
 class TestSweepCommands:

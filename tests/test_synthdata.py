@@ -1,10 +1,10 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
-from freqbal import synthdata
+from freqbal import synthdata, tensorio
 from freqbal.intervention import TrainConfig, train
 from freqbal.preference import sample_preference, score_bands
 from freqbal.spectral import SpectralConfig, band_projections, compute_maps_batch
@@ -17,6 +17,7 @@ from freqbal.synthdata import (
     lowband_specs,
     modality_blocks,
     save_dataset,
+    save_generated,
 )
 from freqbal.tinynet import evaluate
 
@@ -199,12 +200,7 @@ class TestGenerate:
         # place, the bands go straight into their band maps, and each block
         # of planes is computed into buffers allocated once per call and
         # rounded as it is stored, so no float64 stack is held.
-        tracemalloc.start()
-        try:
-            ds = generate(imbalanced_specs(), 2000, 500)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        ds, peak = traced_peak(lambda: generate(imbalanced_specs(), 2000, 500))
         float32_bytes = sum(np.dtype(np.float32).itemsize * stack.size for stack in ds.images)
         assert peak < 1.3 * float32_bytes
 
@@ -250,6 +246,53 @@ class TestPersistence:
         for a, b in zip(back.images, ds.images):
             assert a.shape == b.shape
             assert np.abs(a - b).max() < 1e-5  # float32 storage
+
+    @pytest.mark.parametrize("dims", [(32, 32), (16, 24)])
+    @pytest.mark.parametrize("preset", [imbalanced_specs, lowband_specs])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_save_generated_writes_the_bytes_of_save_dataset(self, n, preset, dims, tmp_path):
+        n_train = n - n // 4
+        args = dict(n_train=n_train, n_test=n - n_train, n_classes=3, dims=dims, seed=50 + n)
+        save_dataset(tmp_path / "whole", generate(preset(), **args))
+        save_generated(tmp_path / "streamed", preset(), **args)
+        names = ["dataset.json", "labels.f32", "mod0.f32", "mod1.f32", "mod2.f32"]
+        assert sorted(p.name for p in (tmp_path / "streamed").iterdir()) == names
+        for name in names:
+            streamed, whole = (tmp_path / side / name for side in ("streamed", "whole"))
+            assert streamed.read_bytes() == whole.read_bytes(), name
+
+    def test_save_generated_checks_before_it_makes_the_directory(self, tmp_path):
+        with pytest.raises(ValueError, match="not divisible"):
+            save_generated(tmp_path / "ds", imbalanced_specs(), n_train=4, n_test=0, dims=(30, 32))
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("writer", ["save_dataset", "save_generated"])
+    def test_failed_write_leaves_no_manifest(self, writer, tmp_path, monkeypatch):
+        # A rewrite that stops after its first modality file must not leave
+        # the old manifest to vouch for a mix of new and old files.
+        args = dict(n_train=10, n_test=6, dims=(16, 16))
+        src = tmp_path / "ds"
+        save_dataset(src, generate(imbalanced_specs(), seed=1, **args))
+        opened = []
+
+        def failing_open(path, mode="r", *rest, **kwargs):
+            if "w" in mode:
+                opened.append(path)
+                if len(opened) == 2:
+                    raise OSError(f"{path}: simulated write failure")
+            return open(path, mode, *rest, **kwargs)
+
+        monkeypatch.setattr(tensorio, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="simulated"):
+            if writer == "save_dataset":
+                save_dataset(src, generate(imbalanced_specs(), seed=2, **args))
+            else:
+                save_generated(src, imbalanced_specs(), seed=2, **args)
+        monkeypatch.undo()
+        assert opened == [src / "mod0.f32", src / "mod1.f32"]
+        assert not (src / "dataset.json").exists()
+        with pytest.raises(FileNotFoundError):
+            load_dataset(src)
 
     def test_loaded_images_are_float32_views_of_one_block(self, tmp_path):
         ds = generate(imbalanced_specs(), n_train=10, n_test=6, dims=(16, 16), seed=12)

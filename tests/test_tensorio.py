@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,63 @@ class TestRaw:
         rows, cols = (1, mat.size) if mat.ndim == 1 else mat.shape
         expected = rows.to_bytes(4, "little") + cols.to_bytes(4, "little")
         assert path.read_bytes() == expected + np.asarray(mat, dtype="<f4").tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["one", "block-1", "block", "block+1"])
+    def test_block_writer_writes_the_bytes_of_write_raw(self, dtype, offset, tmp_path):
+        # 1000 columns give the writer blocks of 262 rows; the input blocks
+        # of 100 rows straddle them.
+        cols = 1000
+        step = tensorio._block_rows(cols)
+        rows = 1 if offset is None else step + offset
+        mat = (np.random.default_rng(rows).normal(size=(rows, cols)) * 1e3).astype(dtype)
+        expected = rows.to_bytes(4, "little") + cols.to_bytes(4, "little") + mat.astype("<f4").tobytes()
+        whole, blocks = tmp_path / "whole.f32", tmp_path / "blocks.f32"
+        tensorio.write_raw(whole, mat)
+        tensorio.write_raw_blocks(blocks, (rows, cols), (mat[s : s + 100] for s in range(0, rows, 100)))
+        assert whole.read_bytes() == blocks.read_bytes() == expected
+
+    def test_block_writer_writes_a_vector_as_write_raw_does(self, tmp_path):
+        vec = np.arange(-3.5, 4.0)
+        whole, blocks = tmp_path / "whole.f32", tmp_path / "blocks.f32"
+        tensorio.write_raw(whole, vec)
+        tensorio.write_raw_blocks(blocks, (1, vec.size), [vec[None, :]])
+        assert whole.read_bytes() == blocks.read_bytes()
+        assert tensorio.read_raw(blocks).tobytes() == vec.astype(np.float32).tobytes()
+
+    def test_block_writer_takes_one_reused_buffer(self, tmp_path):
+        # Each block is written before the next is asked for.
+        mat = np.random.default_rng(6).normal(size=(10, 4)).astype(np.float32)
+        buffer = np.empty((3, 4), dtype=np.float32)
+
+        def blocks():
+            for start in range(0, 10, 3):
+                out = buffer[: min(3, 10 - start)]
+                out[...] = mat[start : start + 3]
+                yield out
+
+        path = tmp_path / "m.f32"
+        tensorio.write_raw_blocks(path, (10, 4), blocks())
+        assert tensorio.read_raw(path).tobytes() == mat.tobytes()
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [np.ones((3, 5))],
+            [np.ones((4, 5)), np.ones((2, 5))],
+            [np.ones((2, 4))],
+            [np.ones((2, 5, 1))],
+            [],
+        ],
+        ids=["short", "long", "narrow", "3d", "none"],
+    )
+    def test_blocks_that_disagree_with_the_shape_name_the_file(self, blocks, tmp_path):
+        path = tmp_path / "m.f32"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            tensorio.write_raw_blocks(path, (5, 5), blocks)
+        # The file holds fewer rows than its header says, so no reader takes it.
+        with pytest.raises(ValueError, match="expected 108 bytes for 5x5"):
+            tensorio.read_raw(path)
 
     @pytest.mark.parametrize(
         "bad", [[["a", "b"]], np.zeros((2, 2, 2)), np.float64(1.0)], ids=["strings", "3d", "scalar"]

@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from freqbal import tensorio
 from freqbal.bench import mask_order
@@ -253,12 +252,7 @@ class TestMaskList:
         inputs = [rng.normal(size=(500, 32, 32)).astype(np.float32) for _ in range(3)]
         masks = mask_order(3)
         assert len(masks) == 7
-        tracemalloc.start()
-        try:
-            forward(cfg, params, inputs, masks)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: forward(cfg, params, inputs, masks))
         widened_branch = np.dtype(np.float64).itemsize * inputs[0].size
         assert peak < 1.5 * widened_branch
 
