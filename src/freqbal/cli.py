@@ -20,8 +20,8 @@ from .errors import ConfigError, NumericError
 from .intervention import TrainConfig, train as train_loop
 from .preference import METRIC_KINDS, sample_preference
 from .seeds import stream_rng
-from .spectral import center_crop, check_window, fft_filter
-from .synthdata import load_dataset, modality_blocks, write_dataset
+from .spectral import center_crop, fft_filter
+from .synthdata import load_dataset, modality_blocks, save_dataset
 from .tinynet import load_checkpoint, net_for, save_checkpoint
 
 # A.9-style sensitivity grid (alpha, beta, lambda, gamma); includes the default tuple.
@@ -89,32 +89,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    """Filter one plane, or with --data every plane of a dataset into --out.
-
-    A dataset is loaded whole in float32, which checks every pixel, and the
-    window is checked before --out is touched.
-    """
     if args.data:
         if not args.out:
             raise ConfigError("dataset filtering needs --out")
         ds = load_dataset(args.data)
-        check_window(args.window, *ds.dims)
-
-        # A generator, so a modality is filtered only when the writer reaches
-        # its file, and its float64 result is dropped once written.
-        def filtered(stack):
-            yield fft_filter(stack, args.kind, args.window)
-
-        write_dataset(
-            args.out,
-            map(filtered, ds.images),
-            dims=ds.dims,
-            labels=ds.labels,
-            n_train=ds.n_train,
-            n_classes=ds.n_classes,
-            specs=ds.specs,
-            seed=ds.seed,
-        )
+        filtered = bench.filter_dataset(ds, args.kind, args.window)
+        save_dataset(args.out, filtered)
         print(f"filtered {ds.n_modalities} modalities -> {args.out}")
         return 0
     if not args.input or not args.output:
@@ -294,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write scores CSV here")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser(
-        "filter", help="FFT low/high-pass filtering of one plane, or of a dataset one modality at a time"
-    )
+    p = sub.add_parser("filter", help="FFT low/high-pass filtering")
     p.add_argument("input", nargs="?", help="input plane (PGM or .f32)")
     p.add_argument("output", nargs="?", help="output plane")
     p.add_argument("--data", help="filter a whole dataset directory instead")

@@ -236,7 +236,8 @@ def _synthesize(specs, labels, n_classes, dims, rng, dest):
     one-shot formula, and its rescaled bands are written straight into
     their band maps. All modalities draw from the one random stream and
     share the buffers, so each modality's iterator must be exhausted
-    before the next one is taken. Each block's pixels are computed in
+    before the next one is started; starting one early raises
+    RuntimeError. Each block's pixels are computed in
     float64 into buffers allocated once per call and rounded once to
     float32 as they are stored.
     """
@@ -253,8 +254,12 @@ def _synthesize(specs, labels, n_classes, dims, rng, dest):
     inner = np.empty((rows, h, gw * q))
     low_pixels = np.empty((rows, h, w))
     high_pixels = np.empty_like(low_pixels)
+    done = 0  # modalities whose blocks have all been rendered
 
     def render(i, spec):
+        nonlocal done
+        if done != i:
+            raise RuntimeError(f"modality {i} started before modality {done} was rendered")
         templates = rng.normal(size=(n_classes, gh, gw, q, q))
         bands = ((low, spec.low_energy), (high, spec.high_energy))
         if spec.signal_band == "high":
@@ -280,6 +285,7 @@ def _synthesize(specs, labels, n_classes, dims, rng, dest):
             np.matmul(np.matmul(high_h.T, high[start:stop], out=inner[:r]), high_w, out=high_pixels[:r])
             np.add(low_pixels[:r], high_pixels[:r], out=out)
             yield out
+        done = i + 1
 
     for i, spec in enumerate(specs):
         yield render(i, spec)
@@ -346,7 +352,11 @@ _SPEC_KEYS = ("low_energy", "high_energy", "signal_band", "snr")
 
 
 def save_dataset(out_dir, ds: SynthDataset) -> None:
-    """Persist a dataset through write_dataset, each stack as its one block."""
+    """Persist a dataset through write_dataset, each stack as its one block.
+
+    The public entry point for writing a whole in-memory dataset; gen
+    writes through save_generated, which never holds one.
+    """
     write_dataset(
         out_dir,
         ([stack] for stack in ds.images),
@@ -365,8 +375,9 @@ def write_dataset(out_dir, modalities, *, dims, labels, n_train, n_classes, spec
     The one writer of dataset directories. `modalities` yields, per
     modality in order, an iterable of its consecutive (rows, h, w) blocks
     of planes, of any numeric dtype; each is taken only once the files
-    before it are written, so a producer can make one modality, or one
-    block, at a time. Each modality file holds one flattened image per
+    before it are written and each is read to its end before the next is
+    taken, so a producer can make one modality, or one block, at a time,
+    and modalities that share state (as _synthesize's do) stay in order. Each modality file holds one flattened image per
     row; the manifest records the plane dims, split sizes, specs, and seed
     for replay.
 

@@ -1,3 +1,5 @@
+"""Memory tracing for the tests' allocation guards."""
+
 import tracemalloc
 
 

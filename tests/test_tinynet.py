@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import traced_peak
+from memtrace import traced_peak
 
 from freqbal import tensorio
 from freqbal.bench import mask_order
