@@ -268,8 +268,23 @@ def sweep_frm_variants(cfg: RunConfig, out_dir, kinds=METRIC_KINDS):
 
 
 def filter_dataset(ds: SynthDataset, kind: str, n: int) -> SynthDataset:
-    """Apply one FFT filter to every plane of every modality."""
-    return replace(ds, images=[fft_filter(stack, kind, n) for stack in ds.images])
+    """Apply one FFT filter to every plane of every modality, into float32 stacks.
+
+    Each modality's low pass is computed in float64 a block of planes at a
+    time and rounded once into a new float32 stack, the rounding
+    save_dataset applies. A high pass is the stack minus that float32 low
+    pass, subtracted in float32 in the low pass's own arrays; it is within
+    one float32 ulp of fft_filter's high pass, and it is what filter_study
+    forms from a low-pass variant. So the filtered dataset holds float32
+    stacks, as generated and loaded ones do, and is never widened whole.
+    """
+    if kind not in ("low_pass", "high_pass"):
+        raise ValueError(f"unknown filter kind {kind!r}")
+    images = []
+    for stack in ds.images:
+        low = fft_filter(stack, "low_pass", n, out=np.empty(stack.shape, dtype=np.float32))
+        images.append(np.subtract(stack, low, out=low) if kind == "high_pass" else low)
+    return replace(ds, images=images)
 
 
 def filter_study(cfg: RunConfig, windows, kinds, out_dir):
@@ -282,11 +297,13 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
     the planes, an empty test split. The pixels need no check: generated
     ones are finite and loaded ones were checked as they were read.
 
-    Variants train window by window. A window's low pass is filtered once
-    and trained if asked for; its high pass is the base minus that low
-    pass, which is bitwise fft_filter's high pass, formed in the low pass's
-    own arrays and then trained. So a run holds the base plus at most one
-    filtered variant. A variant listed twice trains once: training is
+    Variants train window by window. A window's low pass is filtered once,
+    into float32 stacks, and trained if asked for; its high pass is the
+    base minus that low pass, subtracted in float32 in the low pass's own
+    arrays, which is bitwise filter_dataset's high pass, and then trained.
+    So a run holds the float32 base plus at most one float32 filtered
+    variant, and each variant is the dataset `filter --data` writes for
+    its kind and window. A variant listed twice trains once: training is
     deterministic, so its rows are those a second run would give.
 
     curves.csv holds per-epoch mean training loss and test accuracy;

@@ -89,6 +89,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    """Filter one plane file, or with --data every plane of a dataset directory.
+
+    A dataset is loaded whole and filtered by bench.filter_dataset into a
+    float32 copy, the variant filter-study trains on for that kind and
+    window, which is written to --out. A plane is filtered in float64 and
+    written in the format its OUTPUT suffix names.
+    """
     if args.data:
         if not args.out:
             raise ConfigError("dataset filtering needs --out")

@@ -33,11 +33,13 @@ from .tinynet import (
 # scaled gradient norm is bitwise r times the base norm.
 COUPLING_SCALES = (0.5, 0.25)
 
-# The suppression experiment's mini-batch size, and the full training loss
-# the pre-fit must reach within PREFIT_MAX_ITERS steps.
+# The suppression experiment's mini-batch size, the full training loss the
+# pre-fit must reach within PREFIT_MAX_ITERS steps, and the rows per forward
+# pass of that loss.
 BATCH_SIZE = 64
 PREFIT_TARGET = 0.05
 PREFIT_MAX_ITERS = 2000
+PREFIT_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -202,8 +204,14 @@ def suppression_experiment(
         grads, *_ = backward(net_cfg, prefit, xb, train_labels[idx], mask=solo_mask)
         prefit = sgd_step(net_cfg, prefit, grads, eta)
         if it % 25 == 24:
-            [(logits, _)] = forward(net_cfg, prefit, train_images, [solo_mask])
-            prefit_loss = cross_entropy(logits, train_labels)
+            # A block of rows at a time, so no whole split is widened; each
+            # row's logits are bitwise those of one pass over the split.
+            logits = []
+            for lo in range(0, n, PREFIT_ROWS):
+                rows = [img[lo : lo + PREFIT_ROWS] for img in train_images]
+                [(block, _)] = forward(net_cfg, prefit, rows, [solo_mask])
+                logits.append(block)
+            prefit_loss = cross_entropy(np.concatenate(logits), train_labels)
             if prefit_loss < PREFIT_TARGET:
                 break
     else:

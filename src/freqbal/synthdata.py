@@ -99,13 +99,14 @@ class SynthDataset:
     A dataset loaded with one split holds only that split's samples.
     Pixels are finite: generated ones by construction from finite specs,
     loaded ones because tensorio.read_raw checks every value it reads.
-    Stacks are float32 (n, h, w) arrays, generated or loaded: a generated
-    stack holds the values save_dataset writes, so a dataset and its saved
-    copy hold the same pixels and train alike. Generated and loaded stacks
-    are both views of one C-contiguous block that holds every modality, so
-    a view of any stack keeps the whole block alive. Consumers widen to
-    float64 before any arithmetic (per block of planes, per batch, or once
-    for a split), which is exact.
+    Stacks are float32 (n, h, w) arrays, whether generated, loaded or
+    filtered (bench.filter_dataset): each holds the values save_dataset
+    writes, so a dataset and its saved copy hold the same pixels and train
+    alike. Generated and loaded stacks are both views of one C-contiguous
+    block that holds every modality, so a view of any stack keeps the
+    whole block alive; a filtered dataset has one array per modality.
+    Consumers widen to float64 before any arithmetic (per block of planes,
+    per batch, or once for a split), which is exact.
     """
 
     images: list
@@ -415,13 +416,17 @@ _DIGEST_CHUNK = 1 << 20
 
 
 def dataset_digest(in_dir) -> str:
-    """sha256 over the bytes of the manifest, the labels and every modality file.
+    """sha256 over the bytes of the manifest, the labels and the modality files it names.
 
+    The directory is checked as load_dataset checks it, without reading a
+    pixel, and only mod0.f32 ... mod{m-1}.f32 of its m specs are hashed, so
+    a file left by an earlier write of more modalities changes nothing.
     Files are hashed a fixed-size chunk at a time, so no whole file is held.
     """
     src = Path(in_dir)
+    modalities, _, _ = _check_saved(src)
     digest = hashlib.sha256()
-    for path in [src / "dataset.json", src / "labels.f32", *sorted(src.glob("mod*.f32"))]:
+    for path in [src / "dataset.json", src / "labels.f32", *modalities]:
         with open(path, "rb") as fh:
             while chunk := fh.read(_DIGEST_CHUNK):
                 digest.update(chunk)

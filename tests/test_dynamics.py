@@ -208,6 +208,15 @@ class TestSuppression:
         assert result["prefit_loss"] < 0.05
         assert result == reference_suppression(ds, **kwargs)
 
+    def test_prefit_loss_over_blocks_of_rows_matches_whole_split_bitwise(self, monkeypatch):
+        # 256 rows in blocks of 100: two whole blocks and a partial one.
+        monkeypatch.setattr(dynamics, "PREFIT_ROWS", 100)
+        ds = generate(imbalanced_specs(), n_train=256, n_test=0, seed=1102)
+        kwargs = dict(dominant=0, weak=1, eta=0.15, seed=2, hidden=(32, 16), measure_iters=5)
+        result = suppression_experiment(ds, **kwargs)
+        expected = reference_suppression(ds, **kwargs)
+        assert (result["prefit_loss"], result["ratio"]) == (expected["prefit_loss"], expected["ratio"])
+
     def test_initial_params_never_written(self, monkeypatch):
         made = []
 

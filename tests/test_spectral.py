@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from memtrace import traced_peak
 
+from freqbal import spectral
 from freqbal.spectral import (
     SpectralConfig,
     band_projections,
@@ -223,7 +225,7 @@ class TestAssemble:
         [(8, 2, (32, 32)), (8, 3, (32, 32)), (8, 5, (32, 32)), (4, 1, (16, 16)), (8, 2, (24, 16))],
     )
     def test_float32_stack_matches_float64_copy_across_blocks(self, p, q, shape):
-        # 700 planes span three blocks of the stack loop; widening a float32
+        # 700 planes span eleven blocks of the stack loop; widening a float32
         # block is exact, so its maps are bitwise those of the float64 copy.
         stack = np.random.default_rng(19).normal(size=(700, *shape)).astype(np.float32)
         cfg = SpectralConfig(p=p, q=q, allow_overlap=True)
@@ -279,10 +281,62 @@ class TestFftFilter:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n", [8, 16])
     def test_high_pass_is_input_minus_low_pass_bitwise(self, dtype, n):
-        # filter_study forms its high-pass variants from the low pass this way.
+        # So a caller holding the low pass can form the high pass from it.
         stack = np.random.default_rng(21).normal(size=(300, 32, 32)).astype(dtype)
         high = fft_filter(stack, "high_pass", n)
         assert high.tobytes() == (stack - fft_filter(stack, "low_pass", n)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["low_pass", "high_pass"])
+    def test_float32_out_holds_the_float64_result_rounded_once(self, kind):
+        stack = np.random.default_rng(22).normal(size=(700, 32, 32)).astype(np.float32)
+        out = np.empty(stack.shape, dtype=np.float32)
+        assert fft_filter(stack, kind, 7, out=out) is out
+        assert out.tobytes() == fft_filter(stack, kind, 7).astype(np.float32).tobytes()
+        plane = np.empty((32, 32), dtype=np.float32)
+        assert fft_filter(stack[300], kind, 7, out=plane) is plane
+        assert np.array_equal(plane, out[300])
+        wide = np.empty(stack.shape)
+        assert fft_filter(stack, kind, 7, out=wide) is wide
+        assert wide.tobytes() == fft_filter(stack, kind, 7).tobytes()
+
+    @pytest.mark.parametrize(
+        "out", [np.empty((4, 16, 8)), np.empty((4, 16, 16), dtype=np.float16), np.empty((16, 16))]
+    )
+    def test_out_of_other_shape_or_dtype_rejected(self, out):
+        with pytest.raises(ValueError, match="out must be a float32 or float64 array"):
+            fft_filter(np.zeros((4, 16, 16)), "low_pass", 4, out=out)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", ["low_pass", "high_pass"])
+    def test_stack_allocates_one_block_beyond_its_result(self, kind, dtype):
+        # Blocks of 64 planes keep the widened block and its products near
+        # 2.6 MB; 256-plane blocks took 10.5 MB on top of the result. A
+        # float32 destination adds the 0.5 MB float64 block it is filled from.
+        stack = np.random.default_rng(23).random((2500, 32, 32)).astype(np.float32)
+        fft_filter(stack[:1], kind, 16)  # builds the cached operators
+        result, peak = traced_peak(lambda: fft_filter(stack, kind, 16))
+        assert peak < result.nbytes + 3e6
+        out = np.empty(stack.shape, dtype=dtype)
+        _, peak = traced_peak(lambda: fft_filter(stack, kind, 16, out=out))
+        assert peak < (3e6 if dtype == np.float64 else 3.5e6)
+
+    @pytest.mark.parametrize("block", [16, 100, 256])
+    def test_results_are_bitwise_the_same_for_any_block_size(self, block, monkeypatch):
+        stack = np.random.default_rng(24).normal(size=(300, 32, 32)).astype(np.float32)
+        cfg = SpectralConfig()
+        expected = [*compute_maps_batch(stack, cfg), fft_filter(stack, "low_pass", 9),
+                    fft_filter(stack, "high_pass", 9)]
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        got = [*compute_maps_batch(stack, cfg), fft_filter(stack, "low_pass", 9),
+               fft_filter(stack, "high_pass", 9)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    def test_row_operators_are_cached_read_only(self):
+        for operator, key in ((spectral.band_projections, (32, 8, 2)), (spectral._window_operator, (32, 7))):
+            both = spectral._stacked_rows(operator, *key)
+            assert both is spectral._stacked_rows(operator, *key)
+            assert not both.flags.writeable
+            assert np.array_equal(both, np.concatenate(operator(*key)))
 
     @pytest.mark.parametrize("shape", [(16,), (2, 3, 16, 16)])
     def test_wrong_rank_rejected(self, shape):
