@@ -273,10 +273,12 @@ def filter_dataset(ds: SynthDataset, kind: str, n: int) -> SynthDataset:
     Each modality's low pass is computed in float64 a block of planes at a
     time and rounded once into a new float32 stack, the rounding
     save_dataset applies. A high pass is the stack minus that float32 low
-    pass, subtracted in float32 in the low pass's own arrays; it is within
-    one float32 ulp of fft_filter's high pass, and it is what filter_study
-    forms from a low-pass variant. So the filtered dataset holds float32
-    stacks, as generated and loaded ones do, and is never widened whole.
+    pass, subtracted in float32 in the low pass's own arrays, which is what
+    filter_study forms from a low-pass variant; it differs from
+    fft_filter's high pass rounded to float32 only by rounding, at most a
+    few float32 ulps of the larger of the pixel and its low pass. So the
+    filtered dataset holds float32 stacks, as generated and loaded ones
+    do, and is never widened whole.
     """
     if kind not in ("low_pass", "high_pass"):
         raise ValueError(f"unknown filter kind {kind!r}")
