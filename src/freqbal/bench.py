@@ -12,6 +12,7 @@ sweep loads at most one dataset; run_sweep checks that before any cell runs.
 
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import tensorio
 from .config import RunConfig, config_hash, dump_config, override
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .intervention import train
 from .preference import METRIC_KINDS
 from .seeds import stream_seed
@@ -53,6 +54,17 @@ def write_csv(path, header, rows) -> None:
 def write_trace_csv(path, trace) -> None:
     """The trace's rows under its column layout, one row per iteration."""
     write_csv(path, trace.columns(trace.n_modalities), trace.rows)
+
+
+@contextmanager
+def flushing_trace(path):
+    """Write the partial trace of a NumericError raised inside, if it has rows, to path."""
+    try:
+        yield
+    except NumericError as exc:
+        if exc.trace:
+            write_trace_csv(path, exc.trace)
+        raise
 
 
 def write_scores_csv(path, trace) -> None:
@@ -197,17 +209,22 @@ def _run_cell(cell_dir: Path, cfg: RunConfig, dataset, digest):
 
     dataset() is called only if the cell runs. digest is the data_dir
     dataset's digest, or None for generated data, whose marker has no
-    "data" entry. Returns (avg_acc, avg_pcr, ran).
+    "data" entry. Returns (avg_acc, avg_pcr, ran). A cell that fails on a
+    NumericError keeps its config.txt and a trace.csv of the steps before
+    the failure, if any, but no marker or matrix.csv, so it runs again.
     """
     marker = cell_dir / "cell.json"
     if marker.exists():
         meta = tensorio.read_manifest(marker)
         if meta.get("config") == config_hash(cfg) and meta.get("data") == digest:
             return meta["avg_acc"], meta["avg_pcr"], False
-    _, _, trace, records = train_and_eval(cfg, dataset())
+    data = dataset()
     cell_dir.mkdir(parents=True, exist_ok=True)
-    marker.unlink(missing_ok=True)
+    for stale in (marker, cell_dir / "matrix.csv", cell_dir / "trace.csv"):
+        stale.unlink(missing_ok=True)
     (cell_dir / "config.txt").write_text(dump_config(cfg))
+    with flushing_trace(cell_dir / "trace.csv"):
+        _, _, trace, records = train_and_eval(cfg, data)
     write_trace_csv(cell_dir / "trace.csv", trace)
     write_run_matrix(cell_dir / "matrix.csv", records, cfg)
     avg_acc, avg_pcr = matrix_average(records)
@@ -354,12 +371,17 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
 
 
 def _train_curves(cfg: RunConfig, ds: SynthDataset):
-    """Train on ds; return the per-step total losses and the per-epoch test accuracies."""
+    """Train on ds; return the per-step total losses and the per-epoch test accuracies.
+
+    Evaluation runs under the step's errstate, so a diverging net is left
+    to train's checks, which raise NumericError.
+    """
     test_inputs, test_labels = ds.test_split()
     accs = []
 
     def on_epoch_end(epoch, net_cfg, params):
-        [acc] = evaluate(net_cfg, params, test_inputs, test_labels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            [acc] = evaluate(net_cfg, params, test_inputs, test_labels)
         accs.append(acc)
 
     _, _, trace = train(cfg.train, ds, on_epoch_end=on_epoch_end)

@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 2 for configuration errors and unreadable or
 malformed input files, 3 for numeric failures (a NaN or inf in an input
-file, or a non-finite score or loss; a non-finite loss mid-training
-flushes the partial trace before exiting), and 1 for any other error,
-reported as one "internal error" line.
+file, or a non-finite score or loss; a non-finite loss mid-training, in
+train or in a sweep cell, flushes the partial trace before exiting), and
+1 for any other error, reported as one "internal error" line.
 """
 
 import argparse
@@ -132,12 +132,8 @@ def cmd_train(args) -> int:
     dataset = bench.get_dataset(cfg, "train")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
+    with bench.flushing_trace(out / "trace.csv"):
         net_cfg, params, trace = train_loop(cfg.train, dataset)
-    except NumericError as exc:
-        if exc.trace is not None and len(exc.trace):
-            bench.write_trace_csv(out / "trace.csv", exc.trace)
-        raise
     bench.write_trace_csv(out / "trace.csv", trace)
     bench.write_scores_csv(out / "scores.csv", trace)
     save_checkpoint(out / "checkpoint", net_cfg, params)
@@ -238,8 +234,8 @@ def cmd_sweep_frm(args) -> int:
 
 def cmd_filter_study(args) -> int:
     cfg = load_config(args.config)
-    windows = int_tuple(args.windows)
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    windows = _grid("--windows", int_tuple(args.windows))
+    kinds = _grid("--kinds", [k.strip() for k in args.kinds.split(",") if k.strip()])
     bench.filter_study(cfg, windows, kinds, args.out)
     _print_summary(args.out)
     return 0

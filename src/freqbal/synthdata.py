@@ -19,18 +19,19 @@ of a low-signal modality is exactly cells * low_energy / high_energy (up to
 the stabilizer). The signs come from a Gaussian draw, so the generator
 consumes the same random stream as a Gaussian noise band would.
 
-One routine, _synthesize, makes every generated pixel, a modality and a
-block of planes at a time, into destinations its caller supplies:
+One routine, _planes, makes every generated pixel of a modality: it
+draws the modality's band maps into arrays of its own, then renders
+them a block of planes at a time into destinations its caller supplies.
 generate renders into slices of one float32 block that holds the whole
 dataset, and save_generated into one reused block buffer that it hands
 to the modality's file before the next block is rendered, so it never
 holds the dataset. Both give bitwise the same planes. The synthesis
 temporaries are bounded: one draw and two band maps the size of one
 modality's band coefficients, and the float64 buffers of one block of
-planes, all allocated once per call and reused by every modality.
+planes, each allocated per modality.
 
-Generated and loaded datasets share one layout: their stacks are float32
-views of one contiguous block that holds every modality. Every dataset
+Every dataset holds float32 stacks: a generated one views of its one
+block, a loaded or filtered one an array per modality. Every dataset
 directory is written by write_dataset, which removes the manifest before
 it writes the first file and writes it last, so a directory whose write
 stopped part way holds no manifest and does not load.
@@ -102,9 +103,9 @@ class SynthDataset:
     Stacks are float32 (n, h, w) arrays, whether generated, loaded or
     filtered (bench.filter_dataset): each holds the values save_dataset
     writes, so a dataset and its saved copy hold the same pixels and train
-    alike. Generated and loaded stacks are both views of one C-contiguous
-    block that holds every modality, so a view of any stack keeps the
-    whole block alive; a filtered dataset has one array per modality.
+    alike. Generated stacks are views of one C-contiguous block that holds
+    every modality, so a view of any stack keeps the whole block alive;
+    loaded and filtered datasets have one array per modality.
     Consumers widen to float64 before any arithmetic (per block of planes,
     per batch, or once for a split), which is exact.
     """
@@ -154,18 +155,18 @@ def generate(
     exactly class-balanced and shared across modalities.
 
     All modalities are written into one preallocated (m, n, h, w) float32
-    block, and `images` holds its (n, h, w) views, as load_dataset gives.
-    _synthesize renders each block of planes straight into its slice of
-    that block, so the block is the only whole-stack array and no plane is
-    copied. Each plane is bitwise the one-shot formula low_h.T @ low @
-    low_w + high_h.T @ high @ high_w of its band maps, computed in float64
-    and rounded once to float32, the rounding save_dataset applies; a
-    save_generated directory holds the same bytes as save_dataset of it.
+    block, and `images` holds its (n, h, w) views. _planes renders each
+    block of planes straight into its slice of that block, so the block is
+    the only whole-stack array and no plane is copied. Each plane is
+    bitwise the one-shot formula low_h.T @ low @ low_w + high_h.T @ high @
+    high_w of its band maps, computed in float64 and rounded once to
+    float32, the rounding save_dataset applies; a save_generated directory
+    holds the same bytes as save_dataset of it.
     """
     specs, labels, rng = _prepare(specs, n_train, n_test, n_classes, dims, seed)
     block = np.empty((len(specs), len(labels), *dims), dtype=np.float32)
-    for planes in _synthesize(specs, labels, n_classes, dims, rng, lambda i, lo, hi: block[i, lo:hi]):
-        for _ in planes:
+    for spec, stack in zip(specs, block):
+        for _ in _planes(spec, labels, n_classes, dims, rng, lambda lo, hi: stack[lo:hi]):
             pass
     return SynthDataset(
         images=list(block),
@@ -198,7 +199,7 @@ def save_generated(
     buffer = np.empty((min(len(labels), _BLOCK), *dims), dtype=np.float32)
     write_dataset(
         out_dir,
-        _synthesize(specs, labels, n_classes, dims, rng, lambda i, lo, hi: buffer[: hi - lo]),
+        (_planes(spec, labels, n_classes, dims, rng, lambda lo, hi: buffer[: hi - lo]) for spec in specs),
         dims=dims,
         labels=labels,
         n_train=n_train,
@@ -226,21 +227,18 @@ def _prepare(specs, n_train, n_test, n_classes, dims, seed):
     return specs, rng.permutation(np.arange(n) % n_classes), rng
 
 
-def _synthesize(specs, labels, n_classes, dims, rng, dest):
-    """Yield, per spec in order, an iterator over its rendered blocks of planes.
+def _planes(spec, labels, n_classes, dims, rng, dest):
+    """Draw one modality's band maps; return an iterator over its rendered blocks.
 
-    dest(i, lo, hi) gives the float32 (hi - lo, h, w) array that planes lo
-    to hi - 1 of modality i are rendered into, and the modality's iterator
-    yields that array once it holds them. Blocks hold _BLOCK planes, the
-    last one possibly fewer. A modality's draws are made when its first
-    block is asked for, in the order and with the operations of the
-    one-shot formula, and its rescaled bands are written straight into
-    their band maps. All modalities draw from the one random stream and
-    share the buffers, so each modality's iterator must be exhausted
-    before the next one is started; starting one early raises
-    RuntimeError. Each block's pixels are computed in
-    float64 into buffers allocated once per call and rounded once to
-    float32 as they are stored.
+    The draws are made now, from rng, in the order and with the operations
+    of the one-shot formula, and the rescaled bands are written straight
+    into band maps this call owns, so another modality may draw from rng,
+    or render, before this one's blocks are used up. dest(lo, hi) gives
+    the float32 (hi - lo, h, w) array that planes lo to hi - 1 are
+    rendered into, and the iterator yields that array once it holds them.
+    Blocks hold _BLOCK planes, the last one possibly fewer. Each block's
+    pixels are computed in float64 into buffers allocated once per
+    modality and rounded once to float32 as they are stored.
     """
     n = len(labels)
     h, w = dims
@@ -251,45 +249,39 @@ def _synthesize(specs, labels, n_classes, dims, rng, dest):
     draw = np.empty((n, gh, gw, q, q))
     low = np.empty((n, gh * q, gw * q))
     high = np.empty_like(low)
-    rows = min(n, _BLOCK)
-    inner = np.empty((rows, h, gw * q))
-    low_pixels = np.empty((rows, h, w))
-    high_pixels = np.empty_like(low_pixels)
-    done = 0  # modalities whose blocks have all been rendered
+    templates = rng.normal(size=(n_classes, gh, gw, q, q))
+    bands = ((low, spec.low_energy), (high, spec.high_energy))
+    if spec.signal_band == "high":
+        bands = bands[::-1]
+    (signal, signal_energy), (noise, noise_energy) = bands
+    # The signal band: spec.snr * templates[labels] + rng.normal(...),
+    # its Gaussian draw held in the noise band's map until that is written.
+    # Unlike the default mode, "clip" writes into draw without a buffer.
+    np.take(templates, labels, axis=0, out=draw, mode="clip")
+    np.multiply(draw, spec.snr, out=draw)
+    gauss = noise.reshape(draw.shape)
+    _normal(rng, gauss)
+    np.add(draw, gauss, out=draw)
+    _rescale_band(draw, signal_energy, signal)
+    _normal(rng, draw)
+    np.copysign(1.0, draw, out=draw)
+    _rescale_band(draw, noise_energy, noise)
 
-    def render(i, spec):
-        nonlocal done
-        if done != i:
-            raise RuntimeError(f"modality {i} started before modality {done} was rendered")
-        templates = rng.normal(size=(n_classes, gh, gw, q, q))
-        bands = ((low, spec.low_energy), (high, spec.high_energy))
-        if spec.signal_band == "high":
-            bands = bands[::-1]
-        (signal, signal_energy), (noise, noise_energy) = bands
-        # The signal band: spec.snr * templates[labels] + rng.normal(...),
-        # its Gaussian draw held in the noise band's map until that is written.
-        # Unlike the default mode, "clip" writes into draw without a buffer.
-        np.take(templates, labels, axis=0, out=draw, mode="clip")
-        np.multiply(draw, spec.snr, out=draw)
-        gauss = noise.reshape(draw.shape)
-        _normal(rng, gauss)
-        np.add(draw, gauss, out=draw)
-        _rescale_band(draw, signal_energy, signal)
-        _normal(rng, draw)
-        np.copysign(1.0, draw, out=draw)
-        _rescale_band(draw, noise_energy, noise)
+    def render():
+        rows = min(n, _BLOCK)
+        inner = np.empty((rows, h, gw * q))
+        low_pixels = np.empty((rows, h, w))
+        high_pixels = np.empty_like(low_pixels)
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
             r = stop - start
-            out = dest(i, start, stop)
+            out = dest(start, stop)
             np.matmul(np.matmul(low_h.T, low[start:stop], out=inner[:r]), low_w, out=low_pixels[:r])
             np.matmul(np.matmul(high_h.T, high[start:stop], out=inner[:r]), high_w, out=high_pixels[:r])
             np.add(low_pixels[:r], high_pixels[:r], out=out)
             yield out
-        done = i + 1
 
-    for i, spec in enumerate(specs):
-        yield render(i, spec)
+    return render()
 
 
 def _normal(rng, out) -> None:
@@ -377,10 +369,9 @@ def write_dataset(out_dir, modalities, *, dims, labels, n_train, n_classes, spec
     modality in order, an iterable of its consecutive (rows, h, w) blocks
     of planes, of any numeric dtype; each is taken only once the files
     before it are written and each is read to its end before the next is
-    taken, so a producer can make one modality, or one block, at a time,
-    and modalities that share state (as _synthesize's do) stay in order. Each modality file holds one flattened image per
-    row; the manifest records the plane dims, split sizes, specs, and seed
-    for replay.
+    taken, so a producer can make one modality, or one block, at a time.
+    Each modality file holds one flattened image per row; the manifest
+    records the plane dims, split sizes, specs, and seed for replay.
 
     dataset.json is removed before the first file is written and written
     last, atomically, so a write that stops part way (an error, a full
@@ -492,21 +483,19 @@ def load_dataset(in_dir, split=None) -> SynthDataset:
     the same errors, and a malformed file fails before any pixel is read.
     split None loads every sample; "train" only the training samples,
     giving a dataset with n_test = 0; "test" only the test samples, giving
-    one with n_train = 0. The split's rows of all modalities are read into
-    one contiguous (m, rows, h*w) float32 block, and `images` holds
-    (rows, h, w) views of it: the one-block layout generate gives. Every
-    value of every file is still read and checked once by read_raw, so a
-    NaN or inf in the samples left out is a NumericError all the same.
+    one with n_train = 0. Each modality's stack is the split's rows of its
+    file as read_raw returns them, a float32 array of its own, shaped
+    (rows, h, w). Every value of every file is still read and checked once
+    by read_raw, so a NaN or inf in the samples left out is a NumericError
+    all the same.
     """
     paths, (n, h, w), fields = _check_saved(Path(in_dir))
     n_train = fields["n_train"]
     lo, hi = {None: (0, n), "train": (0, n_train), "test": (n_train, n)}[split]
-    block = np.empty((len(paths), hi - lo, h * w), dtype=np.float32)
-    for path, stack in zip(paths, block):
-        tensorio.read_raw(path, out=stack, rows=(lo, hi))
+    images = [tensorio.read_raw(path, rows=(lo, hi)).reshape(hi - lo, h, w) for path in paths]
     fields["labels"] = fields["labels"][lo:hi]
     fields["n_train"] = 0 if split == "test" else n_train
-    return SynthDataset(images=[stack.reshape(hi - lo, h, w) for stack in block], **fields)
+    return SynthDataset(images=images, **fields)
 
 
 def modality_blocks(in_dir):

@@ -16,11 +16,11 @@ Raw matrices are read back as float32, the exact values in the file, and
 are never widened here: every float32 widens exactly to float64, so a
 caller that widens a block at a time right before its arithmetic gets the
 same results as from a float64 copy of the whole file, without holding
-one. A matrix is read whole or as one range of its rows (read_raw), or in
-consecutive blocks of rows that all land in one reused buffer
-(read_raw_blocks), so a caller that consumes one block at a time never
-holds the file. Both check the header and the file size before they read
-a value.
+one. A matrix is read whole or as one range of its rows into a new array
+(read_raw), or in consecutive blocks of rows that all land in one reused
+buffer (read_raw_blocks), so a caller that consumes one block at a time
+never holds the file. Both check the header and the file size before
+they read a value; check_raw checks only those, against a shape.
 
 read_raw reads every value of the file, held or not, and checks each one
 once, right after its block is read: a NaN or inf raises NumericError
@@ -101,16 +101,13 @@ def write_raw_blocks(path, shape, blocks) -> None:
         raise ValueError(f"{path}: the blocks hold {written} rows of a {rows}x{cols} matrix")
 
 
-def read_raw(path, out=None, rows=None) -> np.ndarray:
-    """Read a raw float32 matrix, or the rows [lo, hi) of it, as a float32 array.
+def read_raw(path, rows=None) -> np.ndarray:
+    """Read a raw float32 matrix, or the rows [lo, hi) of it, into a new float32 array.
 
     The header and the file size are checked before anything is allocated.
     With rows=None the result holds every row; with rows=(lo, hi), a range
     within the file's rows, it holds rows lo to hi - 1, shape (hi - lo, cols).
     A range that is reversed, negative or past the end is a ValueError.
-    With `out`, a C-contiguous float32 array of the result's shape, the
-    values land in it and it is returned; that lets a caller fill one
-    slice of a larger block per file.
 
     The file is read front to back in blocks of rows, straight into the
     result (no intermediate bytes object, no dtype conversion); the rows
@@ -129,11 +126,7 @@ def read_raw(path, out=None, rows=None) -> np.ndarray:
         lo, hi = (0, n) if rows is None else rows
         if not 0 <= lo <= hi <= n:
             raise ValueError(f"{path}: rows {lo}:{hi} are not a range within its {n} rows")
-        if out is None:
-            out = np.empty((hi - lo, cols), dtype=_RAW_DTYPE)
-        elif out.shape != (hi - lo, cols) or out.dtype != _RAW_DTYPE or not out.flags.c_contiguous:
-            where = "" if rows is None else f" of rows {lo}:{hi}"
-            raise _mismatch(path, n, cols, out.dtype, out.shape, where)
+        out = np.empty((hi - lo, cols), dtype=_RAW_DTYPE)
         step = _block_rows(cols)
         dropped = max(lo, n - hi)
         scratch = np.empty((min(step, dropped), cols), dtype=_RAW_DTYPE)
@@ -152,8 +145,8 @@ def read_raw(path, out=None, rows=None) -> np.ndarray:
 def check_raw(path, shape) -> None:
     """Raise ValueError unless `path` holds a well-formed raw matrix of `shape`.
 
-    Only the header and the file size are read. The errors, and their
-    messages, are those of read_raw into a float32 array of `shape`.
+    Only the header and the file size are read, so a caller that expects a
+    shape checks it here before read_raw reads a value.
     """
     with open(path, "rb") as fh:
         _read_header(fh, path, shape)
@@ -192,16 +185,12 @@ def _read_header(fh, path, shape=None) -> tuple[int, int]:
     if size != expected:
         raise ValueError(f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}")
     if shape is not None and (rows, cols) != tuple(shape):
-        raise _mismatch(path, rows, cols, _RAW_DTYPE, tuple(shape))
+        raise ValueError(f"{path}: holds a {rows}x{cols} matrix, destination is float32 {tuple(shape)}")
     return rows, cols
 
 
 def _block_rows(cols: int) -> int:
     return max(1, _BLOCK_VALUES // max(1, cols))
-
-
-def _mismatch(path, rows, cols, dtype, shape, where="") -> ValueError:
-    return ValueError(f"{path}: holds a {rows}x{cols} matrix, destination{where} is {dtype} {shape}")
 
 
 def _fill(fh, path, out) -> None:

@@ -390,9 +390,10 @@ def load_checkpoint(in_dir):
     that NetConfig rejects is a ValueError naming the file and the key.
     Any other key is ignored, such as the "tensors" list that older
     checkpoints carry. The name and shape of every tensor come from
-    param_layout of the net, and read_raw checks each file against that
-    shape as it reads it: a file that holds another shape is a ValueError
-    naming it, and a missing file an OSError naming it.
+    param_layout of the net, and check_raw checks each file against that
+    shape before read_raw reads a value of it: a file that holds another
+    shape is a ValueError naming it, and a missing file an OSError naming
+    it.
     """
     src = Path(in_dir)
     path = src / "checkpoint.json"
@@ -410,8 +411,8 @@ def load_checkpoint(in_dir):
         raise ValueError(f"{path} net: {exc}") from exc
     params: ParamSet = {}
     for name, shape in param_layout(cfg).items():
-        value = np.empty(shape, dtype=np.float32)
+        tensor = src / f"{name}.f32"
         # A bias is stored as a one-row matrix.
-        tensorio.read_raw(src / f"{name}.f32", out=np.atleast_2d(value))
-        params[name] = value.astype(np.float64)
+        tensorio.check_raw(tensor, shape if len(shape) == 2 else (1, *shape))
+        params[name] = tensorio.read_raw(tensor).reshape(shape).astype(np.float64)
     return cfg, params

@@ -4,7 +4,7 @@ from memtrace import traced_peak
 
 from freqbal import bench, cli, synthdata, tensorio
 from freqbal.cli import main
-from freqbal.config import load_config, override
+from freqbal.config import dump_config, load_config, override
 from freqbal.intervention import train as train_loop
 from freqbal.preference import METRIC_KINDS, sample_preference
 from freqbal.seeds import stream_rng
@@ -140,6 +140,34 @@ class TestExitCodes:
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(TINY.replace("epochs = 1", "epochs = 3") + f"mode = {mode}\neta = {eta}\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "boom")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite ") and err.count("\n") == 1
+
+    def test_diverging_sweep_cell_flushes_its_partial_trace(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "sf"
+        assert main(["sweep-frm", "--config", cfg_file, "--out", str(out), "--kinds", "frm"]) == 0
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY + "eta = 1e200\n")
+        capsys.readouterr()
+        assert main(["sweep-frm", "--config", str(cfg), "--out", str(out), "--kinds", "frm"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite ") and err.count("\n") == 1
+        cell = out / "frm"
+        assert sorted(p.name for p in cell.iterdir()) == ["config.txt", "trace.csv"]
+        assert (cell / "config.txt").read_text() == dump_config(load_config(cfg))
+        # The header and the one step before the divergence, not the
+        # finished run's two steps.
+        assert len((cell / "trace.csv").read_text().splitlines()) == 2
+
+    def test_diverging_filter_study_is_numeric_error(self, tmp_path, capsys):
+        # One step per epoch: the diverged net is evaluated before the next
+        # step's check, and that evaluation must not end the run on numpy's
+        # overflow warning, which pytest turns into an error.
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY.replace("batch_size = 32", "batch_size = 64").replace("epochs = 1", "epochs = 2")
+                       + "eta = 1e200\n")
+        argv = ["filter-study", "--config", str(cfg), "--out", str(tmp_path / "fs"), "--windows", "16"]
+        assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: non-finite ") and err.count("\n") == 1
 
@@ -290,7 +318,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fault", ["shape", "file_shape"])
     def test_checkpoint_tensor_mismatch_is_config_error(self, fault, cfg_file, tmp_path, capsys):
-        # The net fixes each tensor's shape; read_raw checks the file against it.
+        # The net fixes each tensor's shape; check_raw checks the file against it.
         run, out = tmp_path / "run", tmp_path / "eval"
         main(["train", "--config", cfg_file, "--out", str(run)])
         if fault == "shape":
@@ -471,8 +499,8 @@ class TestExitCodes:
             (["--windows", "0"], None, 2, "config error: window side 0 out of range for 32x32 plane\n"),
             (["--windows", "16"], (0, 5), 3, "numeric failure: {data}/mod0.f32: non-finite value in row 5\n"),
             (["--windows", "16"], (2, 90), 3, "numeric failure: {data}/mod2.f32: non-finite value in row 90\n"),
-            (["--windows", ""], (1, 80), 3, "numeric failure: {data}/mod1.f32: non-finite value in row 80\n"),
-            (["--kinds", ""], (1, 80), 3, "numeric failure: {data}/mod1.f32: non-finite value in row 80\n"),
+            (["--windows", ""], (1, 80), 2, "config error: --windows lists no values to sweep\n"),
+            (["--kinds", ""], (1, 80), 2, "config error: --kinds lists no values to sweep\n"),
         ],
         ids=["kind", "window_too_wide", "window_zero", "train_pixel", "test_pixel", "no_window", "no_kind"],
     )

@@ -205,7 +205,6 @@ class TestGenerate:
         assert peak < 1.3 * float32_bytes
 
     def test_images_are_float32_views_of_one_block(self):
-        # The layout load_dataset gives a loaded dataset.
         ds = generate(imbalanced_specs(), n_train=10, n_test=6, dims=(16, 16), seed=12)
         block = ds.images[0].base
         assert block.shape == (3, 16, 16, 16) and block.dtype == np.float32
@@ -261,16 +260,22 @@ class TestPersistence:
             streamed, whole = (tmp_path / side / name for side in ("streamed", "whole"))
             assert streamed.read_bytes() == whole.read_bytes(), name
 
-    def test_synthesis_refuses_a_modality_started_early(self):
-        # Modalities share one random stream and buffers, so the second may
-        # not start while the first has blocks left.
+    def test_each_modality_renders_from_band_maps_of_its_own(self):
+        # Modality 1 draws, and renders a block, while modality 0 still has
+        # blocks left; neither disturbs the other's planes.
         specs, labels, rng = synthdata._prepare(imbalanced_specs(), 300, 0, 3, (16, 16), 4)
-        buffer = np.empty((300, 16, 16), dtype=np.float32)
-        planes = synthdata._synthesize(specs, labels, 3, (16, 16), rng, lambda i, lo, hi: buffer[: hi - lo])
-        first = next(planes)
+        stacks = np.full((2, 300, 16, 16), np.nan, dtype=np.float32)
+        first = synthdata._planes(specs[0], labels, 3, (16, 16), rng, lambda lo, hi: stacks[0, lo:hi])
         next(first)
-        with pytest.raises(RuntimeError, match="modality 1 started before modality 0"):
-            next(next(planes))
+        second = synthdata._planes(specs[1], labels, 3, (16, 16), rng, lambda lo, hi: stacks[1, lo:hi])
+        next(second)
+        for _ in first:
+            pass
+        for _ in second:
+            pass
+        ds = generate(imbalanced_specs(), n_train=300, n_test=0, n_classes=3, dims=(16, 16), seed=4)
+        for stack, image in zip(stacks, ds.images):
+            assert stack.tobytes() == image.tobytes()
 
     def test_save_generated_checks_before_it_makes_the_directory(self, tmp_path):
         with pytest.raises(ValueError, match="not divisible"):
@@ -305,16 +310,19 @@ class TestPersistence:
         with pytest.raises(FileNotFoundError):
             load_dataset(src)
 
-    def test_loaded_images_are_float32_views_of_one_block(self, tmp_path):
+    @pytest.mark.parametrize(
+        "split, lo, hi", [(None, 0, 16), ("train", 0, 10), ("test", 10, 16)], ids=["all", "train", "test"]
+    )
+    def test_loaded_images_are_separate_float32_arrays_of_the_file_bytes(self, split, lo, hi, tmp_path):
         ds = generate(imbalanced_specs(), n_train=10, n_test=6, dims=(16, 16), seed=12)
         save_dataset(tmp_path / "ds", ds)
-        back = load_dataset(tmp_path / "ds")
-        block = back.images[0].base
-        assert block.shape == (3, 16, 16 * 16) and block.flags.c_contiguous
-        for i, (a, b) in enumerate(zip(back.images, ds.images)):
-            assert a.dtype == np.float32 and a.base is block
-            assert np.shares_memory(a, block[i])
-            assert a.tobytes() == b.astype(np.float32).tobytes()
+        back = load_dataset(tmp_path / "ds", split)
+        for i, stack in enumerate(back.images):
+            assert stack.dtype == np.float32 and stack.shape == (hi - lo, 16, 16)
+            assert stack.flags.c_contiguous
+            assert not any(np.shares_memory(stack, other) for other in back.images[:i])
+            raw = (tmp_path / "ds" / f"mod{i}.f32").read_bytes()[8:]
+            assert stack.tobytes() == raw[lo * 1024 : hi * 1024]
         assert back.labels.dtype == np.int64
 
     def test_manifest_drives_shapes(self, tmp_path):
