@@ -137,25 +137,60 @@ class TestRaw:
         assert back.tobytes() == mat.astype(np.float32).tobytes()
         back[0, 0] = np.inf  # callers may edit what they read
 
+    def test_reads_into_destination(self, tmp_path):
+        # The file is read straight into the array read_raw returns: no bytes
+        # object or converted copy stands behind it, and no two reads share it.
+        mat = np.random.default_rng(2).normal(size=(7, 5))
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, mat)
+        for rows, lo, hi in ((None, 0, 7), ((2, 6), 2, 6)):
+            out = tensorio.read_raw(path, rows=rows)
+            assert out.base is None and out.flags.owndata and out.flags.writeable
+            assert out.flags.c_contiguous
+            assert out.tobytes() == mat[lo:hi].astype(np.float32).tobytes()
+        assert not np.shares_memory(tensorio.read_raw(path), tensorio.read_raw(path))
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 5), (7, 4)], ids=["shape", "rows", "cols"])
+    def test_wrong_destination_rejected(self, shape, tmp_path):
+        # The destination is the float32 shape a caller expects of the file,
+        # as load_dataset and load_checkpoint give check_raw and read_raw_blocks.
+        path = tmp_path / "m.f32"
+        tensorio.write_raw(path, np.ones((7, 5)))
+        message = f"{path}: holds a 7x5 matrix, destination is float32 {shape}"
+        with pytest.raises(ValueError) as checked:
+            tensorio.check_raw(path, shape)
+        with pytest.raises(ValueError) as streamed:
+            next(tensorio.read_raw_blocks(path, shape, 2))
+        assert str(checked.value) == str(streamed.value) == message
+
+    @pytest.mark.parametrize("rows", [None, (0, 4)], ids=["new", "out"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_is_numeric_error(self, value, tmp_path, monkeypatch):
+    def test_non_finite_value_is_numeric_error(self, value, rows, tmp_path, monkeypatch):
+        # "new": row 5 is held in the array read_raw returns; "out": it lies
+        # past the held rows 0-3, and is read, checked and dropped.
         monkeypatch.setattr(tensorio, "_BLOCK_VALUES", 10)  # two rows per checked block
         mat = np.random.default_rng(6).normal(size=(7, 5))
         mat[5, 1], mat[6, 4] = value, np.nan
         path = tmp_path / "m.f32"
         tensorio.write_raw(path, mat)
         with pytest.raises(NumericError) as exc:
-            tensorio.read_raw(path)
+            tensorio.read_raw(path, rows=rows)
         assert str(exc.value) == f"{path}: non-finite value in row 5"
 
     @pytest.mark.parametrize("lo, hi", [(0, 11), (3, 11), (0, 8), (3, 8), (4, 5)])
-    def test_row_range_is_the_slice_of_a_whole_read(self, lo, hi, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("whole_read", ["read_raw", "read_raw_blocks"], ids=["new", "out"])
+    def test_row_range_is_the_slice_of_a_whole_read(self, lo, hi, whole_read, tmp_path, monkeypatch):
         # Blocks of two rows: 3 and 11 are odd, so a block front to back
-        # straddles the ends of the range and others fall inside it.
+        # straddles the ends of the range and others fall inside it. The
+        # whole read is read_raw's new array ("new") or the blocks that
+        # read_raw_blocks reads into its one reused buffer ("out").
         monkeypatch.setattr(tensorio, "_BLOCK_VALUES", 10)
         path = tmp_path / "m.f32"
         tensorio.write_raw(path, np.random.default_rng(7).normal(size=(11, 5)))
-        whole = tensorio.read_raw(path)
+        if whole_read == "read_raw":
+            whole = tensorio.read_raw(path)
+        else:
+            whole = np.concatenate([block.copy() for block in tensorio.read_raw_blocks(path, (11, 5), 2)])
         held = tensorio.read_raw(path, rows=(lo, hi))
         assert held.shape == (hi - lo, 5) and held.dtype == np.float32
         assert held.tobytes() == whole[lo:hi].tobytes()
@@ -187,15 +222,21 @@ class TestRaw:
             tensorio.read_raw(path, rows=(at, at))
 
     @pytest.mark.parametrize(
-        "rows",
-        [(5, 3), (-1, 4), (3, 12), (12, 12)],
-        ids=["reversed", "negative", "past_end", "empty_past_end"],
+        "read",
+        [
+            lambda path: tensorio.read_raw(path, rows=(5, 3)),
+            lambda path: tensorio.read_raw(path, rows=(-1, 4)),
+            lambda path: tensorio.read_raw(path, rows=(3, 12)),
+            lambda path: tensorio.read_raw(path, rows=(12, 12)),
+            lambda path: tensorio.check_raw(path, (5, 11)),
+        ],
+        ids=["reversed", "negative", "past_end", "empty_past_end", "out_shape"],
     )
-    def test_bad_range_rejected(self, rows, tmp_path):
+    def test_bad_range_or_destination_rejected(self, read, tmp_path):
         path = tmp_path / "m.f32"
         tensorio.write_raw(path, np.ones((11, 5)))
         with pytest.raises(ValueError) as exc:
-            tensorio.read_raw(path, rows=rows)
+            read(path)
         assert str(exc.value).startswith(f"{path}: ")
 
     def test_malformed_file_fails_before_its_values_are_checked(self, tmp_path):
