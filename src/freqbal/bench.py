@@ -2,12 +2,10 @@
 
 Every run directory receives deterministic CSV output (full-precision
 repr floats, no timestamps), so identical configs reproduce byte-identical
-files. The sweeps are lists of cells run by run_sweep. A cell whose
-cell.json marker holds its config hash is skipped, so sweeps resume; on a
-data_dir dataset the marker also holds the dataset's digest, so new data in
-the same directory reruns the cell. A cell that runs deletes its marker first
-and writes it last, atomically. Cells vary only the training config, so a
-sweep loads at most one dataset; run_sweep checks that before any cell runs.
+files; train runs and sweep cells open theirs with run_directory. A cell
+whose cell.json marker holds its config hash (and, on a data_dir dataset,
+the dataset's digest) is skipped, so sweeps resume. Cells vary only the
+training config, so run_sweep checks that a sweep loads one dataset.
 """
 
 import sys
@@ -57,13 +55,20 @@ def write_trace_csv(path, trace) -> None:
 
 
 @contextmanager
-def flushing_trace(path):
-    """Write the partial trace of a NumericError raised inside, if it has rows, to path."""
+def run_directory(out: Path, cfg: RunConfig, outputs):
+    """Make out the run directory of cfg. Remove outputs, whose first is the
+    completion file the caller writes last, then trace.csv; write config.txt.
+    So a failed run leaves no completion file of an earlier run, and a
+    NumericError raised inside writes its partial trace, if any, to trace.csv."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name in (*outputs, "trace.csv"):
+        (out / name).unlink(missing_ok=True)
+    (out / "config.txt").write_text(dump_config(cfg))
     try:
         yield
     except NumericError as exc:
         if exc.trace:
-            write_trace_csv(path, exc.trace)
+            write_trace_csv(out / "trace.csv", exc.trace)
         raise
 
 
@@ -193,10 +198,8 @@ def require_test_split(cfg: RunConfig, dataset: SynthDataset) -> None:
         raise ConfigError(f"empty evaluation set: {where} has n_test = 0")
 
 
-def train_and_eval(cfg: RunConfig, dataset: SynthDataset = None):
+def train_and_eval(cfg: RunConfig, dataset: SynthDataset):
     """One full cell: train on the config, evaluate the mask matrix on test."""
-    if dataset is None:
-        dataset = get_dataset(cfg)
     require_test_split(cfg, dataset)
     net_cfg, params, trace = train(cfg.train, dataset)
     test_inputs, test_labels = dataset.test_split()
@@ -209,21 +212,14 @@ def _run_cell(cell_dir: Path, cfg: RunConfig, dataset, digest):
 
     dataset() is called only if the cell runs. digest is the data_dir
     dataset's digest, or None for generated data, whose marker has no
-    "data" entry. Returns (avg_acc, avg_pcr, ran). A cell that fails on a
-    NumericError keeps its config.txt and a trace.csv of the steps before
-    the failure, if any, but no marker or matrix.csv, so it runs again.
-    """
+    "data" entry. Returns (avg_acc, avg_pcr, ran)."""
     marker = cell_dir / "cell.json"
     if marker.exists():
         meta = tensorio.read_manifest(marker)
         if meta.get("config") == config_hash(cfg) and meta.get("data") == digest:
             return meta["avg_acc"], meta["avg_pcr"], False
     data = dataset()
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    for stale in (marker, cell_dir / "matrix.csv", cell_dir / "trace.csv"):
-        stale.unlink(missing_ok=True)
-    (cell_dir / "config.txt").write_text(dump_config(cfg))
-    with flushing_trace(cell_dir / "trace.csv"):
+    with run_directory(cell_dir, cfg, ("cell.json", "matrix.csv")):
         _, _, trace, records = train_and_eval(cfg, data)
     write_trace_csv(cell_dir / "trace.csv", trace)
     write_run_matrix(cell_dir / "matrix.csv", records, cfg)
@@ -240,7 +236,8 @@ def run_sweep(cells, key_header, out_dir):
 
     Every config is built, and so validated, and must share the first
     cell's data (and, on generated data, its seed) before the first cell
-    runs. One progress line per cell goes to stderr. Returns the summary rows.
+    runs; then an earlier summary.csv is removed. One progress line per
+    cell goes to stderr. Returns the summary rows.
     """
     out = Path(out_dir)
     cells = list(cells)
@@ -251,6 +248,7 @@ def run_sweep(cells, key_header, out_dir):
     dataset = cache(lambda: get_dataset(cells[0][2]))
     data_dir = cells[0][2].data.data_dir if cells else None
     digest = dataset_digest(data_dir) if data_dir else None
+    (out / "summary.csv").unlink(missing_ok=True)
     rows = []
     for i, (name, keys, cfg) in enumerate(cells, start=1):
         start = time.perf_counter()
@@ -326,7 +324,7 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
     deterministic, so its rows are those a second run would give.
 
     curves.csv holds per-epoch mean training loss and test accuracy;
-    summary.csv the final values per variant.
+    summary.csv the final values per variant; old ones are removed after the checks.
     """
     out = Path(out_dir)
     base = get_dataset(cfg)
@@ -337,6 +335,8 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
         for n in windows:
             check_window(n, *base.dims)
     require_test_split(cfg, base)
+    for name in ("curves.csv", "summary.csv"):
+        (out / name).unlink(missing_ok=True)
 
     curves = {("raw", 0): _train_curves(cfg, base)}
     for n in dict.fromkeys(windows) if kinds else ():

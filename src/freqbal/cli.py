@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 2 for configuration errors and unreadable or
 malformed input files, 3 for numeric failures (a NaN or inf in an input
-file, or a non-finite score or loss; a non-finite loss mid-training, in
-train or in a sweep cell, flushes the partial trace before exiting), and
-1 for any other error, reported as one "internal error" line.
+file, or a non-finite score or loss), and 1 for any other error, reported
+as one "internal error" line. A failed command leaves no completion file
+of an earlier run in a directory it has begun to write, and train and
+sweep cells flush the partial trace of a non-finite loss before exiting.
 """
 
 import argparse
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, tensorio
-from .config import config_hash, dump_config, int_tuple, load_config, override
+from .config import config_hash, int_tuple, load_config, override
 from .dynamics import decay_check
 from .errors import ConfigError, NumericError
 from .intervention import TrainConfig, train as train_loop
@@ -121,8 +122,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    """Train per the config; write trace.csv, scores.csv, the checkpoint,
-    config.txt and run.json to --out.
+    """Train per the config; write config.txt, trace.csv, scores.csv, the
+    checkpoint and, last, run.json to --out, opened by bench.run_directory.
 
     A dataset directory is loaded with its training split only: training
     never reads the test split, though every value of the files is still
@@ -131,13 +132,11 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     dataset = bench.get_dataset(cfg, "train")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with bench.flushing_trace(out / "trace.csv"):
+    with bench.run_directory(out, cfg, ("run.json", "checkpoint/checkpoint.json", "scores.csv")):
         net_cfg, params, trace = train_loop(cfg.train, dataset)
     bench.write_trace_csv(out / "trace.csv", trace)
     bench.write_scores_csv(out / "scores.csv", trace)
     save_checkpoint(out / "checkpoint", net_cfg, params)
-    (out / "config.txt").write_text(dump_config(cfg))
     tensorio.write_manifest(
         out / "run.json",
         {

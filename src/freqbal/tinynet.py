@@ -25,7 +25,7 @@ logits are bitwise those of a call with that mask alone.
 A checkpoint is one raw float32 file per tensor, named after it, plus
 checkpoint.json, which holds only the net's fields. The net fixes the
 name and shape of every tensor (param_layout), so the manifest does not
-restate them.
+restate them. A save removes checkpoint.json first and writes it last.
 """
 
 from dataclasses import dataclass
@@ -370,10 +370,11 @@ _NET_FIELDS = {
 
 
 def save_checkpoint(out_dir, cfg: NetConfig, params: ParamSet) -> None:
-    """Write every tensor in the raw float32 format plus checkpoint.json,
-    whose one key, "net", holds the net's fields."""
+    """Write every tensor in the raw float32 format, then checkpoint.json,
+    whose one key, "net", holds the net's fields; an earlier one is removed first."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "checkpoint.json").unlink(missing_ok=True)
     for name, value in params.items():
         tensorio.write_raw(out / f"{name}.f32", value)
     net = {key: getattr(cfg, key) for key in _NET_FIELDS}

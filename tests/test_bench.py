@@ -92,7 +92,7 @@ class TestMasks:
 class TestRunMatrix:
     def test_rows_and_average(self, tmp_path):
         cfg = tiny_cfg()
-        net_cfg, params, _, records = train_and_eval(cfg)
+        net_cfg, params, _, records = train_and_eval(cfg, bench.get_dataset(cfg))
         assert len(records) == 7
         avg_acc, avg_pcr = matrix_average(records)
         assert avg_acc == pytest.approx(float(np.mean([r.acc for r in records])), abs=1e-9)
@@ -113,7 +113,8 @@ class TestRunMatrix:
 
     @pytest.mark.parametrize("aux", ["none", "hybrid"])
     def test_one_encoder_pass_matches_per_mask_evaluation(self, aux, monkeypatch):
-        net_cfg, params, _, _ = train_and_eval(tiny_cfg(f"mode = {aux}\n"))
+        cfg = tiny_cfg(f"mode = {aux}\n")
+        net_cfg, params, _, _ = train_and_eval(cfg, bench.get_dataset(cfg))
         inputs, labels = generate(imbalanced_specs(), n_train=0, n_test=40, seed=3).test_split()
         inputs = [x.astype(np.float32) for x in inputs]
         encodes = []
@@ -137,7 +138,7 @@ class TestRunMatrix:
 
     def test_matrix_header_golden(self, tmp_path):
         cfg = tiny_cfg()
-        net_cfg, params, _, records = train_and_eval(cfg)
+        net_cfg, params, _, records = train_and_eval(cfg, bench.get_dataset(cfg))
         write_run_matrix(tmp_path / "matrix.csv", records, cfg)
         header = (tmp_path / "matrix.csv").read_text().splitlines()[0]
         assert header == (GOLDEN / "matrix_header.csv").read_text().strip()
@@ -155,13 +156,15 @@ class TestCsv:
         assert ",,x" in text.splitlines()[1]
 
     def test_trace_header_golden(self, tmp_path):
-        _, _, trace, _ = train_and_eval(tiny_cfg())
+        cfg = tiny_cfg()
+        _, _, trace, _ = train_and_eval(cfg, bench.get_dataset(cfg))
         bench.write_trace_csv(tmp_path / "trace.csv", trace)
         header = (tmp_path / "trace.csv").read_text().splitlines()[0]
         assert header == (GOLDEN / "trace_header.csv").read_text().strip()
 
     def test_scores_csv_long_format(self, tmp_path):
-        _, _, trace, _ = train_and_eval(tiny_cfg())
+        cfg = tiny_cfg()
+        _, _, trace, _ = train_and_eval(cfg, bench.get_dataset(cfg))
         bench.write_scores_csv(tmp_path / "scores.csv", trace)
         lines = (tmp_path / "scores.csv").read_text().splitlines()
         assert lines[0] == "iteration,modality,frm_raw,frm_smooth"

@@ -159,6 +159,39 @@ class TestExitCodes:
         # finished run's two steps.
         assert len((cell / "trace.csv").read_text().splitlines()) == 2
 
+    def test_diverging_train_rerun_leaves_no_finished_run(self, cfg_file, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg_file, "--out", str(run)]) == 0
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY + "eta = 1e200\n")
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 3
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoint", "config.txt", "trace.csv"]
+        assert (run / "config.txt").read_text() == dump_config(load_config(cfg))
+        assert len((run / "trace.csv").read_text().splitlines()) == 2
+        assert not (run / "checkpoint" / "checkpoint.json").exists()
+        capsys.readouterr()
+        argv = ["eval", "--config", cfg_file, "--out", str(tmp_path / "ev"), "--checkpoint", str(run / "checkpoint")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, summaries",
+        [
+            (["sweep-params", "--tuples", "1.5,1,6,0.7;1.2,1,6,0.7"], ["summary.csv"]),
+            (["filter-study", "--windows", "16"], ["curves.csv", "summary.csv"]),
+        ],
+        ids=["sweep", "filter_study"],
+    )
+    def test_diverging_rerun_leaves_no_summary(self, argv, summaries, cfg_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--config", cfg_file, "--out", str(out)]) == 0
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY + "eta = 1e200\n")
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 3
+        for name in summaries:
+            assert not (out / name).exists(), name
+
     def test_diverging_filter_study_is_numeric_error(self, tmp_path, capsys):
         # One step per epoch: the diverged net is evaluated before the next
         # step's check, and that evaluation must not end the run on numpy's

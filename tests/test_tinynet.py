@@ -564,6 +564,29 @@ class TestCheckpoint:
             assert value.tobytes() == params_new[name].tobytes()
             assert value.tobytes() == params[name].astype(np.float32).astype(np.float64).tobytes()
 
+    def test_failed_save_leaves_no_checkpoint_to_load(self, tmp_path, monkeypatch):
+        # The save over an earlier checkpoint fails at its third tensor, so
+        # the old manifest must not stay beside two of the new net's tensors.
+        cfg = NetConfig(input_dims=(6, 5), hidden=(4, 3), n_classes=3, seed=13)
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, cfg, init_network(cfg))
+        written = []
+        write_raw = tensorio.write_raw
+
+        def failing_write_raw(path, matrix):
+            written.append(path.name)
+            if len(written) == 3:
+                raise OSError(f"{path}: simulated write failure")
+            write_raw(path, matrix)
+
+        monkeypatch.setattr(tensorio, "write_raw", failing_write_raw)
+        with pytest.raises(OSError, match="simulated write failure"):
+            save_checkpoint(ckpt, cfg, init_network(NetConfig(cfg.input_dims, cfg.hidden, 3, seed=14)))
+        monkeypatch.undo()
+        assert written == ["enc0.w0.f32", "enc0.b0.f32", "enc0.w1.f32"]
+        with pytest.raises(OSError, match="checkpoint.json"):
+            load_checkpoint(ckpt)
+
     def test_second_save_is_byte_identical(self, tmp_path):
         cfg = NetConfig(input_dims=(4,), hidden=(3,), n_classes=2, seed=14)
         params = init_network(cfg)
