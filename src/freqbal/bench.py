@@ -23,7 +23,7 @@ from .errors import ConfigError, NumericError
 from .intervention import train
 from .preference import METRIC_KINDS
 from .seeds import stream_seed
-from .spectral import check_window, fft_filter
+from .spectral import FILTER_KINDS, check_window, fft_filter
 from .synthdata import SynthDataset, dataset_digest, generate, load_dataset, save_generated
 from .tinynet import evaluate
 
@@ -94,11 +94,15 @@ def pcr(full_metric: float, miss_metric: float) -> float:
 
 @dataclass
 class RunRecord:
-    """One mask of a matrix: presence mask, accuracy and collapse rate (None for the full mask)."""
+    """One mask of a matrix: presence mask, accuracy and collapse rate.
+
+    The collapse rate is None for the full mask, and for every mask when
+    the full mask's accuracy is 0, since it is relative to that accuracy.
+    """
 
     mask: tuple
     acc: float
-    pcr: float
+    pcr: float | None
 
 
 def mask_order(m: int):
@@ -129,7 +133,7 @@ def run_matrix(net_cfg, params, inputs, labels):
     accs = evaluate(net_cfg, params, inputs, labels, masks)
     full_acc = accs[-1]
     return [
-        RunRecord(mask=mask, acc=acc, pcr=None if all(mask) else pcr(full_acc, acc))
+        RunRecord(mask=mask, acc=acc, pcr=pcr(full_acc, acc) if full_acc > 0 and not all(mask) else None)
         for mask, acc in zip(masks, accs)
     ]
 
@@ -295,7 +299,7 @@ def filter_dataset(ds: SynthDataset, kind: str, n: int) -> SynthDataset:
     filtered dataset holds float32 stacks, as generated and loaded ones
     do, and is never widened whole.
     """
-    if kind not in ("low_pass", "high_pass"):
+    if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
     images = []
     for stack in ds.images:
@@ -329,7 +333,7 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
     out = Path(out_dir)
     base = get_dataset(cfg)
     for kind in kinds:
-        if kind not in ("low_pass", "high_pass"):
+        if kind not in FILTER_KINDS:
             raise ConfigError(f"unknown filter kind {kind!r}")
     if kinds:
         for n in windows:

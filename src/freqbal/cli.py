@@ -4,8 +4,8 @@ Exit codes: 0 on success, 2 for configuration errors and unreadable or
 malformed input files, 3 for numeric failures (a NaN or inf in an input
 file, or a non-finite score or loss), and 1 for any other error, reported
 as one "internal error" line. A failed command leaves no completion file
-of an earlier run in a directory it has begun to write, and train and
-sweep cells flush the partial trace of a non-finite loss before exiting.
+of an earlier run in a directory it has begun to write, and train, eval
+and sweep cells flush the partial trace of a non-finite loss before exiting.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from .errors import ConfigError, NumericError
 from .intervention import TrainConfig, train as train_loop
 from .preference import METRIC_KINDS, sample_preference
 from .seeds import stream_rng
-from .spectral import center_crop, fft_filter
+from .spectral import FILTER_KINDS, center_crop, fft_filter
 from .synthdata import load_dataset, modality_blocks, save_dataset
 from .tinynet import load_checkpoint, net_for, save_checkpoint
 
@@ -151,7 +151,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """Write the mask matrix of --checkpoint on the test split to --out.
+    """Write config.txt and the mask matrix of --checkpoint on the test
+    split to --out, opened by bench.run_directory once every input is checked.
 
     With --checkpoint a dataset directory is loaded with its test split
     only, which is all the matrix uses; every value of the files is still
@@ -166,17 +167,19 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"mask {args.mask!r} must be {dataset.n_modalities} characters of 0/1 with at least one 1"
         )
+    bench.require_test_split(cfg, dataset)
     if args.checkpoint:
-        bench.require_test_split(cfg, dataset)
         net_cfg, params = load_checkpoint(args.checkpoint)
         _require_fit(args.checkpoint, net_cfg, dataset)
-        test_inputs, test_labels = dataset.test_split()
-        records = bench.run_matrix(net_cfg, params, test_inputs, test_labels)
-    else:
-        *_, records = bench.train_and_eval(cfg, dataset)
+    out = Path(args.out)
+    with bench.run_directory(out, cfg, ("matrix.csv",)):
+        if args.checkpoint:
+            records = bench.run_matrix(net_cfg, params, *dataset.test_split())
+        else:
+            *_, records = bench.train_and_eval(cfg, dataset)
     if args.mask:
         records = [r for r in records if bench.mask_label(r.mask) == args.mask]
-    bench.write_run_matrix(Path(args.out) / "matrix.csv", records, cfg, average=not args.mask)
+    bench.write_run_matrix(out / "matrix.csv", records, cfg, average=not args.mask)
     for r in records:
         print(f"{bench.mask_label(r.mask)}\tacc={r.acc:.4f}\tpcr={'' if r.pcr is None else round(r.pcr, 4)}")
     return 0
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", nargs="?", help="output plane")
     p.add_argument("--data", help="filter a whole dataset directory instead")
     p.add_argument("--out", help="output dataset directory for --data")
-    p.add_argument("--kind", required=True, choices=("low_pass", "high_pass"))
+    p.add_argument("--kind", required=True, choices=FILTER_KINDS)
     p.add_argument("--window", type=int, required=True, help="spectral window side n")
     p.set_defaults(func=cmd_filter)
 
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--windows", default="8,16")
-    p.add_argument("--kinds", default="low_pass,high_pass")
+    p.add_argument("--kinds", default=",".join(FILTER_KINDS))
     p.set_defaults(func=cmd_filter_study)
 
     p = sub.add_parser("ntk-check", help="verify the eigen-direction decay law")

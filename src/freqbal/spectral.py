@@ -40,6 +40,7 @@ __all__ = [
     "SpectralConfig",
     "band_projections",
     "compute_maps_batch",
+    "FILTER_KINDS",
     "fft_filter",
     "check_window",
     "center_crop",
@@ -179,6 +180,10 @@ def _window_operator(side: int, n: int):
     return c, s
 
 
+# The kinds of fft_filter: keep or discard the centered spectrum window.
+FILTER_KINDS = ("low_pass", "high_pass")
+
+
 def check_window(n: int, h: int, w: int) -> None:
     """Raise ValueError unless an n x n window fits an h x w plane."""
     if n < 1 or n > min(h, w):
@@ -210,7 +215,7 @@ def fft_filter(img, kind: str, n: int, out=None) -> np.ndarray:
     imgs = np.asarray(img)
     if imgs.ndim not in (2, 3):
         raise ValueError(f"expected an (H, W) plane or (N, H, W) stack, got shape {imgs.shape}")
-    if kind not in ("low_pass", "high_pass"):
+    if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
     h, w = imgs.shape[-2:]
     check_window(n, h, w)

@@ -8,21 +8,20 @@ imbalanced preset with five seeds and compare 5-seed means.
 
 import math
 import time
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from runs import preset_run, rank_correlation
 
-import freqbal.bench as bench
 from freqbal.allocation import AllocationParams, weight
-from freqbal.bench import filter_study, mask_order, pcr
-from freqbal.config import parse_config
+from freqbal.bench import filter_study, pcr
+from freqbal.config import RunConfig
 from freqbal.dynamics import decay_check, suppression_experiment
-from freqbal.intervention import TrainConfig, train, warmup_iterations
 from freqbal.preference import sample_preference, score_bands
 from freqbal.spectral import SpectralConfig, band_projections
 from freqbal.synthdata import ModalitySpec, generate, imbalanced_specs, lowband_specs
-from freqbal.tinynet import NetConfig, backward, cross_entropy, evaluate, forward, init_network
+from freqbal.tinynet import NetConfig, backward, init_network
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -31,27 +30,7 @@ def report(number, name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number} ({name}): {detail}")
 
 
-# ---------------------------------------------------------------- fixtures
-
-@pytest.fixture(scope="module")
-def paired_runs():
-    """Five-seed none/hybrid runs on the imbalanced preset (criteria 8, 10)."""
-    start = time.monotonic()
-    out = {"none": [], "hybrid": [], "traces": [], "warmup": None}
-    for seed in SEEDS:
-        ds = generate(imbalanced_specs(), seed=1000 + seed)
-        te_in, te_lab = ds.test_split()
-        for mode in ("none", "hybrid"):
-            cfg = TrainConfig(mode=mode, seed=seed)
-            net_cfg, params, trace = train(cfg, ds)
-            accs = dict(zip(mask_order(3), evaluate(net_cfg, params, te_in, te_lab, mask_order(3))))
-            out[mode].append(accs)
-            if mode == "hybrid":
-                out["traces"].append(trace)
-                out["warmup"] = warmup_iterations(cfg, ds.n_train)
-    out["elapsed"] = time.monotonic() - start
-    return out
-
+# ---------------------------------------------------------------- helpers
 
 def unimodal(accs, i):
     return accs[tuple(j == i for j in range(3))]
@@ -238,20 +217,23 @@ def test_criterion_7_gradient_suppression():
     assert elapsed < 120
 
 
-def test_criterion_8_rebalancing_efficacy(paired_runs):
-    uni_none = np.array([[unimodal(a, i) for i in range(3)] for a in paired_runs["none"]])
-    uni_hyb = np.array([[unimodal(a, i) for i in range(3)] for a in paired_runs["hybrid"]])
+def test_criterion_8_rebalancing_efficacy():
+    runs = {mode: [preset_run(mode, seed) for seed in SEEDS] for mode in ("none", "hybrid")}
+    accs = {mode: [run.accs for run in mode_runs] for mode, mode_runs in runs.items()}
+    uni_none = np.array([[unimodal(a, i) for i in range(3)] for a in accs["none"]])
+    uni_hyb = np.array([[unimodal(a, i) for i in range(3)] for a in accs["hybrid"]])
     weak = int(np.argmin(uni_none.mean(axis=0)))
     margin = (uni_hyb[:, weak].mean() - uni_none[:, weak].mean()) * 100
 
-    avg_none = np.mean([np.mean(list(a.values())) for a in paired_runs["none"]])
-    avg_hyb = np.mean([np.mean(list(a.values())) for a in paired_runs["hybrid"]])
+    avg_none = np.mean([np.mean(list(a.values())) for a in accs["none"]])
+    avg_hyb = np.mean([np.mean(list(a.values())) for a in accs["hybrid"]])
     full = (True, True, True)
     full_drop = (
-        np.mean([a[full] for a in paired_runs["none"]])
-        - np.mean([a[full] for a in paired_runs["hybrid"]])
+        np.mean([a[full] for a in accs["none"]])
+        - np.mean([a[full] for a in accs["hybrid"]])
     ) * 100
-    elapsed = paired_runs["elapsed"]
+    # The runs' own seconds, so the budget does not depend on which test trained them.
+    elapsed = sum(run.seconds for mode_runs in runs.values() for run in mode_runs)
 
     ok = margin >= 5.0 and avg_hyb > avg_none and full_drop < 2.0 and elapsed < 600
     report(
@@ -265,13 +247,6 @@ def test_criterion_8_rebalancing_efficacy(paired_runs):
     assert elapsed < 600
 
 
-def _rank_correlation(x, y) -> float:
-    """Spearman's rho of two samples without ties: the Pearson correlation of their ranks."""
-    assert len(set(x)) == len(x) and len(set(y)) == len(y), "tied values need average ranks"
-    rx, ry = (np.argsort(np.argsort(v)) for v in (x, y))
-    return float(np.corrcoef(rx, ry)[0, 1])
-
-
 def test_criterion_9_preference_ordering_fidelity():
     rng = np.random.default_rng(4)
     ratios, scores = [], []
@@ -283,17 +258,16 @@ def test_criterion_9_preference_ordering_fidelity():
         ds = generate((spec,), n_train=8, n_test=0, seed=5000 + i)
         ratios.append(low / high)
         scores.append(sample_preference(ds.images[0], cfg).mean())
-    rho = _rank_correlation(ratios, scores)
+    rho = rank_correlation(ratios, scores)
     ok = rho >= 0.9
     report(9, "preference ordering fidelity", ok, f"spearman rho={rho:.4f} over 100 configurations")
     assert rho >= 0.9
 
 
-def test_criterion_10_aux_loss_stratification(paired_runs):
+def test_criterion_10_aux_loss_stratification():
     fractions = []
-    warm = paired_runs["warmup"]
-    for trace in paired_runs["traces"]:
-        aux = [trace.column(f"aux_loss_m{i}")[warm:] for i in range(3)]
+    for run in (preset_run("hybrid", seed) for seed in SEEDS):
+        aux = [run.trace.column(f"aux_loss_m{i}")[run.warmup:] for i in range(3)]
         fractions.append(float(np.mean((aux[0] >= aux[1]) & (aux[0] >= aux[2]))))
     mean_frac = float(np.mean(fractions))
     ok = mean_frac >= 0.8
@@ -308,13 +282,13 @@ def test_criterion_10_aux_loss_stratification(paired_runs):
 def test_criterion_11_band_filter_directionality(tmp_path):
     wins = 0
     losses = []
+    base = RunConfig()
     for seed in SEEDS:
-        text = f"seed = {seed}\nmode = none\n" + "".join(
-            f"mod{i}.low_energy = 30\nmod{i}.high_energy = 3\n"
-            f"mod{i}.signal_band = low\nmod{i}.snr = 2.0\n"
-            for i in range(3)
+        cfg = replace(
+            base,
+            train=replace(base.train, mode="none", seed=seed),
+            data=replace(base.data, specs=lowband_specs()),
         )
-        cfg = parse_config(text)
         rows = filter_study(cfg, [16], ["low_pass", "high_pass"], tmp_path / f"fs{seed}")
         final = {row[0]: row[3] for row in rows}
         losses.append((final["low_pass"], final["high_pass"]))

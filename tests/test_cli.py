@@ -180,8 +180,9 @@ class TestExitCodes:
         [
             (["sweep-params", "--tuples", "1.5,1,6,0.7;1.2,1,6,0.7"], ["summary.csv"]),
             (["filter-study", "--windows", "16"], ["curves.csv", "summary.csv"]),
+            (["eval"], ["matrix.csv"]),
         ],
-        ids=["sweep", "filter_study"],
+        ids=["sweep", "filter_study", "eval"],
     )
     def test_diverging_rerun_leaves_no_summary(self, argv, summaries, cfg_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -870,6 +871,19 @@ class TestTrainEval:
         expected = tmp_path / "expected.csv"
         bench.write_run_matrix(expected, records, cfg, average=not mask)
         assert read(out / "matrix.csv") == read(expected)
+
+    def test_zero_full_mask_accuracy_leaves_every_pcr_empty(self, tmp_path, capsys):
+        # One test sample that the full net gets wrong: every collapse rate
+        # is relative to an accuracy of 0, so none is defined.
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("seed = 0\nepochs = 1\nn_train = 8\nn_test = 1\nbatch_size = 8\n")
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in (out / "matrix.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["100", "010", "001", "110", "101", "011", "111", "average"]
+        assert float(rows[-2][1]) == 0.0
+        assert [row[2] for row in rows] == [""] * 8
 
     @pytest.mark.parametrize("mask", ["1x1", "000", "10"])
     def test_malformed_mask_is_config_error(self, mask, cfg_file, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from runs import preset_run
 
 from freqbal import bench, intervention, preference, tinynet
 from freqbal.allocation import AllocationParams, allocate, relative_ratio, weight
@@ -17,7 +18,7 @@ from freqbal.intervention import (
 )
 from freqbal.preference import sample_preference
 from freqbal.seeds import stream_rng, stream_seed
-from freqbal.synthdata import ModalitySpec, generate, imbalanced_specs, load_dataset, save_dataset
+from freqbal.synthdata import generate, imbalanced_specs, load_dataset, save_dataset
 from freqbal.tinynet import (
     NetConfig,
     backward,
@@ -413,13 +414,5 @@ class TestLoadedData:
 
 class TestDirectional:
     def test_hybrid_helps_weak_modality_single_seed(self):
-        ds = generate(imbalanced_specs(), seed=1000)
-        from freqbal.tinynet import evaluate
-
-        accs = {}
-        for mode in ("none", "hybrid"):
-            cfg = TrainConfig(mode=mode, seed=0)
-            net_cfg, params, _ = train(cfg, ds)
-            te_in, te_lab = ds.test_split()
-            [accs[mode]] = evaluate(net_cfg, params, te_in, te_lab, [[False, True, False]])
-        assert accs["hybrid"] > accs["none"]
+        weak = (False, True, False)
+        assert preset_run("hybrid", 0).accs[weak] > preset_run("none", 0).accs[weak]

@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 from memtrace import traced_peak
+from runs import preset_run
 
 from freqbal import synthdata, tensorio
-from freqbal.intervention import TrainConfig, train
 from freqbal.preference import sample_preference, score_bands
 from freqbal.spectral import SpectralConfig, band_projections, compute_maps_batch
 from freqbal.synthdata import (
@@ -19,7 +19,6 @@ from freqbal.synthdata import (
     save_dataset,
     save_generated,
 )
-from freqbal.tinynet import evaluate
 
 # Default dims (32, 32), patch side p = 8 and block side q = 2: a 4 x 4 grid
 # of patches.
@@ -361,14 +360,8 @@ class TestDominance:
     def test_low_heavy_modality_degrades_least_without_intervention(self):
         # The preset's low-band-dominant branch should end closest to its
         # full-modality accuracy when trained plain, averaged over seeds.
-        uni = []
-        for seed in range(3):
-            ds = generate(imbalanced_specs(), seed=1000 + seed)
-            cfg = TrainConfig(mode="none", seed=seed)
-            net_cfg, params, _ = train(cfg, ds)
-            te_in, te_lab = ds.test_split()
-            solo_masks = [[j == i for j in range(3)] for i in range(3)]
-            uni.append(evaluate(net_cfg, params, te_in, te_lab, solo_masks))
+        solo_masks = [tuple(j == i for j in range(3)) for i in range(3)]
+        uni = [[preset_run("none", seed).accs[mask] for mask in solo_masks] for seed in range(3)]
         means = np.mean(uni, axis=0)
         scores = [
             sample_preference(img[:64], SpectralConfig()).mean()
