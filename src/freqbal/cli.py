@@ -151,13 +151,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """Write config.txt and the mask matrix of --checkpoint on the test
-    split to --out, opened by bench.run_directory once every input is checked.
+    """Write the mask matrix of --checkpoint on the test split to --out.
 
     With --checkpoint a dataset directory is loaded with its test split
     only, which is all the matrix uses; every value of the files is still
     checked, so a NaN or inf in a training pixel exits 3 all the same.
-    Without one the whole dataset is loaded, trained on and then evaluated.
+    Nothing is trained, so --out may be the checkpoint's own train run:
+    only an earlier matrix.csv is removed. Without one the whole dataset
+    is loaded, trained on and then evaluated, and --out is a run directory
+    of its own, opened by bench.run_directory; one holding a train run's
+    run.json is refused rather than overwritten. Either way --out is
+    touched only once every input is checked.
     """
     cfg = load_config(args.config)
     if args.data:
@@ -168,14 +172,18 @@ def cmd_eval(args) -> int:
             f"mask {args.mask!r} must be {dataset.n_modalities} characters of 0/1 with at least one 1"
         )
     bench.require_test_split(cfg, dataset)
+    out = Path(args.out)
     if args.checkpoint:
         net_cfg, params = load_checkpoint(args.checkpoint)
         _require_fit(args.checkpoint, net_cfg, dataset)
-    out = Path(args.out)
-    with bench.run_directory(out, cfg, ("matrix.csv",)):
-        if args.checkpoint:
-            records = bench.run_matrix(net_cfg, params, *dataset.test_split())
-        else:
+        (out / "matrix.csv").unlink(missing_ok=True)
+        records = bench.run_matrix(net_cfg, params, *dataset.test_split())
+    else:
+        if (out / "run.json").exists():
+            raise ConfigError(
+                f"--out {out} holds a train run; eval without --checkpoint needs a directory of its own"
+            )
+        with bench.run_directory(out, cfg, ("matrix.csv",)):
             *_, records = bench.train_and_eval(cfg, dataset)
     if args.mask:
         records = [r for r in records if bench.mask_label(r.mask) == args.mask]

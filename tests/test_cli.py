@@ -845,6 +845,26 @@ class TestTrainEval:
         for ra, rb in zip(rows_a[1:], rows_b[1:]):
             assert ra.split(",")[0] == rb.split(",")[0]
 
+    def test_checkpoint_eval_into_its_train_run_keeps_the_run(self, cfg_file, tmp_path):
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg_file, "--out", str(run)]) == 0
+        files = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        argv = ["eval", "--config", cfg_file, "--checkpoint", str(run / "checkpoint"), "--out", str(run)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file() and p.name != "matrix.csv"} == files
+        assert (run / "matrix.csv").exists()
+
+    def test_training_eval_refuses_a_train_run(self, cfg_file, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg_file, "--out", str(run)]) == 0
+        files = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_file, "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "holds a train run" in err and err.count("\n") == 1
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == files
+
     def test_eval_single_mask(self, cfg_file, tmp_path):
         run = tmp_path / "run"
         main(["train", "--config", cfg_file, "--out", str(run)])
