@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .allocation import AllocationParams, ModalWeights, allocate, relative_ratio, weight
 from .preference import sample_preference
-from .spectral import SpectralConfig, fft_filter
+from .spectral import SpectralConfig, fft_filter, high_pass
 
 __all__ = [
     "AllocationParams",
@@ -22,6 +22,7 @@ __all__ = [
     "SpectralConfig",
     "allocate",
     "fft_filter",
+    "high_pass",
     "relative_ratio",
     "sample_preference",
     "weight",

@@ -23,7 +23,7 @@ from .errors import ConfigError, NumericError
 from .intervention import train
 from .preference import METRIC_KINDS
 from .seeds import stream_seed
-from .spectral import FILTER_KINDS, check_window, fft_filter
+from .spectral import FILTER_KINDS, check_window, fft_filter, high_pass
 from .synthdata import SynthDataset, dataset_digest, generate, load_dataset, save_generated
 from .tinynet import evaluate
 
@@ -289,22 +289,19 @@ def sweep_frm_variants(cfg: RunConfig, out_dir, kinds=METRIC_KINDS):
 def filter_dataset(ds: SynthDataset, kind: str, n: int) -> SynthDataset:
     """Apply one FFT filter to every plane of every modality, into float32 stacks.
 
-    Each modality's low pass is computed in float64 a block of planes at a
-    time and rounded once into a new float32 stack, the rounding
-    save_dataset applies. A high pass is the stack minus that float32 low
-    pass, subtracted in float32 in the low pass's own arrays, which is what
-    filter_study forms from a low-pass variant; it differs from
-    fft_filter's high pass rounded to float32 only by rounding, at most a
-    few float32 ulps of the larger of the pixel and its low pass. So the
-    filtered dataset holds float32 stacks, as generated and loaded ones
-    do, and is never widened whole.
+    Each modality's low pass is fft_filter's of its float32 stack: computed
+    in float64 a block of planes at a time and rounded once, the rounding
+    save_dataset applies. Its high pass is spectral.high_pass of the stack
+    and that low pass, in the low pass's own arrays, as filter_study forms
+    it. So the filtered dataset holds float32 stacks, as generated and
+    loaded ones do, and is never widened whole.
     """
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
     images = []
     for stack in ds.images:
-        low = fft_filter(stack, "low_pass", n, out=np.empty(stack.shape, dtype=np.float32))
-        images.append(np.subtract(stack, low, out=low) if kind == "high_pass" else low)
+        low = fft_filter(stack, n)
+        images.append(high_pass(stack, low) if kind == "high_pass" else low)
     return replace(ds, images=images)
 
 
@@ -319,9 +316,9 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
     ones are finite and loaded ones were checked as they were read.
 
     Variants train window by window. A window's low pass is filtered once,
-    into float32 stacks, and trained if asked for; its high pass is the
-    base minus that low pass, subtracted in float32 in the low pass's own
-    arrays, which is bitwise filter_dataset's high pass, and then trained.
+    into float32 stacks, and trained if asked for; its high pass is
+    spectral.high_pass of the base and that low pass, in the low pass's
+    own arrays, as filter_dataset forms it, and then trained.
     So a run holds the float32 base plus at most one float32 filtered
     variant, and each variant is the dataset `filter --data` writes for
     its kind and window. A variant listed twice trains once: training is
@@ -348,7 +345,7 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
         if "low_pass" in kinds:
             curves["low_pass", n] = _train_curves(cfg, ds)
         if "high_pass" in kinds:
-            ds = replace(ds, images=[np.subtract(b, l, out=l) for b, l in zip(base.images, ds.images)])
+            ds = replace(ds, images=[high_pass(b, l) for b, l in zip(base.images, ds.images)])
             curves["high_pass", n] = _train_curves(cfg, ds)
         del ds  # so the next window's low pass is not built beside this one
 

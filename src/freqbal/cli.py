@@ -21,7 +21,7 @@ from .errors import ConfigError, NumericError
 from .intervention import TrainConfig, train as train_loop
 from .preference import METRIC_KINDS, sample_preference
 from .seeds import stream_rng
-from .spectral import FILTER_KINDS, center_crop, fft_filter
+from .spectral import FILTER_KINDS, center_crop, fft_filter, high_pass
 from .synthdata import load_dataset, modality_blocks, save_dataset
 from .tinynet import load_checkpoint, net_for, save_checkpoint
 
@@ -94,8 +94,9 @@ def cmd_filter(args) -> int:
 
     A dataset is loaded whole and filtered by bench.filter_dataset into a
     float32 copy, the variant filter-study trains on for that kind and
-    window, which is written to --out. A plane is filtered in float64 and
-    written in the format its OUTPUT suffix names.
+    window, which is written to --out. A plane is widened to float64 and
+    low-passed by fft_filter, its high pass is spectral.high_pass of the
+    two, and the result is written in the format its OUTPUT suffix names.
     """
     if args.data:
         if not args.out:
@@ -107,8 +108,9 @@ def cmd_filter(args) -> int:
         return 0
     if not args.input or not args.output:
         raise ConfigError("single-image filtering needs INPUT and OUTPUT paths")
-    img = _read_plane(args.input)
-    _write_plane(args.output, fft_filter(img, args.kind, args.window))
+    img = _read_plane(args.input).astype(np.float64)
+    low = fft_filter(img, args.window)
+    _write_plane(args.output, high_pass(img, low) if args.kind == "high_pass" else low)
     print(f"{args.input} -> {args.output} ({args.kind}, n={args.window})")
     return 0
 
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", nargs="?", help="output plane")
     p.add_argument("--data", help="filter a whole dataset directory instead")
     p.add_argument("--out", help="output dataset directory for --data")
-    p.add_argument("--kind", required=True, choices=FILTER_KINDS)
+    p.add_argument("--kind", required=True, choices=FILTER_KINDS, help="high_pass: the input minus its low pass")
     p.add_argument("--window", type=int, required=True, help="spectral window side n")
     p.set_defaults(func=cmd_filter)
 

@@ -204,11 +204,13 @@ def suppression_experiment(
         grads, *_ = backward(net_cfg, prefit, xb, train_labels[idx], mask=solo_mask)
         prefit = sgd_step(net_cfg, prefit, grads, eta)
         if it % 25 == 24:
-            # A block of rows at a time, so no whole split is widened; each
-            # row's logits are bitwise those of one pass over the split.
+            # ceil(n / PREFIT_ROWS) equal blocks, so no whole split is widened.
+            # Logits are bitwise one pass's while no block is under 16 rows,
+            # where OpenBLAS takes another kernel; n >= 256 gives 128 or more.
+            blocks = -(-n // PREFIT_ROWS)
             logits = []
-            for lo in range(0, n, PREFIT_ROWS):
-                rows = [img[lo : lo + PREFIT_ROWS] for img in train_images]
+            for i in range(blocks):
+                rows = [img[i * n // blocks : (i + 1) * n // blocks] for img in train_images]
                 [(block, _)] = forward(net_cfg, prefit, rows, [solo_mask])
                 logits.append(block)
             prefit_loss = cross_entropy(np.concatenate(logits), train_labels)

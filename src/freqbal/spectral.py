@@ -11,23 +11,23 @@ map uses B[p-q:] the same way. The transposes of the same projections turn
 band maps back into pixels, which is how the synthetic generator builds
 its images.
 
-The FFT filters operate on whole planes instead: the spectrum is shifted
-so DC sits at (H//2, W//2) and an n x n window centered there is either
-kept (low pass) or zeroed (high pass). That window is the outer product of
-one row mask and one column mask, so keeping it is a per-axis operator
-too, A = ifft diag(d) fft, applied to whole stacks of planes.
+The FFT low pass operates on whole planes instead: the spectrum is shifted
+so DC sits at (H//2, W//2) and an n x n window centered there is kept, the
+rest zeroed; high_pass states the one high-pass rule. That window is the
+outer product of one row mask and one column mask, so keeping it is a
+per-axis operator too, A = ifft diag(d) fft, applied to whole stacks.
 
 Stacks are processed in fixed blocks of planes, each written into a
 preallocated result. A block is widened to float64 just before its
 products, so a float32 stack (a dataset's) gives bitwise the results of
 its float64 copy while only one block is ever held widened. Results are
-float64, except that fft_filter can store into a float32 destination:
-each block is then computed in float64 and rounded once as it is stored,
-which is how a filtered dataset stays float32.
+float64, except that fft_filter returns a float32 stack's low pass in
+float32: each block is computed in float64 and rounded once as it is
+stored, which is how a filtered dataset stays float32.
 
-All functions are pure and never modify their inputs; the one array any
-of them writes into is the `out` a caller gives fft_filter. None checks
-that its input is finite: planes and stacks come from files, which
+All functions are pure and never modify their inputs, except that
+high_pass writes into the low pass it is given. None checks that its
+input is finite: planes and stacks come from files, which
 tensorio.read_raw checks as it reads them, or from the generator.
 """
 
@@ -42,6 +42,7 @@ __all__ = [
     "compute_maps_batch",
     "FILTER_KINDS",
     "fft_filter",
+    "high_pass",
     "check_window",
     "center_crop",
 ]
@@ -180,7 +181,7 @@ def _window_operator(side: int, n: int):
     return c, s
 
 
-# The kinds of fft_filter: keep or discard the centered spectrum window.
+# The filter kinds: fft_filter's low pass and the high pass high_pass forms from it.
 FILTER_KINDS = ("low_pass", "high_pass")
 
 
@@ -190,42 +191,29 @@ def check_window(n: int, h: int, w: int) -> None:
         raise ValueError(f"window side {n} out of range for {h}x{w} plane")
 
 
-def fft_filter(img, kind: str, n: int, out=None) -> np.ndarray:
-    """Keep (low_pass) or discard (high_pass) the centered n x n spectrum window.
+def fft_filter(img, n: int) -> np.ndarray:
+    """Low pass: keep the centered n x n spectrum window, zero the rest.
 
     `img` is one (H, W) plane or an (N, H, W) stack of any float dtype; the
-    result is float64 of its shape, or `out`, a float32 or float64 array of
-    that shape, which the values land in and which is returned. The
-    spectrum is fftshifted so DC lands at (H//2, W//2); the window of side
-    n starts at center - n//2 on each axis, putting any odd-window
-    asymmetry toward the bottom/right. Complementary kinds with the same n
-    sum back to the input exactly (up to float rounding).
+    result has its shape and is float32 for a float32 input, float64
+    otherwise. The spectrum is fftshifted so DC lands at (H//2, W//2); the
+    window of side n starts at center - n//2 on each axis, putting any
+    odd-window asymmetry toward the bottom/right. For the high pass see
+    high_pass.
 
     The window is separable, so for a real plane X the low pass is
     Re(A_h X A_w^T) = C_h X C_w^T - S_h X S_w^T with (C, S) from
-    `_window_operator`, and the high pass is X minus it: bitwise
-    `img - fft_filter(img, "low_pass", n)`, so a caller that holds the low
-    pass can form the high pass without filtering again. A stack is
-    filtered in fixed blocks of planes, each widened to float64, so memory
-    beyond the result stays at one block's temporaries; each plane's
-    result is bitwise the same as filtering it alone, and the same for a
-    float32 stack as for its float64 copy. A float32 `out` holds each
-    value of the float64 result rounded once.
+    `_window_operator`. A stack is filtered in fixed blocks of planes, each
+    widened to float64, so memory beyond the result stays at one block's
+    temporaries; each plane's result is bitwise the same as filtering it
+    alone, and a float32 result holds its float64 copy's rounded once.
     """
     imgs = np.asarray(img)
     if imgs.ndim not in (2, 3):
         raise ValueError(f"expected an (H, W) plane or (N, H, W) stack, got shape {imgs.shape}")
-    if kind not in FILTER_KINDS:
-        raise ValueError(f"unknown filter kind {kind!r}")
     h, w = imgs.shape[-2:]
     check_window(n, h, w)
-    if out is None:
-        out = np.empty(imgs.shape)
-    elif out.shape != imgs.shape or out.dtype not in (np.float32, np.float64):
-        raise ValueError(
-            f"out must be a float32 or float64 array of shape {imgs.shape}, "
-            f"got {out.dtype} of shape {out.shape}"
-        )
+    out = np.empty(imgs.shape, dtype=np.float32 if imgs.dtype == np.float32 else np.float64)
     stack, dest = (imgs, out) if imgs.ndim == 3 else (imgs[None], out[None])
     both_h = _stacked_rows(_window_operator, h, n)
     c_w, s_w = _window_operator(w, n)
@@ -240,11 +228,19 @@ def fft_filter(img, kind: str, n: int, out=None) -> np.ndarray:
         rows = both_h @ block
         np.matmul(rows[:, :h], c_w.T, out=result)
         result -= rows[:, h:] @ s_w.T
-        if kind == "high_pass":
-            np.subtract(block, result, out=result)
         if wide is not None:
             dest[start : start + _BLOCK] = result
     return out
+
+
+def high_pass(img, low) -> np.ndarray:
+    """The one high-pass rule: img minus its low pass, written into `low`.
+
+    The subtraction runs in low's dtype (float32 for a dataset stack's
+    fft_filter low pass) and `low` is returned, so a caller holding the
+    low pass forms the high pass with no second filter or array.
+    """
+    return np.subtract(img, low, out=low)
 
 
 def center_crop(img, multiple: int) -> np.ndarray:

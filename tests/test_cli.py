@@ -8,7 +8,7 @@ from freqbal.config import dump_config, load_config, override
 from freqbal.intervention import train as train_loop
 from freqbal.preference import METRIC_KINDS, sample_preference
 from freqbal.seeds import stream_rng
-from freqbal.spectral import SpectralConfig
+from freqbal.spectral import SpectralConfig, fft_filter
 from freqbal.synthdata import generate, imbalanced_specs, load_dataset, save_dataset
 from freqbal.tinynet import init_network, load_checkpoint, net_for, save_checkpoint
 
@@ -812,6 +812,10 @@ class TestAnalyzeAndFilter:
         assert main(["filter", str(tmp_path / "in.f32"), str(hp), "--kind", "high_pass", "--window", "8"]) == 0
         total = tensorio.read_raw(lp) + tensorio.read_raw(hp)
         assert np.abs(total - tensorio.read_raw(tmp_path / "in.f32")).max() < 1e-5
+        # The plane is widened before it is filtered, so its high pass is
+        # rounded once, as it is written.
+        wide = tensorio.read_raw(tmp_path / "in.f32").astype(np.float64)
+        assert tensorio.read_raw(hp).tobytes() == (wide - fft_filter(wide, 8)).astype(np.float32).tobytes()
 
     def test_filter_dataset(self, cfg_file, tmp_path):
         main(["gen", "--config", cfg_file, "--out", str(tmp_path / "ds")])

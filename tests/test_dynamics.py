@@ -217,6 +217,30 @@ class TestSuppression:
         expected = reference_suppression(ds, **kwargs)
         assert (result["prefit_loss"], result["ratio"]) == (expected["prefit_loss"], expected["ratio"])
 
+    def test_prefit_logits_are_one_pass_over_the_split_bitwise(self, monkeypatch):
+        # 201 rows in blocks of at most 100: fixed blocks of 100 would leave
+        # a 1-row tail, which BLAS may multiply with another kernel.
+        monkeypatch.setattr(dynamics, "PREFIT_ROWS", 100)
+        ds = generate(imbalanced_specs(), n_train=201, n_test=0, seed=1103)
+        images, _ = ds.train_split()
+        calls, checked = [], []
+
+        def recording_forward(net_cfg, params, inputs, masks):
+            calls.append((net_cfg, params, masks))
+            return forward(net_cfg, params, inputs, masks)
+
+        def checking_cross_entropy(logits, labels):
+            # Checked at once: the params of a later call may reuse arrays.
+            net_cfg, params, masks = calls[-1]
+            [(whole, _)] = forward(net_cfg, params, images, masks)
+            checked.append(logits.tobytes() == whole.tobytes())
+            return cross_entropy(logits, labels)
+
+        monkeypatch.setattr(dynamics, "forward", recording_forward)
+        monkeypatch.setattr(dynamics, "cross_entropy", checking_cross_entropy)
+        suppression_experiment(ds, dominant=0, weak=1, eta=0.15, seed=2, hidden=(32, 16), measure_iters=1)
+        assert checked and all(checked)
+
     def test_initial_params_never_written(self, monkeypatch):
         made = []
 

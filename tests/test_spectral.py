@@ -9,6 +9,7 @@ from freqbal.spectral import (
     center_crop,
     compute_maps_batch,
     fft_filter,
+    high_pass,
 )
 
 
@@ -251,6 +252,13 @@ def fft_window_reference(img, kind, n):
     return np.fft.ifft2(np.fft.ifftshift(kept)).real
 
 
+def filtered(img, kind, n):
+    # One kind of filter as the CLI and the bench form it: the low pass, or
+    # the high pass written into it.
+    low = fft_filter(img, n)
+    return low if kind == "low_pass" else high_pass(img, low)
+
+
 class TestFftFilter:
     @pytest.mark.parametrize("shape", [(32, 32), (24, 16), (31, 31)])
     def test_matches_fft_reference(self, shape):
@@ -259,76 +267,75 @@ class TestFftFilter:
         for n in (1, 6, 7, 16, min(shape)):
             for kind in ("low_pass", "high_pass"):
                 ref = np.stack([fft_window_reference(plane, kind, n) for plane in stack])
-                assert np.abs(fft_filter(stack, kind, n) - ref).max() <= 1e-12 * scale
-                assert np.abs(fft_filter(stack[0], kind, n) - ref[0]).max() <= 1e-12 * scale
+                assert np.abs(filtered(stack, kind, n) - ref).max() <= 1e-12 * scale
+                assert np.abs(filtered(stack[0], kind, n) - ref[0]).max() <= 1e-12 * scale
 
     def test_stack_matches_single_planes_across_blocks(self):
         stack = np.random.default_rng(18).random((700, 32, 32))
         for kind in ("low_pass", "high_pass"):
-            out = fft_filter(stack, kind, 7)
+            out = filtered(stack, kind, 7)
             assert out.shape == stack.shape
-            assert np.array_equal(out, np.stack([fft_filter(plane, kind, 7) for plane in stack]))
+            assert np.array_equal(out, np.stack([filtered(plane, kind, 7) for plane in stack]))
 
     def test_float32_stack_matches_float64_copy_across_blocks(self):
+        # Each float32 block is widened exactly, so its low pass is the
+        # float64 copy's, rounded once as it is stored.
         stack = np.random.default_rng(20).random((700, 32, 32)).astype(np.float32)
-        for kind in ("low_pass", "high_pass"):
-            out = fft_filter(stack, kind, 7)
-            assert out.dtype == np.float64
-            assert out.tobytes() == fft_filter(stack.astype(np.float64), kind, 7).tobytes()
-            plane = fft_filter(stack[300], kind, 7)
-            assert plane.dtype == np.float64 and np.array_equal(plane, out[300])
+        wide = fft_filter(stack.astype(np.float64), 7)
+        assert wide.dtype == np.float64
+        out = fft_filter(stack, 7)
+        assert out.dtype == np.float32
+        assert out.tobytes() == wide.astype(np.float32).tobytes()
+        plane = fft_filter(stack[300], 7)
+        assert plane.dtype == np.float32 and np.array_equal(plane, out[300])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n", [8, 16])
     def test_high_pass_is_input_minus_low_pass_bitwise(self, dtype, n):
-        # So a caller holding the low pass can form the high pass from it.
+        # In the low pass's own array, so the stack is filtered once.
         stack = np.random.default_rng(21).normal(size=(300, 32, 32)).astype(dtype)
-        high = fft_filter(stack, "high_pass", n)
-        assert high.tobytes() == (stack - fft_filter(stack, "low_pass", n)).tobytes()
+        before = stack.copy()
+        low = fft_filter(stack, n)
+        expected = stack - low
+        high = high_pass(stack, low)
+        assert high is low and high.dtype == dtype
+        assert high.tobytes() == expected.tobytes()
+        assert stack.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("kind", ["low_pass", "high_pass"])
     def test_float32_out_holds_the_float64_result_rounded_once(self, kind):
+        # A float32 stack's low pass is its float64 copy's rounded once, and
+        # its high pass is the stack minus that rounded low pass, in float32.
         stack = np.random.default_rng(22).normal(size=(700, 32, 32)).astype(np.float32)
-        out = np.empty(stack.shape, dtype=np.float32)
-        assert fft_filter(stack, kind, 7, out=out) is out
-        assert out.tobytes() == fft_filter(stack, kind, 7).astype(np.float32).tobytes()
-        plane = np.empty((32, 32), dtype=np.float32)
-        assert fft_filter(stack[300], kind, 7, out=plane) is plane
-        assert np.array_equal(plane, out[300])
-        wide = np.empty(stack.shape)
-        assert fft_filter(stack, kind, 7, out=wide) is wide
-        assert wide.tobytes() == fft_filter(stack, kind, 7).tobytes()
-
-    @pytest.mark.parametrize(
-        "out", [np.empty((4, 16, 8)), np.empty((4, 16, 16), dtype=np.float16), np.empty((16, 16))]
-    )
-    def test_out_of_other_shape_or_dtype_rejected(self, out):
-        with pytest.raises(ValueError, match="out must be a float32 or float64 array"):
-            fft_filter(np.zeros((4, 16, 16)), "low_pass", 4, out=out)
+        low = fft_filter(stack.astype(np.float64), 7).astype(np.float32)
+        expected = low if kind == "low_pass" else stack - low
+        out = filtered(stack, kind, 7)
+        assert out.dtype == np.float32 and out.tobytes() == expected.tobytes()
+        plane = filtered(stack[300], kind, 7)
+        assert plane.dtype == np.float32 and np.array_equal(plane, out[300])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("kind", ["low_pass", "high_pass"])
     def test_stack_allocates_one_block_beyond_its_result(self, kind, dtype):
         # Blocks of 64 planes keep the widened block and its products near
         # 2.6 MB; 256-plane blocks took 10.5 MB on top of the result. A
-        # float32 destination adds the 0.5 MB float64 block it is filled from.
-        stack = np.random.default_rng(23).random((2500, 32, 32)).astype(np.float32)
-        fft_filter(stack[:1], kind, 16)  # builds the cached operators
-        result, peak = traced_peak(lambda: fft_filter(stack, kind, 16))
-        assert peak < result.nbytes + 3e6
-        out = np.empty(stack.shape, dtype=dtype)
-        _, peak = traced_peak(lambda: fft_filter(stack, kind, 16, out=out))
-        assert peak < (3e6 if dtype == np.float64 else 3.5e6)
+        # float32 result adds the 0.5 MB float64 block it is filled from,
+        # and a high pass is written into its low pass.
+        stack = np.random.default_rng(23).random((2500, 32, 32)).astype(dtype)
+        filtered(stack[:1], kind, 16)  # builds the cached operators
+        result, peak = traced_peak(lambda: filtered(stack, kind, 16))
+        assert result.dtype == dtype
+        assert peak < result.nbytes + (3e6 if dtype == np.float64 else 3.5e6)
 
     @pytest.mark.parametrize("block", [16, 100, 256])
     def test_results_are_bitwise_the_same_for_any_block_size(self, block, monkeypatch):
         stack = np.random.default_rng(24).normal(size=(300, 32, 32)).astype(np.float32)
         cfg = SpectralConfig()
-        expected = [*compute_maps_batch(stack, cfg), fft_filter(stack, "low_pass", 9),
-                    fft_filter(stack, "high_pass", 9)]
+        expected = [*compute_maps_batch(stack, cfg), fft_filter(stack, 9),
+                    fft_filter(stack.astype(np.float64), 9), filtered(stack, "high_pass", 9)]
         monkeypatch.setattr(spectral, "_BLOCK", block)
-        got = [*compute_maps_batch(stack, cfg), fft_filter(stack, "low_pass", 9),
-               fft_filter(stack, "high_pass", 9)]
+        got = [*compute_maps_batch(stack, cfg), fft_filter(stack, 9),
+               fft_filter(stack.astype(np.float64), 9), filtered(stack, "high_pass", 9)]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
     def test_row_operators_are_cached_read_only(self):
@@ -341,40 +348,36 @@ class TestFftFilter:
     @pytest.mark.parametrize("shape", [(16,), (2, 3, 16, 16)])
     def test_wrong_rank_rejected(self, shape):
         with pytest.raises(ValueError):
-            fft_filter(np.zeros(shape), "low_pass", 4)
+            fft_filter(np.zeros(shape), 4)
 
     def test_full_window_low_pass_is_identity(self):
         img = np.random.default_rng(11).random((32, 32))
-        assert np.abs(fft_filter(img, "low_pass", 32) - img).max() < 1e-6
+        assert np.abs(fft_filter(img, 32) - img).max() < 1e-6
 
     def test_full_window_high_pass_is_zero(self):
         img = np.random.default_rng(12).random((32, 32))
-        assert np.abs(fft_filter(img, "high_pass", 32)).max() < 1e-6
+        assert np.abs(filtered(img, "high_pass", 32)).max() < 1e-6
 
     def test_complementarity(self):
         rng = np.random.default_rng(13)
         for n in (1, 7, 15, 16, 31):
             img = rng.random((32, 32))
-            total = fft_filter(img, "low_pass", n) + fft_filter(img, "high_pass", n)
+            total = fft_filter(img, n) + filtered(img, "high_pass", n)
             assert np.abs(total - img).max() < 1e-6
 
     def test_odd_image_side(self):
         img = np.random.default_rng(14).random((31, 31))
-        assert np.abs(fft_filter(img, "low_pass", 31) - img).max() < 1e-6
+        assert np.abs(fft_filter(img, 31) - img).max() < 1e-6
 
     def test_energy_monotone_in_window(self):
         img = np.random.default_rng(15).random((64, 64))
-        e15 = (fft_filter(img, "low_pass", 15) ** 2).sum()
-        e7 = (fft_filter(img, "low_pass", 7) ** 2).sum()
+        e15 = (fft_filter(img, 15) ** 2).sum()
+        e7 = (fft_filter(img, 7) ** 2).sum()
         assert e15 > e7
 
     def test_window_too_large_rejected(self):
         with pytest.raises(ValueError):
-            fft_filter(np.zeros((16, 16)), "low_pass", 17)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            fft_filter(np.zeros((16, 16)), "band_pass", 4)
+            fft_filter(np.zeros((16, 16)), 17)
 
 
 class TestHelpers:
