@@ -32,17 +32,12 @@ DEFAULT_PARAM_TUPLES = (
 )
 
 
-def _read_plane(path) -> np.ndarray:
+def _plane_path(path) -> Path:
+    """The path of a single plane, which is a raw .f32 file or a ConfigError."""
     path = Path(path)
-    return tensorio.read_pgm(path) if path.suffix == ".pgm" else tensorio.read_raw(path)
-
-
-def _write_plane(path, img) -> None:
-    path = Path(path)
-    if path.suffix == ".pgm":
-        tensorio.write_pgm(path, img)
-    else:
-        tensorio.write_raw(path, img)
+    if path.suffix != ".f32":
+        raise ConfigError(f"{path}: a single plane must be a raw .f32 file")
+    return path
 
 
 def cmd_analyze(args) -> int:
@@ -54,36 +49,39 @@ def cmd_analyze(args) -> int:
     the mean over the whole stack, and the dataset is never held whole.
     Every file is checked before the first block is scored, so a malformed
     file exits 2 even when a pixel of an earlier modality is not finite.
+    Image paths must name raw .f32 planes, checked before any file is read.
     The spectral parameters and omega_band come from --config, or are the
     defaults without one.
     """
+    images = [_plane_path(path) for path in args.images]
     train_cfg = load_config(args.config).train if args.config else TrainConfig()
     spectral, omega_band = train_cfg.spectral, train_cfg.omega_band
     metric = args.metric
+
+    def score(path, blocks) -> float:
+        # The score is checked instead of the pixels of a --data stack, which
+        # would cost a full pass. A bad pixel, an overflow and a zero FRM
+        # denominator all end here, so numpy's warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            scores = [sample_preference(b, spectral, metric, omega_band) for b in blocks]
+            value = float(np.concatenate(scores).mean())
+        if not np.isfinite(value):
+            raise NumericError(f"{path}: non-finite {metric} score")
+        return value
+
     rows = []
     if args.data:
         for path, blocks in modality_blocks(args.data):
-            # The score is checked instead of the pixels, which would cost a
-            # full pass; numpy's warnings on bad pixels would only repeat it.
-            with np.errstate(invalid="ignore", over="ignore"):
-                scores = [sample_preference(b, spectral, metric, omega_band) for b in blocks]
-                score = float(np.concatenate(scores).mean())
-            if not np.isfinite(score):
-                raise NumericError(
-                    f"{path}: non-finite {metric} score; "
-                    "the stack holds non-finite or overflowing pixels"
-                )
-            rows.append([path.stem, metric, score])
-    for path in args.images:
-        img = _read_plane(path)
+            rows.append([path.stem, metric, score(path, blocks)])
+    for path in images:
+        img = tensorio.read_raw(path)
         if args.center_crop:
             img = center_crop(img, spectral.p)
-        score = float(sample_preference(img, spectral, metric, omega_band).mean())
-        rows.append([Path(path).name, metric, score])
+        rows.append([path.name, metric, score(path, [img[None]])])
     if not rows:
         raise ConfigError("analyze needs image paths or --data")
-    for name, kind, score in rows:
-        print(f"{name}\t{kind}\t{score!r}")
+    for name, kind, value in rows:
+        print(f"{name}\t{kind}\t{value!r}")
     if args.out:
         bench.write_csv(args.out, ["input", "metric", "score"], rows)
     return 0
@@ -96,7 +94,8 @@ def cmd_filter(args) -> int:
     float32 copy, the variant filter-study trains on for that kind and
     window, which is written to --out. A plane is widened to float64 and
     low-passed by fft_filter, its high pass is spectral.high_pass of the
-    two, and the result is written in the format its OUTPUT suffix names.
+    two, and the result is written as a raw .f32 plane. INPUT and OUTPUT
+    must both name .f32 files, which is checked before either is touched.
     """
     if args.data:
         if not args.out:
@@ -108,9 +107,10 @@ def cmd_filter(args) -> int:
         return 0
     if not args.input or not args.output:
         raise ConfigError("single-image filtering needs INPUT and OUTPUT paths")
-    img = _read_plane(args.input).astype(np.float64)
+    source, target = _plane_path(args.input), _plane_path(args.output)
+    img = tensorio.read_raw(source).astype(np.float64)
     low = fft_filter(img, args.window)
-    _write_plane(args.output, high_pass(img, low) if args.kind == "high_pass" else low)
+    tensorio.write_raw(target, high_pass(img, low) if args.kind == "high_pass" else low)
     print(f"{args.input} -> {args.output} ({args.kind}, n={args.window})")
     return 0
 
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="preference score of images or a dataset")
-    p.add_argument("images", nargs="*", help="PGM or raw .f32 planes")
+    p.add_argument("images", nargs="*", help="raw .f32 planes")
     p.add_argument("--data", help="dataset directory (scores per modality)")
     p.add_argument("--config", help="config file for spectral parameters and omega_band")
     p.add_argument("--metric", default="frm", choices=METRIC_KINDS)
@@ -290,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("filter", help="FFT low/high-pass filtering")
-    p.add_argument("input", nargs="?", help="input plane (PGM or .f32)")
-    p.add_argument("output", nargs="?", help="output plane")
+    p.add_argument("input", nargs="?", help="input plane (.f32)")
+    p.add_argument("output", nargs="?", help="output plane (.f32)")
     p.add_argument("--data", help="filter a whole dataset directory instead")
     p.add_argument("--out", help="output dataset directory for --data")
     p.add_argument("--kind", required=True, choices=FILTER_KINDS, help="high_pass: the input minus its low pass")

@@ -20,16 +20,14 @@ def sample_preference(
 ) -> np.ndarray:
     """Per-sample scores of one modality's stack of planes.
 
-    `stack` is an (N, H, W) stack (a single plane is promoted); the result
-    has shape (N,). Each plane is scored on its own, so a sample's score
-    does not depend on the stack that holds it, and the score of a
-    mini-batch, the mean of its samples' scores, is the mean of their
-    entries in a table built once over the whole split. A dataset's float32
-    stack is widened block by block inside compute_maps_batch.
+    `stack` is an (N, H, W) stack; the result has shape (N,). Each plane
+    is scored on its own, so a sample's score does not depend on the stack
+    that holds it, and the score of a mini-batch, the mean of its samples'
+    scores, is the mean of their entries in a table built once over the
+    whole split. A dataset's float32 stack is widened block by block inside
+    compute_maps_batch.
     """
     stack = np.asarray(stack)
-    if stack.ndim == 2:
-        stack = stack[None]
     if stack.ndim != 3 or stack.shape[0] == 0:
         raise ValueError(f"expected a non-empty (N, H, W) stack, got shape {stack.shape}")
     low, high = compute_maps_batch(stack, cfg)

@@ -1,4 +1,4 @@
-"""On-disk formats: binary PGM (P5), raw float32 matrices, JSON manifests.
+"""On-disk formats: raw float32 matrices and JSON manifests.
 
 The raw matrix format is an 8-byte header (u32 rows, u32 cols, both
 little-endian) followed by rows*cols little-endian float32 values in
@@ -196,57 +196,6 @@ def _block_rows(cols: int) -> int:
 def _fill(fh, path, out) -> None:
     if fh.readinto(out) != out.nbytes:
         raise ValueError(f"{path}: file shrank while it was read")
-
-
-def write_pgm(path, img) -> None:
-    """Write a [0,1] grayscale plane as 8-bit binary PGM (P5, maxval 255)."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"PGM stores single planes, got shape {img.shape}")
-    raster = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    h, w = raster.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(raster.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read an 8-bit binary PGM (P5) as a float plane scaled to [0,1]."""
-    blob = Path(path).read_bytes()
-    magic, pos = _next_token(blob, 0)
-    if magic != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-    width, pos = _next_token(blob, pos)
-    height, pos = _next_token(blob, pos)
-    maxval, pos = _next_token(blob, pos)
-    w, h, mv = int(width), int(height), int(maxval)
-    if not 0 < mv < 256:
-        raise ValueError(f"{path}: unsupported maxval {mv} (8-bit only)")
-    raster = blob[pos : pos + w * h]
-    if len(raster) != w * h:
-        raise ValueError(f"{path}: truncated raster ({len(raster)} of {w*h} bytes)")
-    img = np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
-    return img.astype(np.float64) / mv
-
-
-def _next_token(blob: bytes, pos: int) -> tuple[bytes, int]:
-    # Skips whitespace and '#' comment lines; returns (token, index one past
-    # the single whitespace byte that terminates it).
-    while pos < len(blob):
-        ch = blob[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(blob) and not blob[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise ValueError("unexpected end of PGM header")
-    return blob[start:pos], pos + 1
 
 
 def write_manifest(path, entries: dict) -> None:

@@ -8,7 +8,7 @@ from freqbal.config import dump_config, load_config, override
 from freqbal.intervention import train as train_loop
 from freqbal.preference import METRIC_KINDS, sample_preference
 from freqbal.seeds import stream_rng
-from freqbal.spectral import SpectralConfig, fft_filter
+from freqbal.spectral import SpectralConfig, compute_maps_batch, fft_filter
 from freqbal.synthdata import generate, imbalanced_specs, load_dataset, save_dataset
 from freqbal.tinynet import init_network, load_checkpoint, net_for, save_checkpoint
 
@@ -69,7 +69,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["analyze", "{tmp}/nope.pgm"],
+            ["analyze", "{tmp}/nope.f32"],
             ["analyze", "--data", "{tmp}/no_dataset"],
             ["eval", "--config", "{cfg}", "--out", "{tmp}/o", "--checkpoint", "{tmp}/no_checkpoint"],
         ],
@@ -686,20 +686,58 @@ class TestExitCodes:
 
 
 class TestAnalyzeAndFilter:
-    def test_analyze_pgm(self, tmp_path, capsys):
-        img = np.random.default_rng(0).random((16, 16))
-        tensorio.write_pgm(tmp_path / "img.pgm", img)
-        out = tmp_path / "scores.csv"
-        assert main(["analyze", str(tmp_path / "img.pgm"), "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "input,metric,score"
-        assert lines[1].startswith("img.pgm,frm,")
-
     def test_analyze_center_crop(self, tmp_path):
         img = np.random.default_rng(1).random((20, 19))
-        tensorio.write_pgm(tmp_path / "odd.pgm", img)
-        assert main(["analyze", str(tmp_path / "odd.pgm")]) == 2  # not divisible
-        assert main(["analyze", str(tmp_path / "odd.pgm"), "--center-crop"]) == 0
+        tensorio.write_raw(tmp_path / "odd.f32", img)
+        assert main(["analyze", str(tmp_path / "odd.f32")]) == 2  # not divisible
+        assert main(["analyze", str(tmp_path / "odd.f32"), "--center-crop"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, bad, made",
+        [
+            (["analyze", "{tmp}/img.pgm", "--out", "{tmp}/scores.csv"], "img.pgm", "scores.csv"),
+            (["filter", "{tmp}/img.pgm", "{tmp}/out.f32", "--kind", "low_pass", "--window", "8"],
+             "img.pgm", "out.f32"),
+            (["filter", "{tmp}/img.f32", "{tmp}/out.pgm", "--kind", "high_pass", "--window", "8"],
+             "out.pgm", "out.pgm"),
+        ],
+        ids=["analyze_image", "filter_input", "filter_output"],
+    )
+    def test_plane_that_is_not_f32_is_config_error(self, argv, bad, made, tmp_path, capsys):
+        # Both inputs hold a valid raw plane, so only the suffix can fail.
+        img = np.random.default_rng(2).random((16, 16))
+        for name in ("img.pgm", "img.f32"):
+            tensorio.write_raw(tmp_path / name, img)
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {tmp_path / bad}: a single plane must be a raw .f32 file\n"
+        assert not (tmp_path / made).exists()
+
+    @pytest.mark.parametrize("source", ["image", "data"])
+    def test_analyze_zero_frm_denominator_is_numeric_error(self, source, tmp_path, capsys):
+        # Finite pixels, but sigma cancels the most negative cell of the
+        # flipped high band map exactly, so one FRM term divides by zero.
+        img = np.random.default_rng(4).random((16, 16), dtype=np.float32)
+        (_,), (high,) = compute_maps_batch(img[None], SpectralConfig())
+        assert high.min() < 0
+        cfg = tmp_path / "sigma.cfg"
+        cfg.write_text(f"sigma = {-float(high.min())!r}\n")
+        if source == "image":
+            path = tmp_path / "p.f32"
+            tensorio.write_raw(path, img)
+            argv = ["analyze", str(path)]
+        else:
+            data = tmp_path / "ds"
+            save_dataset(data, generate(imbalanced_specs(), n_train=1, n_test=0, dims=(16, 16), seed=4))
+            path = data / "mod0.f32"
+            tensorio.write_raw(path, img.reshape(1, -1))
+            argv = ["analyze", "--data", str(data)]
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numeric failure: {path}: non-finite frm score\n"
 
     def test_analyze_non_finite_plane_rejected(self, tmp_path, capsys):
         img = np.random.default_rng(3).random((16, 16))

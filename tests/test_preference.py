@@ -142,8 +142,10 @@ class TestBatch:
             assert per_sample.mean() == pytest.approx(float(np.mean(singles)), rel=1e-12)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            sample_preference(np.zeros((0, 16, 16)), SpectralConfig())
+        # A single plane is no stack either: callers pass plane[None].
+        for shape in [(0, 16, 16), (16, 16)]:
+            with pytest.raises(ValueError):
+                sample_preference(np.zeros(shape), SpectralConfig())
 
 
 class TestScoreTable:

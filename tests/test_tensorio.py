@@ -304,47 +304,6 @@ class TestRaw:
             tensorio.write_raw(tmp_path / "x.f32", np.zeros((2, 2, 2)))
 
 
-class TestPgm:
-    def test_roundtrip_exact_for_8bit_grid(self, tmp_path):
-        img = np.arange(256, dtype=float).reshape(16, 16) / 255.0
-        path = tmp_path / "img.pgm"
-        tensorio.write_pgm(path, img)
-        back = tensorio.read_pgm(path)
-        assert back.shape == (16, 16)
-        assert np.array_equal(back, img)
-
-    def test_header_text(self, tmp_path):
-        path = tmp_path / "img.pgm"
-        tensorio.write_pgm(path, np.zeros((2, 3)))
-        assert path.read_bytes().startswith(b"P5\n3 2\n255\n")
-
-    def test_comment_tolerant(self, tmp_path):
-        path = tmp_path / "img.pgm"
-        raster = bytes(range(6))
-        path.write_bytes(b"P5\n# a comment\n3 2\n# more\n255\n" + raster)
-        img = tensorio.read_pgm(path)
-        assert img.shape == (2, 3)
-        assert img[0, 0] == 0.0 and img[1, 2] == pytest.approx(5 / 255)
-
-    def test_values_clipped(self, tmp_path):
-        path = tmp_path / "img.pgm"
-        tensorio.write_pgm(path, np.array([[-0.5, 1.5]]))
-        img = tensorio.read_pgm(path)
-        assert img[0, 0] == 0.0 and img[0, 1] == 1.0
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "img.ppm"
-        path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
-        with pytest.raises(ValueError):
-            tensorio.read_pgm(path)
-
-    def test_truncated_raster_rejected(self, tmp_path):
-        path = tmp_path / "img.pgm"
-        path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-        with pytest.raises(ValueError):
-            tensorio.read_pgm(path)
-
-
 def test_manifest_roundtrip(tmp_path):
     path = tmp_path / "m.json"
     entries = {"b": 1, "a": [1, 2], "c": {"x": 0.5}}
