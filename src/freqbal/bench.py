@@ -162,6 +162,8 @@ def get_dataset(cfg: RunConfig, split=None) -> SynthDataset:
     A loaded dataset holds only `split` ("train" or "test", see
     load_dataset), or every sample for None. A generated one is always
     generated whole, because the generator draws the whole random stream.
+    A loaded dataset whose modality count or plane dims do not fit the
+    config is a ConfigError.
     """
     if cfg.data.data_dir:
         ds = load_dataset(cfg.data.data_dir, split)
@@ -169,6 +171,11 @@ def get_dataset(cfg: RunConfig, split=None) -> SynthDataset:
             raise ConfigError(
                 f"dataset at {cfg.data.data_dir} has {ds.n_modalities} modalities, "
                 f"config expects {len(cfg.data.specs)}"
+            )
+        h, w, p = *ds.dims, cfg.train.spectral.p
+        if h % p or w % p:
+            raise ConfigError(
+                f"dataset at {cfg.data.data_dir} has {h}x{w} planes, not divisible by patch side {p}"
             )
         return ds
     return generate_dataset(cfg)

@@ -21,7 +21,7 @@ from .errors import ConfigError, NumericError
 from .intervention import TrainConfig, train as train_loop
 from .preference import METRIC_KINDS, sample_preference
 from .seeds import stream_rng
-from .spectral import FILTER_KINDS, center_crop, fft_filter, high_pass
+from .spectral import FILTER_KINDS
 from .synthdata import load_dataset, modality_blocks, save_dataset
 from .tinynet import load_checkpoint, net_for, save_checkpoint
 
@@ -32,54 +32,31 @@ DEFAULT_PARAM_TUPLES = (
 )
 
 
-def _plane_path(path) -> Path:
-    """The path of a single plane, which is a raw .f32 file or a ConfigError."""
-    path = Path(path)
-    if path.suffix != ".f32":
-        raise ConfigError(f"{path}: a single plane must be a raw .f32 file")
-    return path
-
-
 def cmd_analyze(args) -> int:
-    """Print, and with --out write, the mean score of each plane or modality.
+    """Print, and with --out write, the mean score of each modality of --data.
 
-    With --data each modality is scored a block of planes at a time,
-    straight from its file, and its score is the mean of the per-sample
-    scores of all its blocks. Every score is per plane, so that is bitwise
-    the mean over the whole stack, and the dataset is never held whole.
-    Every file is checked before the first block is scored, so a malformed
-    file exits 2 even when a pixel of an earlier modality is not finite.
-    Image paths must name raw .f32 planes, checked before any file is read.
-    The spectral parameters and omega_band come from --config, or are the
-    defaults without one.
+    Each modality is scored a block of planes at a time, straight from its
+    file, and its score is the mean of the per-sample scores of all its
+    blocks. Every score is per plane, so that is bitwise the mean over the
+    whole stack, and the dataset is never held whole. Every file is checked
+    before the first block is scored, so a malformed file exits 2 even when
+    a pixel of an earlier modality is not finite. The spectral parameters
+    and omega_band come from --config, or are the defaults without one.
     """
-    images = [_plane_path(path) for path in args.images]
     train_cfg = load_config(args.config).train if args.config else TrainConfig()
     spectral, omega_band = train_cfg.spectral, train_cfg.omega_band
     metric = args.metric
-
-    def score(path, blocks) -> float:
-        # The score is checked instead of the pixels of a --data stack, which
-        # would cost a full pass. A bad pixel, an overflow and a zero FRM
-        # denominator all end here, so numpy's warnings would only repeat it.
+    rows = []
+    for path, blocks in modality_blocks(args.data):
+        # The score is checked instead of the pixels, which would cost a full
+        # pass. A bad pixel, an overflow and a zero FRM denominator all end
+        # here, so numpy's warnings would only repeat it.
         with np.errstate(all="ignore"):
             scores = [sample_preference(b, spectral, metric, omega_band) for b in blocks]
             value = float(np.concatenate(scores).mean())
         if not np.isfinite(value):
             raise NumericError(f"{path}: non-finite {metric} score")
-        return value
-
-    rows = []
-    if args.data:
-        for path, blocks in modality_blocks(args.data):
-            rows.append([path.stem, metric, score(path, blocks)])
-    for path in images:
-        img = tensorio.read_raw(path)
-        if args.center_crop:
-            img = center_crop(img, spectral.p)
-        rows.append([path.name, metric, score(path, [img[None]])])
-    if not rows:
-        raise ConfigError("analyze needs image paths or --data")
+        rows.append([path.stem, metric, value])
     for name, kind, value in rows:
         print(f"{name}\t{kind}\t{value!r}")
     if args.out:
@@ -88,30 +65,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    """Filter one plane file, or with --data every plane of a dataset directory.
+    """Filter every plane of the --data dataset directory into --out.
 
-    A dataset is loaded whole and filtered by bench.filter_dataset into a
+    The dataset is loaded whole and filtered by bench.filter_dataset into a
     float32 copy, the variant filter-study trains on for that kind and
-    window, which is written to --out. A plane is widened to float64 and
-    low-passed by fft_filter, its high pass is spectral.high_pass of the
-    two, and the result is written as a raw .f32 plane. INPUT and OUTPUT
-    must both name .f32 files, which is checked before either is touched.
+    window, which is written to --out.
     """
-    if args.data:
-        if not args.out:
-            raise ConfigError("dataset filtering needs --out")
-        ds = load_dataset(args.data)
-        filtered = bench.filter_dataset(ds, args.kind, args.window)
-        save_dataset(args.out, filtered)
-        print(f"filtered {ds.n_modalities} modalities -> {args.out}")
-        return 0
-    if not args.input or not args.output:
-        raise ConfigError("single-image filtering needs INPUT and OUTPUT paths")
-    source, target = _plane_path(args.input), _plane_path(args.output)
-    img = tensorio.read_raw(source).astype(np.float64)
-    low = fft_filter(img, args.window)
-    tensorio.write_raw(target, high_pass(img, low) if args.kind == "high_pass" else low)
-    print(f"{args.input} -> {args.output} ({args.kind}, n={args.window})")
+    ds = load_dataset(args.data)
+    filtered = bench.filter_dataset(ds, args.kind, args.window)
+    save_dataset(args.out, filtered)
+    print(f"filtered {ds.n_modalities} modalities -> {args.out}")
     return 0
 
 
@@ -280,20 +243,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="freqbal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="preference score of images or a dataset")
-    p.add_argument("images", nargs="*", help="raw .f32 planes")
-    p.add_argument("--data", help="dataset directory (scores per modality)")
+    p = sub.add_parser("analyze", help="preference score of each modality of a dataset")
+    p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--config", help="config file for spectral parameters and omega_band")
     p.add_argument("--metric", default="frm", choices=METRIC_KINDS)
-    p.add_argument("--center-crop", action="store_true", help="crop to a patch multiple first")
     p.add_argument("--out", help="write scores CSV here")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("filter", help="FFT low/high-pass filtering")
-    p.add_argument("input", nargs="?", help="input plane (.f32)")
-    p.add_argument("output", nargs="?", help="output plane (.f32)")
-    p.add_argument("--data", help="filter a whole dataset directory instead")
-    p.add_argument("--out", help="output dataset directory for --data")
+    p = sub.add_parser("filter", help="FFT low/high-pass filtering of a dataset")
+    p.add_argument("--data", required=True, help="dataset directory to filter")
+    p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--kind", required=True, choices=FILTER_KINDS, help="high_pass: the input minus its low pass")
     p.add_argument("--window", type=int, required=True, help="spectral window side n")
     p.set_defaults(func=cmd_filter)

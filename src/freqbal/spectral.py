@@ -27,8 +27,8 @@ stored, which is how a filtered dataset stays float32.
 
 All functions are pure and never modify their inputs, except that
 high_pass writes into the low pass it is given. None checks that its
-input is finite: planes and stacks come from files, which
-tensorio.read_raw checks as it reads them, or from the generator.
+input is finite: stacks come from dataset files, which tensorio.read_raw
+checks as it reads them, or from the generator.
 """
 
 from dataclasses import dataclass
@@ -44,7 +44,6 @@ __all__ = [
     "fft_filter",
     "high_pass",
     "check_window",
-    "center_crop",
 ]
 
 
@@ -191,45 +190,45 @@ def check_window(n: int, h: int, w: int) -> None:
         raise ValueError(f"window side {n} out of range for {h}x{w} plane")
 
 
-def fft_filter(img, n: int) -> np.ndarray:
+def fft_filter(imgs, n: int) -> np.ndarray:
     """Low pass: keep the centered n x n spectrum window, zero the rest.
 
-    `img` is one (H, W) plane or an (N, H, W) stack of any float dtype; the
-    result has its shape and is float32 for a float32 input, float64
-    otherwise. The spectrum is fftshifted so DC lands at (H//2, W//2); the
-    window of side n starts at center - n//2 on each axis, putting any
-    odd-window asymmetry toward the bottom/right. For the high pass see
-    high_pass.
+    `imgs` is an (N, H, W) stack of any float dtype; the result has its
+    shape and is float32 for a float32 stack, float64 otherwise. A plane is
+    filtered as the one-plane stack plane[None]. The spectrum is fftshifted
+    so DC lands at (H//2, W//2); the window of side n starts at
+    center - n//2 on each axis, putting any odd-window asymmetry toward the
+    bottom/right. For the high pass see high_pass.
 
     The window is separable, so for a real plane X the low pass is
     Re(A_h X A_w^T) = C_h X C_w^T - S_h X S_w^T with (C, S) from
-    `_window_operator`. A stack is filtered in fixed blocks of planes, each
-    widened to float64, so memory beyond the result stays at one block's
-    temporaries; each plane's result is bitwise the same as filtering it
-    alone, and a float32 result holds its float64 copy's rounded once.
+    `_window_operator`. The stack is filtered in fixed blocks of planes,
+    each widened to float64, so memory beyond the result stays at one
+    block's temporaries; each plane's result is bitwise the same as
+    filtering it alone, and a float32 result holds its float64 copy's
+    rounded once.
     """
-    imgs = np.asarray(img)
-    if imgs.ndim not in (2, 3):
-        raise ValueError(f"expected an (H, W) plane or (N, H, W) stack, got shape {imgs.shape}")
-    h, w = imgs.shape[-2:]
+    imgs = np.asarray(imgs)
+    if imgs.ndim != 3:
+        raise ValueError(f"expected (N, H, W), got shape {imgs.shape}")
+    n_planes, h, w = imgs.shape
     check_window(n, h, w)
     out = np.empty(imgs.shape, dtype=np.float32 if imgs.dtype == np.float32 else np.float64)
-    stack, dest = (imgs, out) if imgs.ndim == 3 else (imgs[None], out[None])
     both_h = _stacked_rows(_window_operator, h, n)
     c_w, s_w = _window_operator(w, n)
-    # A float64 destination takes each block's values directly; a float32
-    # one receives them from one reused float64 block.
-    wide = None if dest.dtype == np.float64 else np.empty((min(len(stack), _BLOCK), h, w))
-    for start in range(0, len(stack), _BLOCK):
-        block = np.asarray(stack[start : start + _BLOCK], dtype=np.float64)
-        result = dest[start : start + _BLOCK] if wide is None else wide[: len(block)]
+    # A float64 result takes each block's values directly; a float32 one
+    # receives them from one reused float64 block.
+    wide = None if out.dtype == np.float64 else np.empty((min(n_planes, _BLOCK), h, w))
+    for start in range(0, n_planes, _BLOCK):
+        block = np.asarray(imgs[start : start + _BLOCK], dtype=np.float64)
+        result = out[start : start + _BLOCK] if wide is None else wide[: len(block)]
         # One product applies both row parts; each half then meets its own
         # column part.
         rows = both_h @ block
         np.matmul(rows[:, :h], c_w.T, out=result)
         result -= rows[:, h:] @ s_w.T
         if wide is not None:
-            dest[start : start + _BLOCK] = result
+            out[start : start + _BLOCK] = result
     return out
 
 
@@ -241,16 +240,3 @@ def high_pass(img, low) -> np.ndarray:
     low pass forms the high pass with no second filter or array.
     """
     return np.subtract(img, low, out=low)
-
-
-def center_crop(img, multiple: int) -> np.ndarray:
-    """Crop a plane to the largest centered region divisible by `multiple`."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"expected a 2-D plane, got shape {img.shape}")
-    h, w = img.shape
-    h2, w2 = (h // multiple) * multiple, (w // multiple) * multiple
-    if h2 == 0 or w2 == 0:
-        raise ValueError(f"plane {h}x{w} smaller than one {multiple}x{multiple} patch")
-    top, left = (h - h2) // 2, (w - w2) // 2
-    return img[top : top + h2, left : left + w2].copy()

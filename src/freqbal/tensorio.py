@@ -27,8 +27,8 @@ once, right after its block is read: a NaN or inf raises NumericError
 naming the file and the first row that holds one. So a caller that holds
 only one split of a dataset still learns of a non-finite value in the
 other. Every array the program reads from a file (dataset modalities and
-labels, checkpoint tensors, single planes) comes through it, so no
-consumer checks pixels again.
+labels, checkpoint tensors) comes through it, so no consumer checks
+pixels again.
 read_raw_blocks does not check: its caller scores each block, and a
 finite stack can still give a non-finite score, so it checks the score,
 which also catches a non-finite pixel, without a second pass over the file.

@@ -8,7 +8,7 @@ from freqbal.config import dump_config, load_config, override
 from freqbal.intervention import train as train_loop
 from freqbal.preference import METRIC_KINDS, sample_preference
 from freqbal.seeds import stream_rng
-from freqbal.spectral import SpectralConfig, compute_maps_batch, fft_filter
+from freqbal.spectral import SpectralConfig, compute_maps_batch
 from freqbal.synthdata import generate, imbalanced_specs, load_dataset, save_dataset
 from freqbal.tinynet import init_network, load_checkpoint, net_for, save_checkpoint
 
@@ -69,11 +69,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["analyze", "{tmp}/nope.f32"],
             ["analyze", "--data", "{tmp}/no_dataset"],
             ["eval", "--config", "{cfg}", "--out", "{tmp}/o", "--checkpoint", "{tmp}/no_checkpoint"],
         ],
-        ids=["analyze_image", "analyze_data", "eval_checkpoint"],
+        ids=["analyze_data", "eval_checkpoint"],
     )
     def test_missing_input_is_clean_error(self, argv, cfg_file, tmp_path, capsys):
         argv = [a.format(tmp=tmp_path, cfg=cfg_file) for a in argv]
@@ -466,6 +465,38 @@ class TestExitCodes:
         assert err == "config error: dims (12, 12) not divisible by the generator's patch side 8\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, prior",
+        [
+            (["train"], ["run.json"]),
+            (["eval"], ["matrix.csv"]),
+            (["eval", "--checkpoint", "{tmp}/no_checkpoint"], ["matrix.csv"]),
+            (["sweep-window", "--q", "2"], ["q2/cell.json"]),
+            (["filter-study", "--windows", "8"], ["curves.csv", "summary.csv"]),
+        ],
+        ids=["train", "eval", "eval_checkpoint", "sweep-window", "filter-study"],
+    )
+    def test_data_dir_planes_not_divisible_by_patch_is_config_error(self, argv, prior, tmp_path, capsys):
+        data, out = tmp_path / "ds", tmp_path / "out"
+        (tmp_path / "gen.cfg").write_text(TINY + "height = 40\nwidth = 40\n")
+        main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(data)])
+        cfg = tmp_path / "patch16.cfg"
+        cfg.write_text(TINY + f"patch = 16\ndata_dir = {data}\n")
+        for name in prior:  # an earlier run's files, which must survive
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_text("{}\n")
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
+
+        before = tree()
+        capsys.readouterr()
+        command, *extra = [a.format(tmp=tmp_path) for a in argv]
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: dataset at {data} has 40x40 planes, not divisible by patch side 16\n"
+        assert tree() == before
+
     @pytest.mark.parametrize("classes", [0, 1, -2])
     def test_fewer_than_two_classes_is_config_error(self, classes, tmp_path, capsys):
         cfg = tmp_path / "classes.cfg"
@@ -686,35 +717,26 @@ class TestExitCodes:
 
 
 class TestAnalyzeAndFilter:
-    def test_analyze_center_crop(self, tmp_path):
-        img = np.random.default_rng(1).random((20, 19))
-        tensorio.write_raw(tmp_path / "odd.f32", img)
-        assert main(["analyze", str(tmp_path / "odd.f32")]) == 2  # not divisible
-        assert main(["analyze", str(tmp_path / "odd.f32"), "--center-crop"]) == 0
-
     @pytest.mark.parametrize(
-        "argv, bad, made",
+        "argv",
         [
-            (["analyze", "{tmp}/img.pgm", "--out", "{tmp}/scores.csv"], "img.pgm", "scores.csv"),
-            (["filter", "{tmp}/img.pgm", "{tmp}/out.f32", "--kind", "low_pass", "--window", "8"],
-             "img.pgm", "out.f32"),
-            (["filter", "{tmp}/img.f32", "{tmp}/out.pgm", "--kind", "high_pass", "--window", "8"],
-             "out.pgm", "out.pgm"),
+            ["analyze", "{tmp}/x.f32"],
+            ["analyze", "--out", "{tmp}/scores.csv"],
+            ["filter", "{tmp}/x.f32", "{tmp}/out.f32", "--kind", "low_pass", "--window", "8"],
+            ["filter", "--data", "{tmp}/ds", "--kind", "low_pass", "--window", "8"],
         ],
-        ids=["analyze_image", "filter_input", "filter_output"],
+        ids=["analyze_plane", "analyze_no_data", "filter_planes", "filter_no_out"],
     )
-    def test_plane_that_is_not_f32_is_config_error(self, argv, bad, made, tmp_path, capsys):
-        # Both inputs hold a valid raw plane, so only the suffix can fail.
-        img = np.random.default_rng(2).random((16, 16))
-        for name in ("img.pgm", "img.f32"):
-            tensorio.write_raw(tmp_path / name, img)
-        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"config error: {tmp_path / bad}: a single plane must be a raw .f32 file\n"
-        assert not (tmp_path / made).exists()
+    def test_input_must_be_a_dataset_directory(self, argv, cfg_file, tmp_path):
+        main(["gen", "--config", cfg_file, "--out", str(tmp_path / "ds")])
+        tensorio.write_raw(tmp_path / "x.f32", np.zeros((16, 16)))
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path) for a in argv])
+        assert exc.value.code == 2
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
 
-    @pytest.mark.parametrize("source", ["image", "data"])
+    @pytest.mark.parametrize("source", ["data"])  # one case; the id names the input it reads
     def test_analyze_zero_frm_denominator_is_numeric_error(self, source, tmp_path, capsys):
         # Finite pixels, but sigma cancels the most negative cell of the
         # flipped high band map exactly, so one FRM term divides by zero.
@@ -723,38 +745,15 @@ class TestAnalyzeAndFilter:
         assert high.min() < 0
         cfg = tmp_path / "sigma.cfg"
         cfg.write_text(f"sigma = {-float(high.min())!r}\n")
-        if source == "image":
-            path = tmp_path / "p.f32"
-            tensorio.write_raw(path, img)
-            argv = ["analyze", str(path)]
-        else:
-            data = tmp_path / "ds"
-            save_dataset(data, generate(imbalanced_specs(), n_train=1, n_test=0, dims=(16, 16), seed=4))
-            path = data / "mod0.f32"
-            tensorio.write_raw(path, img.reshape(1, -1))
-            argv = ["analyze", "--data", str(data)]
+        data = tmp_path / "ds"
+        save_dataset(data, generate(imbalanced_specs(), n_train=1, n_test=0, dims=(16, 16), seed=4))
+        path = data / "mod0.f32"
+        tensorio.write_raw(path, img.reshape(1, -1))
         capsys.readouterr()
-        assert main(argv + ["--config", str(cfg)]) == 3
+        assert main(["analyze", "--data", str(data), "--config", str(cfg)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"numeric failure: {path}: non-finite frm score\n"
-
-    def test_analyze_non_finite_plane_rejected(self, tmp_path, capsys):
-        img = np.random.default_rng(3).random((16, 16))
-        img[3, 5] = np.nan
-        path = tmp_path / "nan.f32"
-        tensorio.write_raw(path, img)
-        out = tmp_path / "out.f32"
-        for argv in (
-            ["analyze", str(path)],
-            ["filter", str(path), str(out), "--kind", "low_pass", "--window", "8"],
-        ):
-            capsys.readouterr()
-            assert main(argv) == 3
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"numeric failure: {path}: non-finite value in row 3\n"
-        assert not out.exists()
 
     @pytest.mark.parametrize(
         "metric, pixel", [(kind, np.nan) for kind in METRIC_KINDS] + [("frm", np.inf)]
@@ -841,19 +840,6 @@ class TestAnalyzeAndFilter:
         out = tmp_path / "scores.csv"
         assert main(["analyze", "--data", str(tmp_path / "ds"), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
-
-    def test_filter_single_image_roundtrip(self, tmp_path):
-        img = np.random.default_rng(2).random((16, 16))
-        tensorio.write_raw(tmp_path / "in.f32", img)
-        lp, hp = tmp_path / "lp.f32", tmp_path / "hp.f32"
-        assert main(["filter", str(tmp_path / "in.f32"), str(lp), "--kind", "low_pass", "--window", "8"]) == 0
-        assert main(["filter", str(tmp_path / "in.f32"), str(hp), "--kind", "high_pass", "--window", "8"]) == 0
-        total = tensorio.read_raw(lp) + tensorio.read_raw(hp)
-        assert np.abs(total - tensorio.read_raw(tmp_path / "in.f32")).max() < 1e-5
-        # The plane is widened before it is filtered, so its high pass is
-        # rounded once, as it is written.
-        wide = tensorio.read_raw(tmp_path / "in.f32").astype(np.float64)
-        assert tensorio.read_raw(hp).tobytes() == (wide - fft_filter(wide, 8)).astype(np.float32).tobytes()
 
     def test_filter_dataset(self, cfg_file, tmp_path):
         main(["gen", "--config", cfg_file, "--out", str(tmp_path / "ds")])

@@ -6,7 +6,6 @@ from freqbal import spectral
 from freqbal.spectral import (
     SpectralConfig,
     band_projections,
-    center_crop,
     compute_maps_batch,
     fft_filter,
     high_pass,
@@ -268,14 +267,14 @@ class TestFftFilter:
             for kind in ("low_pass", "high_pass"):
                 ref = np.stack([fft_window_reference(plane, kind, n) for plane in stack])
                 assert np.abs(filtered(stack, kind, n) - ref).max() <= 1e-12 * scale
-                assert np.abs(filtered(stack[0], kind, n) - ref[0]).max() <= 1e-12 * scale
+                assert np.abs(filtered(stack[0][None], kind, n)[0] - ref[0]).max() <= 1e-12 * scale
 
     def test_stack_matches_single_planes_across_blocks(self):
         stack = np.random.default_rng(18).random((700, 32, 32))
         for kind in ("low_pass", "high_pass"):
             out = filtered(stack, kind, 7)
             assert out.shape == stack.shape
-            assert np.array_equal(out, np.stack([filtered(plane, kind, 7) for plane in stack]))
+            assert np.array_equal(out, np.stack([filtered(plane[None], kind, 7)[0] for plane in stack]))
 
     def test_float32_stack_matches_float64_copy_across_blocks(self):
         # Each float32 block is widened exactly, so its low pass is the
@@ -286,7 +285,7 @@ class TestFftFilter:
         out = fft_filter(stack, 7)
         assert out.dtype == np.float32
         assert out.tobytes() == wide.astype(np.float32).tobytes()
-        plane = fft_filter(stack[300], 7)
+        plane = fft_filter(stack[300][None], 7)[0]
         assert plane.dtype == np.float32 and np.array_equal(plane, out[300])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -311,7 +310,7 @@ class TestFftFilter:
         expected = low if kind == "low_pass" else stack - low
         out = filtered(stack, kind, 7)
         assert out.dtype == np.float32 and out.tobytes() == expected.tobytes()
-        plane = filtered(stack[300], kind, 7)
+        plane = filtered(stack[300][None], kind, 7)[0]
         assert plane.dtype == np.float32 and np.array_equal(plane, out[300])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -345,48 +344,42 @@ class TestFftFilter:
             assert not both.flags.writeable
             assert np.array_equal(both, np.concatenate(operator(*key)))
 
-    @pytest.mark.parametrize("shape", [(16,), (2, 3, 16, 16)])
+    @pytest.mark.parametrize("shape", [(16,), (2, 3, 16, 16), (16, 16)])
     def test_wrong_rank_rejected(self, shape):
         with pytest.raises(ValueError):
             fft_filter(np.zeros(shape), 4)
 
     def test_full_window_low_pass_is_identity(self):
         img = np.random.default_rng(11).random((32, 32))
-        assert np.abs(fft_filter(img, 32) - img).max() < 1e-6
+        assert np.abs(fft_filter(img[None], 32)[0] - img).max() < 1e-6
 
     def test_full_window_high_pass_is_zero(self):
         img = np.random.default_rng(12).random((32, 32))
-        assert np.abs(filtered(img, "high_pass", 32)).max() < 1e-6
+        assert np.abs(filtered(img[None], "high_pass", 32)[0]).max() < 1e-6
 
     def test_complementarity(self):
         rng = np.random.default_rng(13)
         for n in (1, 7, 15, 16, 31):
             img = rng.random((32, 32))
-            total = fft_filter(img, n) + filtered(img, "high_pass", n)
+            total = fft_filter(img[None], n)[0] + filtered(img[None], "high_pass", n)[0]
             assert np.abs(total - img).max() < 1e-6
 
     def test_odd_image_side(self):
         img = np.random.default_rng(14).random((31, 31))
-        assert np.abs(fft_filter(img, 31) - img).max() < 1e-6
+        assert np.abs(fft_filter(img[None], 31)[0] - img).max() < 1e-6
 
     def test_energy_monotone_in_window(self):
         img = np.random.default_rng(15).random((64, 64))
-        e15 = (fft_filter(img, 15) ** 2).sum()
-        e7 = (fft_filter(img, 7) ** 2).sum()
+        e15 = (fft_filter(img[None], 15)[0] ** 2).sum()
+        e7 = (fft_filter(img[None], 7)[0] ** 2).sum()
         assert e15 > e7
 
     def test_window_too_large_rejected(self):
         with pytest.raises(ValueError):
-            fft_filter(np.zeros((16, 16)), 17)
+            fft_filter(np.zeros((1, 16, 16)), 17)
 
 
 class TestHelpers:
-    def test_center_crop(self):
-        img = np.arange(11 * 13, dtype=float).reshape(11, 13)
-        cropped = center_crop(img, 8)
-        assert cropped.shape == (8, 8)
-        assert np.array_equal(cropped, img[1:9, 2:10])
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SpectralConfig(p=8, q=5)
