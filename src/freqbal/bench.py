@@ -145,13 +145,12 @@ def matrix_average(records):
     return float(np.mean(accs)), (float(np.mean(pcrs)) if pcrs else None)
 
 
-def write_run_matrix(path, records, cfg: RunConfig, average: bool = True) -> None:
-    """Write matrix.csv: a row per record, then with `average` the row of
-    matrix_average. This is the one builder of matrix rows: it stamps each
-    with cfg's mode, seed and config hash."""
+def write_run_matrix(path, records, cfg: RunConfig) -> None:
+    """Write matrix.csv: a row per record, then the row of matrix_average.
+    This is the one builder of matrix rows: it stamps each with cfg's mode,
+    seed and config hash."""
     entries = [(mask_label(r.mask), r.acc, r.pcr) for r in records]
-    if average:
-        entries.append((AVERAGE_LABEL, *matrix_average(records)))
+    entries.append((AVERAGE_LABEL, *matrix_average(records)))
     stamp = (cfg.train.mode, cfg.seed, config_hash(cfg))
     write_csv(path, MATRIX_COLUMNS, [[*entry, *stamp] for entry in entries])
 
@@ -178,16 +177,11 @@ def get_dataset(cfg: RunConfig, split=None) -> SynthDataset:
                 f"dataset at {cfg.data.data_dir} has {h}x{w} planes, not divisible by patch side {p}"
             )
         return ds
-    return generate_dataset(cfg)
-
-
-def generate_dataset(cfg: RunConfig) -> SynthDataset:
-    """Generate the configured dataset from the data seed stream, ignoring data_dir."""
     return generate(**_generator_args(cfg))
 
 
 def save_generated_dataset(cfg: RunConfig, out_dir) -> None:
-    """Write the dataset generate_dataset(cfg) gives to out_dir, never holding it whole."""
+    """Write cfg's generated dataset, ignoring data_dir, to out_dir, never holding it whole."""
     save_generated(out_dir, **_generator_args(cfg))
 
 
@@ -247,8 +241,9 @@ def run_sweep(cells, key_header, out_dir):
 
     Every config is built, and so validated, and must share the first
     cell's data (and, on generated data, its seed) before the first cell
-    runs; then an earlier summary.csv is removed. One progress line per
-    cell goes to stderr. Returns the summary rows.
+    runs. An earlier summary.csv is removed once the first cell that runs
+    has loaded the dataset and it has passed get_dataset's checks. One
+    progress line per cell goes to stderr. Returns the summary rows.
     """
     out = Path(out_dir)
     cells = list(cells)
@@ -256,10 +251,14 @@ def run_sweep(cells, key_header, out_dir):
         first_name, _, first = cells[0]
         if cfg.data != first.data or (not first.data.data_dir and cfg.seed != first.seed):
             raise ConfigError(f"sweep cell {name} uses other data than cell {first_name}")
-    dataset = cache(lambda: get_dataset(cells[0][2]))
+
+    @cache
+    def dataset():
+        ds = get_dataset(cells[0][2])
+        (out / "summary.csv").unlink(missing_ok=True)
+        return ds
     data_dir = cells[0][2].data.data_dir if cells else None
     digest = dataset_digest(data_dir) if data_dir else None
-    (out / "summary.csv").unlink(missing_ok=True)
     rows = []
     for i, (name, keys, cfg) in enumerate(cells, start=1):
         start = time.perf_counter()

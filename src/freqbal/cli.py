@@ -116,7 +116,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """Write the mask matrix of --checkpoint on the test split to --out.
+    """Write the mask matrix of --checkpoint on the test split, every mask
+    and then their average, to --out/matrix.csv and echo it with tabs.
 
     With --checkpoint a dataset directory is loaded with its test split
     only, which is all the matrix uses; every value of the files is still
@@ -132,10 +133,6 @@ def cmd_eval(args) -> int:
     if args.data:
         cfg = override(cfg, {"data_dir": args.data})
     dataset = bench.get_dataset(cfg, "test" if args.checkpoint else None)
-    if args.mask and args.mask not in map(bench.mask_label, bench.mask_order(dataset.n_modalities)):
-        raise ConfigError(
-            f"mask {args.mask!r} must be {dataset.n_modalities} characters of 0/1 with at least one 1"
-        )
     bench.require_test_split(cfg, dataset)
     out = Path(args.out)
     if args.checkpoint:
@@ -150,11 +147,8 @@ def cmd_eval(args) -> int:
             )
         with bench.run_directory(out, cfg, ("matrix.csv",)):
             *_, records = bench.train_and_eval(cfg, dataset)
-    if args.mask:
-        records = [r for r in records if bench.mask_label(r.mask) == args.mask]
-    bench.write_run_matrix(out / "matrix.csv", records, cfg, average=not args.mask)
-    for r in records:
-        print(f"{bench.mask_label(r.mask)}\tacc={r.acc:.4f}\tpcr={'' if r.pcr is None else round(r.pcr, 4)}")
+    bench.write_run_matrix(out / "matrix.csv", records, cfg)
+    _print_csv(out / "matrix.csv")
     return 0
 
 
@@ -181,7 +175,7 @@ def _grid(option, values):
 
 def cmd_sweep_window(args) -> int:
     bench.sweep_window(load_config(args.config), _grid("--q", int_tuple(args.q)), args.out)
-    _print_summary(args.out)
+    _print_csv(Path(args.out) / "summary.csv")
     return 0
 
 
@@ -195,7 +189,7 @@ def cmd_sweep_params(args) -> int:
             raise ConfigError(f"expected alpha,beta,lambda,gamma, got {chunk!r}") from None
         tuples.append((alpha, beta, lam, gamma))
     bench.sweep_params(cfg, tuples, args.out)
-    _print_summary(args.out)
+    _print_csv(Path(args.out) / "summary.csv")
     return 0
 
 
@@ -203,7 +197,7 @@ def cmd_sweep_frm(args) -> int:
     cfg = load_config(args.config)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     bench.sweep_frm_variants(cfg, args.out, _grid("--kinds", kinds))
-    _print_summary(args.out)
+    _print_csv(Path(args.out) / "summary.csv")
     return 0
 
 
@@ -212,7 +206,7 @@ def cmd_filter_study(args) -> int:
     windows = _grid("--windows", int_tuple(args.windows))
     kinds = _grid("--kinds", [k.strip() for k in args.kinds.split(",") if k.strip()])
     bench.filter_study(cfg, windows, kinds, args.out)
-    _print_summary(args.out)
+    _print_csv(Path(args.out) / "summary.csv")
     return 0
 
 
@@ -234,9 +228,9 @@ def cmd_ntk_check(args) -> int:
     return 0
 
 
-def _print_summary(out_dir) -> None:
-    """Echo the summary.csv just written to out_dir as a tab-separated table."""
-    print((Path(out_dir) / "summary.csv").read_text().replace(",", "\t"), end="")
+def _print_csv(path) -> None:
+    """Echo the CSV file just written to path as a tab-separated table."""
+    print(Path(path).read_text().replace(",", "\t"), end="")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--checkpoint", help="checkpoint directory from a train run")
     p.add_argument("--data", help="dataset directory override")
-    p.add_argument("--mask", help="evaluate one presence mask, e.g. 101")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep-window", help="sweep the frequency block side q")

@@ -45,6 +45,9 @@ class DataConfig:
             raise ValueError("need n_train >= 1 and n_test >= 0")
         if self.n_classes < 2:
             raise ValueError(f"classes must be at least 2, got {self.n_classes}")
+        for key, dim in (("height", self.height), ("width", self.width)):
+            if dim < 1:
+                raise ValueError(f"{key} is {dim}; it must be at least 1")
         if not self.specs:
             raise ValueError("need at least one modality spec")
 

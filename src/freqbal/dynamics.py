@@ -204,9 +204,9 @@ def suppression_experiment(
         grads, *_ = backward(net_cfg, prefit, xb, train_labels[idx], mask=solo_mask)
         prefit = sgd_step(net_cfg, prefit, grads, eta)
         if it % 25 == 24:
-            # ceil(n / PREFIT_ROWS) equal blocks, so no whole split is widened.
-            # Logits are bitwise one pass's while no block is under 16 rows,
-            # where OpenBLAS takes another kernel; n >= 256 gives 128 or more.
+            # ceil(n / PREFIT_ROWS) equal blocks: fixed by n, so the loss is
+            # deterministic, and no whole split is widened. On OpenBLAS 0.3.31
+            # the logits were one pass's bitwise up to n = 2560, not at 3000.
             blocks = -(-n // PREFIT_ROWS)
             logits = []
             for i in range(blocks):

@@ -108,8 +108,6 @@ class TestRunMatrix:
         # Every row, the average too, carries the run's mode, seed and config hash.
         for line in lines[1:]:
             assert line.split(",")[3:] == ["none", "0", config_hash(cfg)]
-        write_run_matrix(tmp_path / "some.csv", records[2:4], cfg, average=False)
-        assert (tmp_path / "some.csv").read_text().splitlines() == [lines[0], *lines[3:5]]
 
     @pytest.mark.parametrize("aux", ["none", "hybrid"])
     def test_one_encoder_pass_matches_per_mask_evaluation(self, aux, monkeypatch):
@@ -255,7 +253,7 @@ class TestSweeps:
     def test_cells_on_other_data_fail_before_any_cell(self, change, data_dir, tmp_path):
         cfg = tiny_cfg()
         if data_dir:
-            save_dataset(tmp_path / "dd", bench.generate_dataset(cfg))
+            save_dataset(tmp_path / "dd", bench.get_dataset(cfg))
             cfg = override(cfg, {"data_dir": tmp_path / "dd"})
         cells = [("a", [0], cfg), ("b", [1], cfg), ("c", [2], override(cfg, change))]
         with pytest.raises(ConfigError, match="sweep cell c uses other data than cell a"):
@@ -263,7 +261,7 @@ class TestSweeps:
         assert not (tmp_path / "sw").exists()
 
     def test_seed_may_vary_on_a_data_dir(self, tmp_path):
-        save_dataset(tmp_path / "dd", bench.generate_dataset(tiny_cfg()))
+        save_dataset(tmp_path / "dd", bench.get_dataset(tiny_cfg()))
         cfg = override(tiny_cfg(), {"data_dir": tmp_path / "dd"})
         cells = [("s0", [0], cfg), ("s1", [1], override(cfg, {"seed": 1}))]
         rows = bench.run_sweep(cells, ["seed"], tmp_path / "sw")
@@ -271,10 +269,10 @@ class TestSweeps:
 
     def test_new_data_dir_dataset_reruns_cells(self, tmp_path, capsys):
         data = tmp_path / "dd"
-        save_dataset(data, bench.generate_dataset(tiny_cfg()))
+        save_dataset(data, bench.get_dataset(tiny_cfg()))
         cfg = override(tiny_cfg(), {"data_dir": data})
         sweep_window(cfg, [1], tmp_path / "sw")
-        save_dataset(data, bench.generate_dataset(override(cfg, {"seed": 1})))
+        bench.save_generated_dataset(override(cfg, {"seed": 1}), data)
         capsys.readouterr()
         rows = sweep_window(cfg, [1], tmp_path / "sw")
         assert capsys.readouterr().err.rsplit(" ", 1)[0] == "sweep [1/1] q1 ran"
@@ -391,7 +389,7 @@ class TestFilterStudy:
     def test_matches_eagerly_filtered_variants(self, kinds, windows, loaded, tmp_path, monkeypatch):
         cfg = parse_config(self.STUDY)
         if loaded:
-            save_dataset(tmp_path / "dd", bench.generate_dataset(cfg))
+            save_dataset(tmp_path / "dd", bench.get_dataset(cfg))
             cfg = override(cfg, {"data_dir": tmp_path / "dd"})
         base = bench.get_dataset(cfg)
         assert base.images[0].dtype == np.float32
@@ -459,7 +457,7 @@ class TestFilterStudy:
     @pytest.mark.parametrize("kind", ["low_pass", "high_pass"])
     def test_filter_command_writes_the_variants_the_study_trains_on(self, kind, tmp_path, monkeypatch):
         cfg = parse_config(self.STUDY.replace("epochs = 2", "epochs = 1"))
-        save_dataset(tmp_path / "dd", bench.generate_dataset(cfg))
+        save_dataset(tmp_path / "dd", bench.get_dataset(cfg))
         argv = ["--data", str(tmp_path / "dd"), "--out", str(tmp_path / "f"), "--kind", kind, "--window", "8"]
         assert main(["filter", *argv]) == 0
         written = load_dataset(tmp_path / "f")

@@ -471,7 +471,7 @@ class TestExitCodes:
             (["train"], ["run.json"]),
             (["eval"], ["matrix.csv"]),
             (["eval", "--checkpoint", "{tmp}/no_checkpoint"], ["matrix.csv"]),
-            (["sweep-window", "--q", "2"], ["q2/cell.json"]),
+            (["sweep-window", "--q", "2"], ["q2/cell.json", "summary.csv"]),
             (["filter-study", "--windows", "8"], ["curves.csv", "summary.csv"]),
         ],
         ids=["train", "eval", "eval_checkpoint", "sweep-window", "filter-study"],
@@ -496,6 +496,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"config error: dataset at {data} has 40x40 planes, not divisible by patch side 16\n"
         assert tree() == before
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    @pytest.mark.parametrize("key, value", [("height", 0), ("width", -8)])
+    def test_plane_dim_below_one_is_config_error(self, command, key, value, tmp_path, capsys):
+        # Both values are divisible by the patch side, so only the dim check can fail.
+        cfg = tmp_path / "dims.cfg"
+        cfg.write_text(TINY + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {key} is {value}; it must be at least 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("classes", [0, 1, -2])
     def test_fewer_than_two_classes_is_config_error(self, classes, tmp_path, capsys):
@@ -893,32 +904,23 @@ class TestTrainEval:
         assert err.startswith("config error: ") and "holds a train run" in err and err.count("\n") == 1
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == files
 
-    def test_eval_single_mask(self, cfg_file, tmp_path):
-        run = tmp_path / "run"
-        main(["train", "--config", cfg_file, "--out", str(run)])
-        out = tmp_path / "mask_eval"
-        assert main(["eval", "--config", cfg_file, "--out", str(out),
-                     "--checkpoint", str(run / "checkpoint"), "--mask", "101"]) == 0
-        lines = (out / "matrix.csv").read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[1].startswith("101,")
-
-    @pytest.mark.parametrize("mask", [None, "101"])
-    def test_eval_checkpoint_on_data_is_the_matrix_of_its_test_split(self, mask, cfg_file, tmp_path):
+    @pytest.mark.parametrize("mask", [None])
+    def test_eval_checkpoint_on_data_is_the_matrix_of_its_test_split(self, mask, cfg_file, tmp_path, capsys):
         data, run, out = tmp_path / "ds", tmp_path / "run", tmp_path / "eval"
         main(["gen", "--config", cfg_file, "--out", str(data)])
         main(["train", "--config", cfg_file, "--out", str(run)])
         argv = ["eval", "--config", cfg_file, "--checkpoint", str(run / "checkpoint"),
                 "--data", str(data), "--out", str(out)]
-        assert main(argv + (["--mask", mask] if mask else [])) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
         cfg = override(load_config(cfg_file), {"data_dir": str(data)})
         net_cfg, params = load_checkpoint(run / "checkpoint")
         records = bench.run_matrix(net_cfg, params, *load_dataset(data).test_split())
-        if mask:
-            records = [r for r in records if bench.mask_label(r.mask) == mask]
         expected = tmp_path / "expected.csv"
-        bench.write_run_matrix(expected, records, cfg, average=not mask)
+        bench.write_run_matrix(expected, records, cfg)
         assert read(out / "matrix.csv") == read(expected)
+        # stdout is matrix.csv itself, header and average row, as a tab-separated table.
+        assert capsys.readouterr().out == (out / "matrix.csv").read_text().replace(",", "\t")
 
     def test_zero_full_mask_accuracy_leaves_every_pcr_empty(self, tmp_path, capsys):
         # One test sample that the full net gets wrong: every collapse rate
@@ -933,12 +935,16 @@ class TestTrainEval:
         assert float(rows[-2][1]) == 0.0
         assert [row[2] for row in rows] == [""] * 8
 
-    @pytest.mark.parametrize("mask", ["1x1", "000", "10"])
-    def test_malformed_mask_is_config_error(self, mask, cfg_file, tmp_path, capsys):
-        out = tmp_path / "mask_eval"
-        assert main(["eval", "--config", cfg_file, "--out", str(out), "--mask", mask]) == 2
-        assert repr(mask) in capsys.readouterr().err
-        assert not (out / "matrix.csv").exists()
+    def test_mask_option_is_a_usage_error(self, cfg_file, tmp_path, capsys):
+        # eval always writes the whole matrix; there is no one-mask layout.
+        out = tmp_path / "eval"
+        out.mkdir()
+        (out / "matrix.csv").write_text("earlier\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", cfg_file, "--out", str(out), "--mask", "101"])
+        assert exc.value.code == 2
+        assert "--mask" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {"matrix.csv": b"earlier\n"}
 
 
 class TestSplitMemory:
@@ -952,7 +958,7 @@ class TestSplitMemory:
         data = tmp_path / "ds"
         cfg = tmp_path / "data.cfg"
         cfg.write_text(self.SIZES + f"data_dir = {data}\n")
-        save_dataset(data, bench.generate_dataset(load_config(cfg)))
+        bench.save_generated_dataset(load_config(cfg), data)
         return cfg, data
 
     def test_eval_checkpoint_peak_is_the_test_split_and_one_widened_branch(self, saved, tmp_path):
@@ -1010,7 +1016,7 @@ class TestDatasetWriters:
         cfg = tmp_path / "gen.cfg"
         cfg.write_text(TINY + "height = 16\nwidth = 24\nclasses = 3\n")
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
-        save_dataset(tmp_path / "ref", bench.generate_dataset(load_config(cfg)))
+        save_dataset(tmp_path / "ref", bench.get_dataset(load_config(cfg)))
         names = sorted(p.name for p in (tmp_path / "ref").iterdir())
         assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == names
         for name in names:
