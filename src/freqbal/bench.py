@@ -292,23 +292,15 @@ def sweep_frm_variants(cfg: RunConfig, out_dir, kinds=METRIC_KINDS):
     return run_sweep(cells, ["metric"], out_dir)
 
 
-def filter_dataset(ds: SynthDataset, kind: str, n: int) -> SynthDataset:
-    """Apply one FFT filter to every plane of every modality, into float32 stacks.
+def filter_dataset(ds: SynthDataset, n: int) -> SynthDataset:
+    """The low pass of every plane of every modality, into float32 stacks.
 
     Each modality's low pass is fft_filter's of its float32 stack: computed
     in float64 a block of planes at a time and rounded once, the rounding
-    save_dataset applies. Its high pass is spectral.high_pass of the stack
-    and that low pass, in the low pass's own arrays, as filter_study forms
-    it. So the filtered dataset holds float32 stacks, as generated and
-    loaded ones do, and is never widened whole.
+    write_dataset applies. So the filtered dataset holds float32 stacks, as
+    generated and loaded ones do, and is never widened whole.
     """
-    if kind not in FILTER_KINDS:
-        raise ValueError(f"unknown filter kind {kind!r}")
-    images = []
-    for stack in ds.images:
-        low = fft_filter(stack, n)
-        images.append(high_pass(stack, low) if kind == "high_pass" else low)
-    return replace(ds, images=images)
+    return replace(ds, images=[fft_filter(stack, n) for stack in ds.images])
 
 
 def filter_study(cfg: RunConfig, windows, kinds, out_dir):
@@ -321,14 +313,13 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
     the planes, an empty test split. The pixels need no check: generated
     ones are finite and loaded ones were checked as they were read.
 
-    Variants train window by window. A window's low pass is filtered once,
-    into float32 stacks, and trained if asked for; its high pass is
-    spectral.high_pass of the base and that low pass, in the low pass's
-    own arrays, as filter_dataset forms it, and then trained.
-    So a run holds the float32 base plus at most one float32 filtered
-    variant, and each variant is the dataset `filter --data` writes for
-    its kind and window. A variant listed twice trains once: training is
-    deterministic, so its rows are those a second run would give.
+    Variants train window by window. A window's low pass is filtered once
+    by filter_dataset, into float32 stacks, and trained if asked for; its
+    high pass is spectral.high_pass of the base and that low pass, in the
+    low pass's own arrays, and then trained. So a run holds the float32
+    base plus at most one float32 filtered variant. A variant listed twice
+    trains once: training is deterministic, so its rows are those a second
+    run would give.
 
     curves.csv holds per-epoch mean training loss and test accuracy;
     summary.csv the final values per variant; old ones are removed after the checks.
@@ -347,7 +338,7 @@ def filter_study(cfg: RunConfig, windows, kinds, out_dir):
 
     curves = {("raw", 0): _train_curves(cfg, base)}
     for n in dict.fromkeys(windows) if kinds else ():
-        ds = filter_dataset(base, "low_pass", n)
+        ds = filter_dataset(base, n)
         if "low_pass" in kinds:
             curves["low_pass", n] = _train_curves(cfg, ds)
         if "high_pass" in kinds:

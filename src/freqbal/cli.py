@@ -1,4 +1,4 @@
-"""Command-line interface: analysis, filtering, training, and sweeps.
+"""Command-line interface: analysis, training, and sweeps.
 
 Exit codes: 0 on success, 2 for configuration errors and unreadable or
 malformed input files, 3 for numeric failures (a NaN or inf in an input
@@ -22,7 +22,7 @@ from .intervention import TrainConfig, train as train_loop
 from .preference import METRIC_KINDS, sample_preference
 from .seeds import stream_rng
 from .spectral import FILTER_KINDS
-from .synthdata import load_dataset, modality_blocks, save_dataset
+from .synthdata import modality_blocks
 from .tinynet import load_checkpoint, net_for, save_checkpoint
 
 # A.9-style sensitivity grid (alpha, beta, lambda, gamma); includes the default tuple.
@@ -61,20 +61,6 @@ def cmd_analyze(args) -> int:
         print(f"{name}\t{kind}\t{value!r}")
     if args.out:
         bench.write_csv(args.out, ["input", "metric", "score"], rows)
-    return 0
-
-
-def cmd_filter(args) -> int:
-    """Filter every plane of the --data dataset directory into --out.
-
-    The dataset is loaded whole and filtered by bench.filter_dataset into a
-    float32 copy, the variant filter-study trains on for that kind and
-    window, which is written to --out.
-    """
-    ds = load_dataset(args.data)
-    filtered = bench.filter_dataset(ds, args.kind, args.window)
-    save_dataset(args.out, filtered)
-    print(f"filtered {ds.n_modalities} modalities -> {args.out}")
     return 0
 
 
@@ -243,13 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="frm", choices=METRIC_KINDS)
     p.add_argument("--out", help="write scores CSV here")
     p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("filter", help="FFT low/high-pass filtering of a dataset")
-    p.add_argument("--data", required=True, help="dataset directory to filter")
-    p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--kind", required=True, choices=FILTER_KINDS, help="high_pass: the input minus its low pass")
-    p.add_argument("--window", type=int, required=True, help="spectral window side n")
-    p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset, written a block of planes at a time")
     p.add_argument("--config", required=True)

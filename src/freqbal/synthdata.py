@@ -101,11 +101,13 @@ class SynthDataset:
     Pixels are finite: generated ones by construction from finite specs,
     loaded ones because tensorio.read_raw checks every value it reads.
     Stacks are float32 (n, h, w) arrays, whether generated, loaded or
-    filtered (bench.filter_dataset): each holds the values save_dataset
-    writes, so a dataset and its saved copy hold the same pixels and train
-    alike. Generated stacks are views of one C-contiguous block that holds
-    every modality, so a view of any stack keeps the whole block alive;
-    loaded and filtered datasets have one array per modality.
+    filtered (bench.filter_dataset): each holds the values write_dataset
+    writes. A loaded dataset's bytes were written by write_dataset, through
+    save_generated for a generated one, so a generated dataset and its
+    saved copy hold the same pixels and train alike. Generated stacks are
+    views of one C-contiguous block that holds every modality, so a view
+    of any stack keeps the whole block alive; loaded and filtered datasets
+    have one array per modality.
     Consumers widen to float64 before any arithmetic (per block of planes,
     per batch, or once for a split), which is exact.
     """
@@ -160,8 +162,8 @@ def generate(
     the only whole-stack array and no plane is copied. Each plane is
     bitwise the one-shot formula low_h.T @ low @ low_w + high_h.T @ high @
     high_w of its band maps, computed in float64 and rounded once to
-    float32, the rounding save_dataset applies; a save_generated directory
-    holds the same bytes as save_dataset of it.
+    float32, the rounding write_dataset applies; a save_generated directory
+    holds the same bytes as write_dataset of its stacks.
     """
     specs, labels, rng = _prepare(specs, n_train, n_test, n_classes, dims, seed)
     block = np.empty((len(specs), len(labels), *dims), dtype=np.float32)
@@ -192,8 +194,8 @@ def save_generated(
     Every argument is checked, as generate checks it, before out_dir is
     made. Each block is rendered into one reused float32 buffer and written
     to its modality's file before the next is rendered, so the dataset is
-    never held; the files are byte for byte those of save_dataset(out_dir,
-    generate(...)).
+    never held; the files are byte for byte those write_dataset writes of
+    generate(...)'s whole stacks.
     """
     specs, labels, rng = _prepare(specs, n_train, n_test, n_classes, dims, seed)
     buffer = np.empty((min(len(labels), _BLOCK), *dims), dtype=np.float32)
@@ -344,24 +346,6 @@ _MANIFEST_KEYS = (*_MANIFEST_INTS, "specs")
 _SPEC_KEYS = ("low_energy", "high_energy", "signal_band", "snr")
 
 
-def save_dataset(out_dir, ds: SynthDataset) -> None:
-    """Persist a dataset through write_dataset, each stack as its one block.
-
-    The public entry point for writing a whole in-memory dataset; gen
-    writes through save_generated, which never holds one.
-    """
-    write_dataset(
-        out_dir,
-        ([stack] for stack in ds.images),
-        dims=ds.dims,
-        labels=ds.labels,
-        n_train=ds.n_train,
-        n_classes=ds.n_classes,
-        specs=ds.specs,
-        seed=ds.seed,
-    )
-
-
 def write_dataset(out_dir, modalities, *, dims, labels, n_train, n_classes, specs, seed) -> None:
     """Write a dataset directory: raw float32 matrices plus a manifest.
 
@@ -476,7 +460,7 @@ def _check_saved(src: Path):
 
 
 def load_dataset(in_dir, split=None) -> SynthDataset:
-    """Inverse of save_dataset, keeping the stacks in their on-disk float32.
+    """Inverse of write_dataset, keeping the stacks in their on-disk float32.
 
     _check_saved checks every file and gives every field but the pixels,
     as it does for modality_blocks, so both reject the same datasets with

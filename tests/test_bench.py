@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,8 @@ from freqbal.bench import (
 from freqbal.cli import main
 from freqbal.config import config_hash, override, parse_config
 from freqbal.errors import ConfigError
-from freqbal.spectral import fft_filter
-from freqbal.synthdata import dataset_digest, generate, imbalanced_specs, load_dataset, save_dataset
+from freqbal.spectral import fft_filter, high_pass
+from freqbal.synthdata import dataset_digest, generate, imbalanced_specs
 from freqbal.tinynet import evaluate
 
 GOLDEN = Path(__file__).parent / "data"
@@ -253,7 +254,7 @@ class TestSweeps:
     def test_cells_on_other_data_fail_before_any_cell(self, change, data_dir, tmp_path):
         cfg = tiny_cfg()
         if data_dir:
-            save_dataset(tmp_path / "dd", bench.get_dataset(cfg))
+            bench.save_generated_dataset(cfg, tmp_path / "dd")
             cfg = override(cfg, {"data_dir": tmp_path / "dd"})
         cells = [("a", [0], cfg), ("b", [1], cfg), ("c", [2], override(cfg, change))]
         with pytest.raises(ConfigError, match="sweep cell c uses other data than cell a"):
@@ -261,7 +262,7 @@ class TestSweeps:
         assert not (tmp_path / "sw").exists()
 
     def test_seed_may_vary_on_a_data_dir(self, tmp_path):
-        save_dataset(tmp_path / "dd", bench.get_dataset(tiny_cfg()))
+        bench.save_generated_dataset(tiny_cfg(), tmp_path / "dd")
         cfg = override(tiny_cfg(), {"data_dir": tmp_path / "dd"})
         cells = [("s0", [0], cfg), ("s1", [1], override(cfg, {"seed": 1}))]
         rows = bench.run_sweep(cells, ["seed"], tmp_path / "sw")
@@ -269,7 +270,7 @@ class TestSweeps:
 
     def test_new_data_dir_dataset_reruns_cells(self, tmp_path, capsys):
         data = tmp_path / "dd"
-        save_dataset(data, bench.get_dataset(tiny_cfg()))
+        bench.save_generated_dataset(tiny_cfg(), data)
         cfg = override(tiny_cfg(), {"data_dir": data})
         sweep_window(cfg, [1], tmp_path / "sw")
         bench.save_generated_dataset(override(cfg, {"seed": 1}), data)
@@ -316,17 +317,18 @@ class TestSweeps:
 class TestFilterStudy:
     def test_complementary_filters_recompose_raw(self):
         ds = generate(imbalanced_specs(), n_train=6, n_test=2, seed=3)
-        low = filter_dataset(ds, "low_pass", 16)
-        high = filter_dataset(ds, "high_pass", 16)
-        for i in range(ds.n_modalities):
-            total = low.images[i] + high.images[i]
-            assert np.abs(total - ds.images[i]).max() < 1e-6
+        low = filter_dataset(ds, 16)
+        for stack, lo in zip(ds.images, low.images):
+            hi = high_pass(stack, lo.copy())
+            assert np.abs(lo + hi - stack).max() < 1e-6
 
     def test_filter_dataset_is_pure(self):
         ds = generate(imbalanced_specs(), n_train=6, n_test=2, seed=3)
         before = [stack.copy() for stack in ds.images]
         labels = ds.labels.copy()
-        out = filter_dataset(ds, "low_pass", 8)
+        out = filter_dataset(ds, 8)
+        for stack, lo in zip(ds.images, out.images):
+            high_pass(stack, lo.copy())
         for stack, copy in zip(ds.images, before):
             assert np.array_equal(stack, copy)
         assert np.array_equal(ds.labels, labels)
@@ -338,9 +340,9 @@ class TestFilterStudy:
 
     def test_filtered_stacks_are_float32(self):
         ds = generate(imbalanced_specs(), n_train=100, n_test=30, seed=4)
-        low = filter_dataset(ds, "low_pass", 8)
-        high = filter_dataset(ds, "high_pass", 8)
-        for stack, lo, hi in zip(ds.images, low.images, high.images):
+        low = filter_dataset(ds, 8)
+        for stack, lo in zip(ds.images, low.images):
+            hi = high_pass(stack, lo.copy())
             assert lo.dtype == hi.dtype == np.float32
             assert lo.shape == hi.shape == stack.shape
             # The low pass is the float64 filter rounded once; the high pass
@@ -348,18 +350,13 @@ class TestFilterStudy:
             assert lo.tobytes() == fft_filter(stack.astype(np.float64), 8).astype(np.float32).tobytes()
             assert hi.tobytes() == (stack - lo).tobytes()
 
-    def test_unknown_kind_rejected(self):
-        ds = generate(imbalanced_specs(), n_train=6, n_test=2, seed=3)
-        with pytest.raises(ValueError, match="unknown filter kind 'band_pass'"):
-            filter_dataset(ds, "band_pass", 8)
-
-    @pytest.mark.parametrize("kind", ["low_pass", "high_pass"])
-    def test_filtering_holds_little_beyond_the_float32_result(self, kind):
+    @pytest.mark.parametrize("n", [16], ids=["low_pass"])
+    def test_filtering_holds_little_beyond_the_float32_result(self, n):
         # Only the float32 stacks and one block's float64 temporaries are
         # allocated; float64 stacks made the peak 2.34 times the result.
         ds = generate(imbalanced_specs(), n_train=2000, n_test=500, seed=5)
-        filter_dataset(generate(imbalanced_specs(), n_train=1, n_test=1), kind, 16)
-        out, peak = traced_peak(lambda: filter_dataset(ds, kind, 16))
+        filter_dataset(generate(imbalanced_specs(), n_train=1, n_test=1), n)
+        out, peak = traced_peak(lambda: filter_dataset(ds, n))
         assert peak < 1.15 * sum(stack.nbytes for stack in out.images)
 
     def test_curves_and_summary(self, tmp_path):
@@ -389,14 +386,20 @@ class TestFilterStudy:
     def test_matches_eagerly_filtered_variants(self, kinds, windows, loaded, tmp_path, monkeypatch):
         cfg = parse_config(self.STUDY)
         if loaded:
-            save_dataset(tmp_path / "dd", bench.get_dataset(cfg))
+            bench.save_generated_dataset(cfg, tmp_path / "dd")
             cfg = override(cfg, {"data_dir": tmp_path / "dd"})
         base = bench.get_dataset(cfg)
         assert base.images[0].dtype == np.float32
         before = [stack.copy() for stack in base.images]
         # The reference: every variant filtered on its own, then trained as
         # the raw control of a study of its own, all before any training.
-        eager = {(kind, n): filter_dataset(base, kind, n) for kind in kinds for n in windows}
+        eager = {}
+        for kind in kinds:
+            for n in windows:
+                ds = filter_dataset(base, n)
+                if kind == "high_pass":
+                    ds = replace(ds, images=[high_pass(b, l) for b, l in zip(base.images, ds.images)])
+                eager[kind, n] = ds
         eager["raw", 0] = base
         expected = {name: [] for name in ("curves.csv", "summary.csv")}
         for kind, n in [("raw", 0)] + [(kind, n) for kind in kinds for n in windows]:
@@ -453,23 +456,3 @@ class TestFilterStudy:
         per_window = [([], False), ([], False), ([1], True)]
         expected = per_window if windows == [16, 16] else per_window + [([], False), ([3], True)]
         assert seen == expected
-
-    @pytest.mark.parametrize("kind", ["low_pass", "high_pass"])
-    def test_filter_command_writes_the_variants_the_study_trains_on(self, kind, tmp_path, monkeypatch):
-        cfg = parse_config(self.STUDY.replace("epochs = 2", "epochs = 1"))
-        save_dataset(tmp_path / "dd", bench.get_dataset(cfg))
-        argv = ["--data", str(tmp_path / "dd"), "--out", str(tmp_path / "f"), "--kind", kind, "--window", "8"]
-        assert main(["filter", *argv]) == 0
-        written = load_dataset(tmp_path / "f")
-        trained = []
-        original = bench._train_curves
-
-        def spy(cfg, ds):
-            trained.append([a.copy() for a in ds.images])
-            return original(cfg, ds)
-
-        monkeypatch.setattr(bench, "_train_curves", spy)
-        filter_study(override(cfg, {"data_dir": tmp_path / "dd"}), [8], [kind], tmp_path / "fs")
-        raw, variant = trained
-        assert [a.dtype for a in variant] == [np.float32] * 3
-        assert [a.tobytes() for a in variant] == [a.tobytes() for a in written.images]

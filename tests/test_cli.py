@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 from memtrace import traced_peak
@@ -9,7 +11,7 @@ from freqbal.intervention import train as train_loop
 from freqbal.preference import METRIC_KINDS, sample_preference
 from freqbal.seeds import stream_rng
 from freqbal.spectral import SpectralConfig, compute_maps_batch
-from freqbal.synthdata import generate, imbalanced_specs, load_dataset, save_dataset
+from freqbal.synthdata import imbalanced_specs, load_dataset, save_generated, write_dataset
 from freqbal.tinynet import init_network, load_checkpoint, net_for, save_checkpoint
 
 TINY = "seed = 0\nepochs = 1\nbatch_size = 32\nn_train = 64\nn_test = 32\nhidden = 16,8\n"
@@ -52,6 +54,31 @@ def damage(data, fault):
             tensorio.write_raw(data / "mod0.f32", stack)
         path = data / ("mod1.f32" if fault == "truncated_modality" else "mod2.f32")
         path.write_bytes(path.read_bytes()[:-4])
+
+
+COMMANDS = ["analyze", "gen", "train", "eval", "sweep-window", "sweep-params", "sweep-frm",
+            "filter-study", "ntk-check"]
+
+
+def test_command_set(tmp_path):
+    [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == COMMANDS
+    for command in COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0, command
+    # Filtered variants are built only inside filter-study: no command
+    # writes them to disk, so "filter" is an unknown command that reads and
+    # writes nothing.
+    removed = "filter"
+    data, out = tmp_path / "ds", tmp_path / "out"
+    save_generated(data, imbalanced_specs(), n_train=4, n_test=0, dims=(16, 16))
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    with pytest.raises(SystemExit) as exc:
+        main([removed, "--data", str(data), "--out", str(out), "--kind", "low_pass", "--window", "8"])
+    assert exc.value.code == 2
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+    assert not out.exists()
 
 
 class TestExitCodes:
@@ -548,7 +575,7 @@ class TestExitCodes:
         assert err == f"numeric failure: {data / 'mod2.f32'}: non-finite value in row 41\n"
         assert not (out / "matrix.csv").exists()
 
-    @pytest.mark.parametrize("command", ["filter", "filter-study"])
+    @pytest.mark.parametrize("command", ["filter-study"])
     def test_non_finite_pixel_in_filtered_data_is_numeric_error(self, command, cfg_file, tmp_path, capsys):
         data, out = tmp_path / "ds", tmp_path / "out"
         main(["gen", "--config", cfg_file, "--out", str(data)])
@@ -558,14 +585,10 @@ class TestExitCodes:
         tensorio.write_raw(data / "mod2.f32", stack)
         cfg = tmp_path / "data.cfg"
         cfg.write_text(TINY + f"data_dir = {data}\n")
-        argv = {
-            "filter": ["filter", "--data", str(data), "--out", str(out), "--kind", "low_pass", "--window", "4"],
-            "filter-study": ["filter-study", "--config", str(cfg), "--out", str(out), "--windows", "4"],
-        }[command]
         capsys.readouterr()
-        assert main(argv) == 3
+        assert main([command, "--config", str(cfg), "--out", str(out), "--windows", "4"]) == 3
         assert capsys.readouterr().err == f"numeric failure: {data / 'mod2.f32'}: non-finite value in row 70\n"
-        assert not (out / "summary.csv").exists() and not (out / "mod0.f32").exists()
+        assert not (out / "summary.csv").exists()
 
     @pytest.mark.parametrize(
         "extra, pixel, code, message",
@@ -733,10 +756,8 @@ class TestAnalyzeAndFilter:
         [
             ["analyze", "{tmp}/x.f32"],
             ["analyze", "--out", "{tmp}/scores.csv"],
-            ["filter", "{tmp}/x.f32", "{tmp}/out.f32", "--kind", "low_pass", "--window", "8"],
-            ["filter", "--data", "{tmp}/ds", "--kind", "low_pass", "--window", "8"],
         ],
-        ids=["analyze_plane", "analyze_no_data", "filter_planes", "filter_no_out"],
+        ids=["analyze_plane", "analyze_no_data"],
     )
     def test_input_must_be_a_dataset_directory(self, argv, cfg_file, tmp_path):
         main(["gen", "--config", cfg_file, "--out", str(tmp_path / "ds")])
@@ -757,7 +778,7 @@ class TestAnalyzeAndFilter:
         cfg = tmp_path / "sigma.cfg"
         cfg.write_text(f"sigma = {-float(high.min())!r}\n")
         data = tmp_path / "ds"
-        save_dataset(data, generate(imbalanced_specs(), n_train=1, n_test=0, dims=(16, 16), seed=4))
+        save_generated(data, imbalanced_specs(), n_train=1, n_test=0, dims=(16, 16), seed=4)
         path = data / "mod0.f32"
         tensorio.write_raw(path, img.reshape(1, -1))
         capsys.readouterr()
@@ -791,7 +812,7 @@ class TestAnalyzeAndFilter:
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 300])
     def test_analyze_dataset_scores_match_the_whole_stack(self, n, tmp_path):
         data = tmp_path / "ds"
-        save_dataset(data, generate(imbalanced_specs(), n_train=n, n_test=0, dims=(16, 16), seed=n))
+        save_generated(data, imbalanced_specs(), n_train=n, n_test=0, dims=(16, 16), seed=n)
         stacks = load_dataset(data).images
         for kind in METRIC_KINDS:
             rows = [
@@ -805,7 +826,7 @@ class TestAnalyzeAndFilter:
 
     def test_analyze_dataset_reads_omega_band_from_config(self, tmp_path, capsys):
         data, cfg = tmp_path / "ds", tmp_path / "omega.cfg"
-        save_dataset(data, generate(imbalanced_specs(), n_train=20, n_test=0, dims=(16, 16), seed=7))
+        save_generated(data, imbalanced_specs(), n_train=20, n_test=0, dims=(16, 16), seed=7)
         cfg.write_text("omega_band = 0.5\n")
         capsys.readouterr()
         assert main(["analyze", "--data", str(data), "--config", str(cfg), "--metric", "mp_weighted"]) == 0
@@ -846,17 +867,11 @@ class TestAnalyzeAndFilter:
         def refuse(*args, **kwargs):
             raise AssertionError("analyze --data loaded the whole dataset")
 
-        for module in (cli, synthdata):
+        for module in (bench, synthdata):
             monkeypatch.setattr(module, "load_dataset", refuse)
         out = tmp_path / "scores.csv"
         assert main(["analyze", "--data", str(tmp_path / "ds"), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
-
-    def test_filter_dataset(self, cfg_file, tmp_path):
-        main(["gen", "--config", cfg_file, "--out", str(tmp_path / "ds")])
-        assert main(["filter", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "lp"),
-                     "--kind", "low_pass", "--window", "16"]) == 0
-        assert (tmp_path / "lp" / "dataset.json").exists()
 
 
 class TestTrainEval:
@@ -992,7 +1007,7 @@ class TestSplitMemory:
 
 
 class TestDatasetWriters:
-    """gen streams its files, and gen and filter --data write through the one dataset writer."""
+    """gen streams its files through the one dataset writer."""
 
     SIZES = "seed = 3\nn_train = 2000\nn_test = 500\n"
 
@@ -1012,31 +1027,25 @@ class TestDatasetWriters:
         assert sum(p.stat().st_size for p in (tmp_path / "ds").glob("mod*.f32")) == dataset + 3 * 8
         assert peak < 0.5 * dataset
 
-    def test_gen_writes_the_files_of_save_dataset(self, tmp_path):
+    def test_gen_writes_the_files_of_write_dataset(self, tmp_path):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text(TINY + "height = 16\nwidth = 24\nclasses = 3\n")
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
-        save_dataset(tmp_path / "ref", bench.get_dataset(load_config(cfg)))
+        ds = bench.get_dataset(load_config(cfg))
+        write_dataset(
+            tmp_path / "ref", ([stack] for stack in ds.images), dims=ds.dims, labels=ds.labels,
+            n_train=ds.n_train, n_classes=ds.n_classes, specs=ds.specs, seed=ds.seed,
+        )
         names = sorted(p.name for p in (tmp_path / "ref").iterdir())
         assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == names
         for name in names:
             assert (tmp_path / "ds" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
 
-    def test_filter_window_is_checked_before_the_output_is_touched(self, cfg_file, tmp_path, capsys):
-        data, out = tmp_path / "ds", tmp_path / "out"
-        main(["gen", "--config", cfg_file, "--out", str(data)])
-        capsys.readouterr()
-        argv = ["filter", "--data", str(data), "--out", str(out), "--kind", "low_pass", "--window", "33"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == "config error: window side 33 out of range for 32x32 plane\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["gen", "filter"])
+    @pytest.mark.parametrize("command", ["gen"])
     def test_failed_rewrite_leaves_no_manifest(self, command, cfg_file, tmp_path, monkeypatch, capsys):
         # The output already holds a dataset; the rewrite fails on its second
         # modality file, so the old manifest must not stay beside the new mod0.
-        data, out = tmp_path / "ds", tmp_path / "out"
-        main(["gen", "--config", cfg_file, "--out", str(data)])
+        out = tmp_path / "out"
         main(["gen", "--config", cfg_file, "--out", str(out)])
         opened = []
 
@@ -1048,12 +1057,8 @@ class TestDatasetWriters:
             return open(path, mode, *rest, **kwargs)
 
         monkeypatch.setattr(tensorio, "open", failing_open, raising=False)
-        argv = {
-            "gen": ["gen", "--config", cfg_file, "--out", str(out)],
-            "filter": ["filter", "--data", str(data), "--out", str(out), "--kind", "low_pass", "--window", "4"],
-        }[command]
         capsys.readouterr()
-        assert main(argv) == 2
+        assert main([command, "--config", cfg_file, "--out", str(out)]) == 2
         assert "simulated write failure" in capsys.readouterr().err
         monkeypatch.undo()
         assert opened == [out / "mod0.f32", out / "mod1.f32"]

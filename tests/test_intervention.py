@@ -18,7 +18,7 @@ from freqbal.intervention import (
 )
 from freqbal.preference import sample_preference
 from freqbal.seeds import stream_rng, stream_seed
-from freqbal.synthdata import generate, imbalanced_specs, load_dataset, save_dataset
+from freqbal.synthdata import generate, imbalanced_specs, load_dataset, save_generated
 from freqbal.tinynet import (
     NetConfig,
     backward,
@@ -402,8 +402,9 @@ class TestLoadedData:
     def test_reloaded_dataset_trains_like_float32_rounded_generated(self, tmp_path):
         # A loaded dataset stays float32 and is widened where it is used; the
         # training split of 600 spans three scoring blocks.
-        ds = generate(imbalanced_specs(), n_train=600, n_test=40, seed=24)
-        save_dataset(tmp_path / "ds", ds)
+        args = dict(n_train=600, n_test=40, seed=24)
+        ds = generate(imbalanced_specs(), **args)
+        save_generated(tmp_path / "ds", imbalanced_specs(), **args)
         loaded = load_dataset(tmp_path / "ds")
         assert loaded.images[0].dtype == np.float32
         rounded = dataclasses.replace(

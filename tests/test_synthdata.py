@@ -16,8 +16,8 @@ from freqbal.synthdata import (
     load_dataset,
     lowband_specs,
     modality_blocks,
-    save_dataset,
     save_generated,
+    write_dataset,
 )
 
 # Default dims (32, 32), patch side p = 8 and block side q = 2: a 4 x 4 grid
@@ -234,8 +234,9 @@ class TestGenerate:
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
-        ds = generate(imbalanced_specs(), n_train=10, n_test=6, seed=10)
-        save_dataset(tmp_path / "ds", ds)
+        args = dict(n_train=10, n_test=6, seed=10)
+        ds = generate(imbalanced_specs(), **args)
+        save_generated(tmp_path / "ds", imbalanced_specs(), **args)
         back = load_dataset(tmp_path / "ds")
         assert back.n_train == 10 and back.n_test == 6
         assert back.n_classes == ds.n_classes and back.seed == ds.seed
@@ -248,10 +249,14 @@ class TestPersistence:
     @pytest.mark.parametrize("dims", [(32, 32), (16, 24)])
     @pytest.mark.parametrize("preset", [imbalanced_specs, lowband_specs])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
-    def test_save_generated_writes_the_bytes_of_save_dataset(self, n, preset, dims, tmp_path):
+    def test_save_generated_writes_the_bytes_of_write_dataset(self, n, preset, dims, tmp_path):
         n_train = n - n // 4
         args = dict(n_train=n_train, n_test=n - n_train, n_classes=3, dims=dims, seed=50 + n)
-        save_dataset(tmp_path / "whole", generate(preset(), **args))
+        ds = generate(preset(), **args)
+        write_dataset(
+            tmp_path / "whole", ([stack] for stack in ds.images), dims=ds.dims, labels=ds.labels,
+            n_train=ds.n_train, n_classes=ds.n_classes, specs=ds.specs, seed=ds.seed,
+        )
         save_generated(tmp_path / "streamed", preset(), **args)
         names = ["dataset.json", "labels.f32", "mod0.f32", "mod1.f32", "mod2.f32"]
         assert sorted(p.name for p in (tmp_path / "streamed").iterdir()) == names
@@ -281,13 +286,13 @@ class TestPersistence:
             save_generated(tmp_path / "ds", imbalanced_specs(), n_train=4, n_test=0, dims=(30, 32))
         assert not (tmp_path / "ds").exists()
 
-    @pytest.mark.parametrize("writer", ["save_dataset", "save_generated"])
+    @pytest.mark.parametrize("writer", ["write_dataset", "save_generated"])
     def test_failed_write_leaves_no_manifest(self, writer, tmp_path, monkeypatch):
         # A rewrite that stops after its first modality file must not leave
         # the old manifest to vouch for a mix of new and old files.
         args = dict(n_train=10, n_test=6, dims=(16, 16))
         src = tmp_path / "ds"
-        save_dataset(src, generate(imbalanced_specs(), seed=1, **args))
+        save_generated(src, imbalanced_specs(), seed=1, **args)
         opened = []
 
         def failing_open(path, mode="r", *rest, **kwargs):
@@ -299,8 +304,12 @@ class TestPersistence:
 
         monkeypatch.setattr(tensorio, "open", failing_open, raising=False)
         with pytest.raises(OSError, match="simulated"):
-            if writer == "save_dataset":
-                save_dataset(src, generate(imbalanced_specs(), seed=2, **args))
+            if writer == "write_dataset":
+                ds = generate(imbalanced_specs(), seed=2, **args)
+                write_dataset(
+                    src, ([stack] for stack in ds.images), dims=ds.dims, labels=ds.labels,
+                    n_train=ds.n_train, n_classes=ds.n_classes, specs=ds.specs, seed=ds.seed,
+                )
             else:
                 save_generated(src, imbalanced_specs(), seed=2, **args)
         monkeypatch.undo()
@@ -313,8 +322,7 @@ class TestPersistence:
         "split, lo, hi", [(None, 0, 16), ("train", 0, 10), ("test", 10, 16)], ids=["all", "train", "test"]
     )
     def test_loaded_images_are_separate_float32_arrays_of_the_file_bytes(self, split, lo, hi, tmp_path):
-        ds = generate(imbalanced_specs(), n_train=10, n_test=6, dims=(16, 16), seed=12)
-        save_dataset(tmp_path / "ds", ds)
+        save_generated(tmp_path / "ds", imbalanced_specs(), n_train=10, n_test=6, dims=(16, 16), seed=12)
         back = load_dataset(tmp_path / "ds", split)
         for i, stack in enumerate(back.images):
             assert stack.dtype == np.float32 and stack.shape == (hi - lo, 16, 16)
@@ -325,16 +333,14 @@ class TestPersistence:
         assert back.labels.dtype == np.int64
 
     def test_manifest_drives_shapes(self, tmp_path):
-        ds = generate(imbalanced_specs(), n_train=6, n_test=2, dims=(16, 16), seed=11)
-        save_dataset(tmp_path / "ds", ds)
+        save_generated(tmp_path / "ds", imbalanced_specs(), n_train=6, n_test=2, dims=(16, 16), seed=11)
         back = load_dataset(tmp_path / "ds")
         assert back.dims == (16, 16)
 
 
     def test_modality_blocks_stream_the_loaded_stacks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(synthdata, "_BLOCK", 4)
-        ds = generate(imbalanced_specs(), n_train=7, n_test=3, dims=(16, 16), seed=13)
-        save_dataset(tmp_path / "ds", ds)
+        save_generated(tmp_path / "ds", imbalanced_specs(), n_train=7, n_test=3, dims=(16, 16), seed=13)
         loaded = load_dataset(tmp_path / "ds")
         modalities = modality_blocks(tmp_path / "ds")
         assert len(modalities) == 3
@@ -345,9 +351,8 @@ class TestPersistence:
             assert np.concatenate(copies).tobytes() == loaded.images[i].tobytes()
 
     def test_digest_is_sha256_of_the_files_in_any_chunk_size(self, tmp_path, monkeypatch):
-        ds = generate(imbalanced_specs(), n_train=6, n_test=2, dims=(16, 16), seed=14)
         src = tmp_path / "ds"
-        save_dataset(src, ds)
+        save_generated(src, imbalanced_specs(), n_train=6, n_test=2, dims=(16, 16), seed=14)
         names = ["dataset.json", "labels.f32", "mod0.f32", "mod1.f32", "mod2.f32"]
         expected = hashlib.sha256(b"".join((src / name).read_bytes() for name in names)).hexdigest()
         assert dataset_digest(src) == expected
