@@ -171,13 +171,16 @@ def get_dataset(cfg: RunConfig, split=None) -> SynthDataset:
                 f"dataset at {cfg.data.data_dir} has {ds.n_modalities} modalities, "
                 f"config expects {len(cfg.data.specs)}"
             )
-        h, w, p = *ds.dims, cfg.train.spectral.p
-        if h % p or w % p:
-            raise ConfigError(
-                f"dataset at {cfg.data.data_dir} has {h}x{w} planes, not divisible by patch side {p}"
-            )
+        require_patch_side(cfg.data.data_dir, ds.dims, cfg.train.spectral.p)
         return ds
     return generate(**_generator_args(cfg))
+
+
+def require_patch_side(data_dir, dims, p: int) -> None:
+    """Raise ConfigError unless patch side p divides the (h, w) planes of the dataset at data_dir."""
+    h, w = dims
+    if h % p or w % p:
+        raise ConfigError(f"dataset at {data_dir} has {h}x{w} planes, not divisible by patch side {p}")
 
 
 def save_generated_dataset(cfg: RunConfig, out_dir) -> None:

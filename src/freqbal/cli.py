@@ -9,7 +9,9 @@ and sweep cells flush the partial trace of a non-finite loss before exiting.
 """
 
 import argparse
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,31 +34,52 @@ DEFAULT_PARAM_TUPLES = (
 )
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_analyze(args) -> int:
     """Print, and with --out write, the mean score of each modality of --data.
 
     Each modality is scored a block of planes at a time, straight from its
     file, and its score is the mean of the per-sample scores of all its
     blocks. Every score is per plane, so that is bitwise the mean over the
-    whole stack, and the dataset is never held whole. Every file is checked
+    whole stack, and the dataset is never held whole. The modalities are
+    scored concurrently, on up to one worker thread per CPU, and each
+    worker holds at most one block; the scores are bitwise those of one
+    thread. Every file, and the patch side against the planes, is checked
     before the first block is scored, so a malformed file exits 2 even when
-    a pixel of an earlier modality is not finite. The spectral parameters
-    and omega_band come from --config, or are the defaults without one.
+    a pixel of an earlier modality is not finite. A non-finite score names
+    the first modality in order that has one, and nothing is printed or
+    written until every score is checked. The spectral parameters and
+    omega_band come from --config, or are the defaults without one.
     """
     train_cfg = load_config(args.config).train if args.config else TrainConfig()
     spectral, omega_band = train_cfg.spectral, train_cfg.omega_band
     metric = args.metric
-    rows = []
-    for path, blocks in modality_blocks(args.data):
+    dims, modalities = modality_blocks(args.data)
+    bench.require_patch_side(args.data, dims, spectral.p)
+
+    def score(blocks):
         # The score is checked instead of the pixels, which would cost a full
         # pass. A bad pixel, an overflow and a zero FRM denominator all end
-        # here, so numpy's warnings would only repeat it.
+        # there, so numpy's warnings would only repeat it. numpy's error
+        # state is per thread, so it is set here, in the worker.
         with np.errstate(all="ignore"):
             scores = [sample_preference(b, spectral, metric, omega_band) for b in blocks]
-            value = float(np.concatenate(scores).mean())
-        if not np.isfinite(value):
-            raise NumericError(f"{path}: non-finite {metric} score")
-        rows.append([path.stem, metric, value])
+            return float(np.concatenate(scores).mean())
+
+    rows = []
+    # Leaving the pool waits for every task, so no thread outlives the command.
+    with ThreadPoolExecutor(max(1, min(len(modalities), _cpu_count()))) as pool:
+        values = pool.map(score, [blocks for _, blocks in modalities])
+        for (path, _), value in zip(modalities, values):
+            if not np.isfinite(value):
+                raise NumericError(f"{path}: non-finite {metric} score")
+            rows.append([path.stem, metric, value])
     for name, kind, value in rows:
         print(f"{name}\t{kind}\t{value!r}")
     if args.out:
@@ -196,6 +219,10 @@ def cmd_filter_study(args) -> int:
     return 0
 
 
+# Eigen-directions at or below this eigenvalue are float noise, not judged.
+_LIVE_EIGENVALUE = 1e-8
+
+
 def cmd_ntk_check(args) -> int:
     rng = stream_rng(args.seed, "ntk")
     x = rng.normal(size=(args.n, args.d)) / np.sqrt(args.d)
@@ -205,9 +232,14 @@ def cmd_ntk_check(args) -> int:
         [i, report.eigenvalues[i], report.factors[i], report.max_rel_deviation[i]]
         for i in range(len(report.eigenvalues))
     ]
+    live = report.eigenvalues > _LIVE_EIGENVALUE
+    if not live.any():
+        raise NumericError(
+            f"no live eigen-direction: the largest eigenvalue {float(report.eigenvalues.max())!r} "
+            f"is not above the {_LIVE_EIGENVALUE!r} cut"
+        )
     if args.out:
         bench.write_csv(args.out, ["direction", "lambda", "factor", "max_rel_deviation"], rows)
-    live = report.eigenvalues > 1e-8
     worst = float(report.max_rel_deviation[live].max())
     print(f"eta={report.eta!r} steps={report.steps}")
     print(f"max relative deviation over {int(live.sum())} live directions: {worst!r}")

@@ -412,10 +412,10 @@ def _check_saved(src: Path):
     """Check a saved dataset without reading a pixel, in a fixed order.
 
     First the manifest (its keys; its six integer fields, which must be
-    JSON integers and are never coerced; its specs; the split sizes, which
-    must not be negative, the class count, at least 2 as a net needs, the
-    plane dims, then the sample count), then
-    each modality file's header, size and (n, h*w) shape, then the labels: n
+    JSON integers and are never coerced; its specs, at least one; the split
+    sizes, which must not be negative, the class count, at least 2 as a net
+    needs, the plane dims, then the sample count), then each modality
+    file's header, size and (n, h*w) shape, then the labels: n
     integral values in [0, n_classes), a bad one reported with the first bad
     sample. So a malformed file is always reported, as a ValueError, before
     any pixel is read, and so before read_raw can find a non-finite one.
@@ -429,6 +429,8 @@ def _check_saved(src: Path):
     tensorio.require_keys(meta, _MANIFEST_KEYS, manifest)
     tensorio.require_fields(meta, _MANIFEST_INTS, manifest)
     tensorio.require_objects(meta["specs"], _SPEC_KEYS, f"{manifest} specs")
+    if not meta["specs"]:
+        raise ValueError(f"{manifest}: specs lists no modality; a dataset needs at least one")
     for key, least in (("n_train", 0), ("n_test", 0), ("n_classes", 2), ("height", 1), ("width", 1)):
         if meta[key] < least:
             raise ValueError(f"{manifest}: {key} is {meta[key]}; it must be at least {least}")
@@ -487,11 +489,14 @@ def modality_blocks(in_dir):
 
     _check_saved checks every file, as for load_dataset, before this
     returns, so a malformed file fails before any pixel is read; of what
-    it gives, only the paths and the stack shape are used. Returns, per
-    modality in order, the path of its file and an iterator over its
-    consecutive (rows, h, w) float32 blocks of _BLOCK planes, the last one
-    possibly fewer. A modality's blocks share one buffer, so each block is
-    valid only until the next is read; the dataset is never held whole.
+    it gives, only the paths and the stack shape are used. Returns the
+    (h, w) plane dims and, per modality in order, the path of its file and
+    an iterator over its consecutive (rows, h, w) float32 blocks of _BLOCK
+    planes, the last one possibly fewer. A modality's blocks share one
+    buffer, so each block is valid only until the next is read, and its
+    iterator must be used from one thread; the modalities' iterators own
+    separate buffers and may run on separate threads. The dataset is never
+    held whole.
     """
     paths, (n, h, w), _ = _check_saved(Path(in_dir))
 
@@ -499,7 +504,7 @@ def modality_blocks(in_dir):
         for block in tensorio.read_raw_blocks(path, (n, h * w), _BLOCK):
             yield block.reshape(-1, h, w)
 
-    return [(path, blocks(path)) for path in paths]
+    return (h, w), [(path, blocks(path)) for path in paths]
 
 
 def _check_labels(values, n: int, n_classes: int, path) -> np.ndarray:

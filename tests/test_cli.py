@@ -1,4 +1,6 @@
 import argparse
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,12 +32,14 @@ def read(path):
 
 def damage(data, fault):
     """Break the 64 + 32 sample, 32x32 dataset saved in `data` in the named way."""
-    if fault in ("manifest_key", "no_samples", "specs_not_list"):
+    if fault in ("manifest_key", "no_samples", "specs_not_list", "no_modalities"):
         meta = tensorio.read_manifest(data / "dataset.json")
         if fault == "manifest_key":
             del meta["height"]
         elif fault == "specs_not_list":
             meta["specs"] = 7
+        elif fault == "no_modalities":
+            meta["specs"] = []
         else:
             meta["n_train"] = meta["n_test"] = 0
         tensorio.write_manifest(data / "dataset.json", meta)
@@ -840,8 +844,8 @@ class TestAnalyzeAndFilter:
 
     @pytest.mark.parametrize(
         "fault",
-        ["manifest_key", "no_samples", "specs_not_list", "truncated_modality", "header_shape",
-         "missing_modality", "bad_label", "truncated_after_nan"],
+        ["manifest_key", "no_samples", "specs_not_list", "no_modalities", "truncated_modality",
+         "header_shape", "missing_modality", "bad_label", "truncated_after_nan"],
     )
     def test_analyze_dataset_rejects_what_load_dataset_rejects(self, fault, cfg_file, tmp_path, capsys):
         data, out = tmp_path / "ds", tmp_path / "scores.csv"
@@ -860,6 +864,60 @@ class TestAnalyzeAndFilter:
         captured = capsys.readouterr()
         assert captured.err == expected and captured.out == ""
         assert not out.exists()
+
+    def test_threaded_scores_are_those_of_one_thread(self, cfg_file, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "ds"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        threads = threading.active_count()
+
+        def analyze(kind, cpus):
+            if cpus is not None:
+                monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"scores_{kind}_{cpus}.csv"
+            capsys.readouterr()
+            assert main(["analyze", "--data", str(data), "--metric", kind, "--out", str(out)]) == 0
+            monkeypatch.undo()
+            # The pool is gone once the command returns.
+            assert threading.active_count() == threads
+            return out.read_bytes(), capsys.readouterr().out
+
+        for kind in METRIC_KINDS:
+            serial = analyze(kind, 1)
+            assert len(serial[1].splitlines()) == 3
+            # As found, and one worker per modality whatever the machine has.
+            for cpus in (None, 3):
+                assert analyze(kind, cpus) == serial, (kind, cpus)
+
+    def test_first_non_finite_modality_is_named(self, cfg_file, tmp_path, capsys):
+        data, out = tmp_path / "ds", tmp_path / "scores.csv"
+        main(["gen", "--config", cfg_file, "--out", str(data)])
+        for name in ("mod1.f32", "mod2.f32"):
+            stack = tensorio.read_raw(data / name)
+            stack[9, 40] = np.nan
+            tensorio.write_raw(data / name, stack)
+        capsys.readouterr()
+        assert main(["analyze", "--data", str(data), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numeric failure: {data / 'mod1.f32'}: non-finite frm score\n"
+        assert not out.exists()
+
+    def test_patch_side_is_checked_as_eval_checks_it(self, tmp_path, capsys):
+        data = tmp_path / "ds"
+        (tmp_path / "gen.cfg").write_text(TINY + "height = 40\nwidth = 40\n")
+        main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(data)])
+        cfg = tmp_path / "patch16.cfg"
+        cfg.write_text(TINY + "patch = 16\n")
+        errors = []
+        for argv in (["analyze", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "scores.csv")],
+                     ["eval", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "ev")]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+            assert not Path(argv[-1]).exists()
+        assert errors == [f"config error: dataset at {data} has 40x40 planes, not divisible by patch side 16\n"] * 2
 
     def test_analyze_dataset_never_loads_it_whole(self, cfg_file, tmp_path, monkeypatch):
         main(["gen", "--config", cfg_file, "--out", str(tmp_path / "ds")])
@@ -1138,6 +1196,18 @@ class TestNtkCheck:
         lines = out.read_text().splitlines()
         assert lines[0] == "direction,lambda,factor,max_rel_deviation"
         assert len(lines) == 9
+
+    def test_no_live_direction_is_numeric_error(self, tmp_path, capsys):
+        # One sample in one dimension: its only eigenvalue, about 1.2e-9, is
+        # below the cut, so there is no direction to judge.
+        out = tmp_path / "ntk.csv"
+        assert main(["ntk-check", "--n", "1", "--d", "1", "--seed", "10306", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: no live eigen-direction: the largest eigenvalue ")
+        assert captured.err.endswith(" is not above the 1e-08 cut\n")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_explicit_unstable_eta(self, tmp_path):
         assert main(["ntk-check", "--n", "8", "--d", "16", "--eta", "1e9"]) == 2

@@ -342,7 +342,8 @@ class TestPersistence:
         monkeypatch.setattr(synthdata, "_BLOCK", 4)
         save_generated(tmp_path / "ds", imbalanced_specs(), n_train=7, n_test=3, dims=(16, 16), seed=13)
         loaded = load_dataset(tmp_path / "ds")
-        modalities = modality_blocks(tmp_path / "ds")
+        dims, modalities = modality_blocks(tmp_path / "ds")
+        assert dims == (16, 16)
         assert len(modalities) == 3
         for i, (path, blocks) in enumerate(modalities):
             assert path == tmp_path / "ds" / f"mod{i}.f32"
